@@ -62,6 +62,7 @@ from .sampling import (
     ReconstructionReport,
     SampleDraw,
     build_frame_model,
+    build_selection_model,
     christoffel_profile,
     coherence_profile,
     cross_term_matrix,

@@ -7,7 +7,9 @@ and JSON artifacts next to --out when given.  Exit codes: 0 success, 2 config
 or validation error, 3 numerical-accuracy failure.
 
 Trial t of a Monte Carlo run uses seed base_seed + t, so identical configs
-reproduce byte-identical outputs and trials can run in any order.
+reproduce byte-identical outputs (for one numpy/BLAS build and BLAS thread
+count; across thread counts reals agree within 1e-12 relative) and trials can
+run in any order.
 """
 
 from __future__ import annotations
@@ -80,7 +82,36 @@ def _load_config(args: argparse.Namespace) -> dict:
         val = getattr(args, key, None)
         if val is not None:
             cfg[key] = val
+    _check_numeric_fields(cfg)
     return cfg
+
+
+# Numeric fields: parser, admissible range, and the rule quoted on rejection.
+NUMERIC_RULES = {
+    "delta": (float, lambda x: 0.0 < x < 1.0, "a finite real number in (0, 1)"),
+    "epsilon": (float, lambda x: x > 0.0, "a finite positive real number"),
+    "seed": (int, lambda x: x >= 0, "an integer >= 0"),
+    "trials": (int, lambda x: x >= 1, "an integer >= 1"),
+    "m": (int, lambda x: x >= 1, "an integer >= 1"),
+}
+
+
+def _check_numeric_fields(cfg: dict) -> None:
+    """Reject bad numeric fields, naming the field, before any work starts;
+    integer fields are normalized to int in place.  Fields whose default is
+    None may stay None."""
+    for key, (kind, in_range, rule) in NUMERIC_RULES.items():
+        val = cfg[key]
+        if val is None and DEFAULTS[key] is None:
+            continue
+        try:
+            num = kind(val)
+            valid = math.isfinite(num) and in_range(num) and float(val) == num
+        except (TypeError, ValueError, OverflowError):
+            valid = False
+        if not valid:
+            raise InputValidationError(f"{key} must be {rule}, got {val!r}")
+        cfg[key] = num
 
 
 def _parse_counts(value, *, name: str) -> list[int]:
@@ -299,8 +330,6 @@ def run_montecarlo(cfg: dict, command: str) -> None:
     n = _pick_n(cfg, model, model_info)
     delta = float(cfg["delta"])
     trials = int(cfg["trials"])
-    if trials < 1:
-        raise InputValidationError("trials must be >= 1")
     prof = leverage_profile(model, n, cfg.get("p_spec", "leverage"))
     coh = coherence_profile(model, prof)
     m = int(cfg["m"]) if cfg.get("m") is not None else gram_sample_size(
@@ -371,7 +400,7 @@ def run_convergence(cfg: dict) -> None:
     if len(n_list) < 4:
         raise InputValidationError("convergence sweep needs at least 4 n values")
     delta = float(cfg["delta"])
-    trials = int(cfg["trials"]) if cfg.get("trials") else 20
+    trials = int(cfg["trials"])
     if cfg.get("target") is None:
         cfg = dict(cfg, target="pole_a:1.5")
     target, target_info = _build_target(cfg)

@@ -19,7 +19,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InputValidationError, NumericalAccuracyError, TruncationError
-from .sampling import FrameModel, build_frame_model
+from .sampling import FrameModel, build_selection_model
 
 __all__ = [
     "frequency_of",
@@ -358,6 +358,9 @@ def build_fl_model(
     Fourier coordinates, reconstruction vectors the first n normalized
     Legendre polynomials expressed in ``ambient`` Fourier coordinates.
 
+    The sampling system is stored as the column selection of ambient indices
+    0..J-1, so memory and work stay O(ambient * n).
+
     Fails if any column loses more than ``max_defect`` of its unit mass to the
     ambient truncation; use :func:`column_defects` to inspect the loss.
     """
@@ -373,8 +376,7 @@ def build_fl_model(
             f"ambient={ambient} leaves a column defect of {worst:.3e} "
             f"(> {max_defect:.1e}); increase ambient"
         )
-    s_coef = np.eye(ambient, J, dtype=complex)
-    return build_frame_model(s_coef, w_coef)
+    return build_selection_model(np.arange(J), w_coef)
 
 
 def l2_error(f_coef, g_coef) -> float:

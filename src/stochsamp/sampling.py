@@ -14,7 +14,7 @@ per seed, so parallel Monte Carlo should derive disjoint seeds per trial
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,6 +39,7 @@ __all__ = [
     "ReconstructionReport",
     "RangeStability",
     "build_frame_model",
+    "build_selection_model",
     "leverage_profile",
     "coherence_profile",
     "cross_term_matrix",
@@ -56,34 +57,51 @@ SUPPORT_TOL = 1e-12
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, copy=True)
-    out.setflags(write=False)
-    return out
+    """Mark ``a`` read-only in place; callers pass arrays they own."""
+    a.setflags(write=False)
+    return a
 
 
 @dataclass(frozen=True)
 class FrameModel:
     """Truncated coordinates of the sampling and reconstruction systems.
 
-    ``s_coef`` is N_amb x J (column j = sampling vector s_j in the ambient
-    orthonormal basis); ``w_coef`` is N_amb x K (column k = reconstruction
-    vector w_k).  ``declared_bounds`` optionally carries the frame/Riesz
-    bounds (A, B, C, D).
+    The sampling system comes in one of two forms: ``s_matrix``, a dense
+    N_amb x J matrix (column j = sampling vector s_j in the ambient
+    orthonormal basis), or ``s_rows``, J distinct ambient indices with
+    s_j = e_{s_rows[j]} (a column selection, stored in O(J)).  ``w_coef`` is
+    N_amb x K (column k = reconstruction vector w_k).  ``declared_bounds``
+    optionally carries the frame/Riesz bounds (A, B, C, D).
+
+    Factorizations of the first n reconstruction columns are memoized per n
+    on the model; the memo takes no part in equality or serialization.
     """
 
-    s_coef: np.ndarray
     w_coef: np.ndarray
     declared_bounds: tuple[float, float, float, float] | None
     sampling_is_orthonormal: bool
     reconstruction_is_riesz: bool
+    s_matrix: np.ndarray | None = None
+    s_rows: np.ndarray | None = None
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    @property
+    def s_coef(self) -> np.ndarray:
+        """Dense read-only N_amb x J sampling matrix (materialized on each
+        access for a selection)."""
+        if self.s_matrix is not None:
+            return self.s_matrix
+        return _frozen(_sampling_columns(self))
 
     @property
     def ambient_dim(self) -> int:
-        return self.s_coef.shape[0]
+        return self.w_coef.shape[0]
 
     @property
     def num_sampling(self) -> int:
-        return self.s_coef.shape[1]
+        if self.s_rows is not None:
+            return self.s_rows.shape[0]
+        return self.s_matrix.shape[1]
 
     @property
     def num_reconstruction(self) -> int:
@@ -181,6 +199,11 @@ def _distribution_digest(p: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(p, dtype=np.float64).tobytes()).hexdigest()[:16]
 
 
+def _is_riesz(w: np.ndarray) -> bool:
+    sv_w = np.linalg.svd(w, compute_uv=False)
+    return bool(sv_w[0] > 0 and sv_w[-1] > default_rel_tol(w) * sv_w[0])
+
+
 def build_frame_model(s_coef, w_coef, declared_bounds=None) -> FrameModel:
     """Assemble an immutable frame model, testing orthonormality of the
     sampling columns and full column rank of the reconstruction columns."""
@@ -201,20 +224,56 @@ def build_frame_model(s_coef, w_coef, declared_bounds=None) -> FrameModel:
     orthonormal = bool(
         np.linalg.norm(gram_s - np.eye(s.shape[1])) <= 1e-8
     )
-    sv_w = np.linalg.svd(w, compute_uv=False)
-    riesz = bool(sv_w[0] > 0 and sv_w[-1] > default_rel_tol(w) * sv_w[0])
     return FrameModel(
-        s_coef=_frozen(s),
-        w_coef=_frozen(w),
+        w_coef=_frozen(w.copy(order="K")),
         declared_bounds=declared_bounds,
         sampling_is_orthonormal=orthonormal,
-        reconstruction_is_riesz=riesz,
+        reconstruction_is_riesz=_is_riesz(w),
+        s_matrix=_frozen(s.copy(order="K")),
     )
 
 
+def build_selection_model(rows, w_coef) -> FrameModel:
+    """Frame model whose sampling vectors are ambient basis vectors,
+    s_j = e_{rows[j]} (0-based, distinct), so they are orthonormal by
+    construction and no dense sampling matrix is ever formed."""
+    w = as_matrix(w_coef, name="w_coef")
+    r = np.asarray(rows)
+    if r.ndim != 1 or r.size == 0 or not np.issubdtype(r.dtype, np.integer):
+        raise InputValidationError("rows must be a nonempty 1-d integer sequence")
+    if r.min() < 0 or r.max() >= w.shape[0]:
+        raise InputValidationError(f"rows must lie in [0, {w.shape[0] - 1}]")
+    if np.unique(r).size != r.size:
+        raise InputValidationError("rows must be distinct")
+    return FrameModel(
+        w_coef=_frozen(w.copy(order="K")),
+        declared_bounds=None,
+        sampling_is_orthonormal=True,
+        reconstruction_is_riesz=_is_riesz(w),
+        s_rows=_frozen(r.astype(np.int64)),
+    )
+
+
+def _sampling_columns(model: FrameModel, cols=None) -> np.ndarray:
+    """S[:, cols] (all columns if None) as a dense N_amb x len(cols) array."""
+    if model.s_rows is None:
+        return model.s_matrix if cols is None else model.s_matrix[:, cols]
+    rows = model.s_rows if cols is None else model.s_rows[cols]
+    s = np.zeros((model.ambient_dim, rows.shape[0]), dtype=complex)
+    s[rows, np.arange(rows.shape[0])] = 1.0
+    return s
+
+
+def _sampling_adjoint(model: FrameModel, x: np.ndarray) -> np.ndarray:
+    """S^H x for an ambient vector or matrix x (a gather for a selection)."""
+    if model.s_rows is not None:
+        return x[model.s_rows]
+    return model.s_matrix.conj().T @ x
+
+
 def _interaction_vectors(model: FrameModel, n: int) -> np.ndarray:
-    # v_j = iota_n^* U^* e_j with U = s_coef^H w_coef; columns of the result.
-    un = model.s_coef.conj().T @ model.w_coef[:, :n]
+    # v_j = iota_n^* U^* e_j with U = S^H w_coef; columns of the result.
+    un = _sampling_adjoint(model, model.w_coef[:, :n])
     return un.conj().T
 
 
@@ -284,20 +343,59 @@ def leverage_profile(model: FrameModel, n: int, p_spec="leverage") -> LeveragePr
 
 
 def _reconstruction_basis(model: FrameModel, n: int) -> np.ndarray:
-    """Orthonormal basis (columns) of the span of the first n reconstruction
-    vectors, rank-revealed through the SVD."""
-    wn = model.w_coef[:, :n]
-    u, s, _ = np.linalg.svd(wn, full_matrices=False)
-    if s[0] == 0.0:
-        return u[:, :0]
-    r = int(np.count_nonzero(s > default_rel_tol(wn) * s[0]))
-    return u[:, :r]
+    """Orthonormal basis Q (columns) of the span of the first n
+    reconstruction vectors, rank-revealed through the SVD; memoized per n."""
+    key = ("Q", n)
+    if key not in model._memo:
+        wn = model.w_coef[:, :n]
+        u, s, _ = np.linalg.svd(wn, full_matrices=False)
+        r = 0 if s[0] == 0.0 else int(np.count_nonzero(s > default_rel_tol(wn) * s[0]))
+        model._memo[key] = _frozen(u[:, :r])
+    return model._memo[key]
+
+
+def _r_factor(model: FrameModel, n: int) -> np.ndarray:
+    """R of the QR factorization of the first n reconstruction columns;
+    memoized per n."""
+    key = ("R", n)
+    if key not in model._memo:
+        model._memo[key] = _frozen(np.linalg.qr(model.w_coef[:, :n])[1])
+    return model._memo[key]
 
 
 def _residual_columns(model: FrameModel, q: np.ndarray, cols=None) -> np.ndarray:
-    """u_j = (I - P_{W_n}) s_j for the selected columns (all if None)."""
-    s = model.s_coef if cols is None else model.s_coef[:, cols]
+    """u_j = (I - QQ^H) s_j for the selected columns (all if None)."""
+    s = _sampling_columns(model, cols)
     return s - q @ (q.conj().T @ s)
+
+
+def _weighted_cross_term(model: FrameModel, q: np.ndarray, vw: np.ndarray, cols=None):
+    """sum_j vw_j u_j^H over the selected columns (all if None), n x N_amb.
+
+    For a selection u_j^H = e_{r_j}^T - Q[r_j, :] Q^H, so the sum is a
+    scatter of vw minus (vw Q[rows, :]) Q^H; no N_amb x J array is formed.
+    """
+    if model.s_rows is None:
+        return vw @ _residual_columns(model, q, cols).conj().T
+    rows = model.s_rows if cols is None else model.s_rows[cols]
+    out = np.zeros((vw.shape[0], model.ambient_dim), dtype=complex)
+    out[:, rows] = vw
+    out -= (vw @ q[rows]) @ q.conj().T
+    return out
+
+
+def _cross_term_limit(model: FrameModel, prof: LeverageProfile, resid=None) -> np.ndarray:
+    """C = sum_j v_j u_j^H, memoized per n for the profile's interaction
+    vectors; ``resid`` passes residual columns the caller already holds."""
+    key = ("C", prof.n)
+    hit = model._memo.get(key)
+    if hit is None or hit[0] is not prof.v:
+        if resid is not None:
+            c = prof.v @ resid.conj().T
+        else:
+            c = _weighted_cross_term(model, _reconstruction_basis(model, prof.n), prof.v)
+        hit = model._memo[key] = (prof.v, _frozen(c))
+    return hit[1]
 
 
 def coherence_profile(model: FrameModel, prof: LeverageProfile) -> CoherenceProfile:
@@ -307,14 +405,23 @@ def coherence_profile(model: FrameModel, prof: LeverageProfile) -> CoherenceProf
     supp = p > 0.0
     vn2 = np.sum(np.abs(prof.v) ** 2, axis=0).real
     q = _reconstruction_basis(model, prof.n)
-    resid = _residual_columns(model, q)
-    un2 = np.sum(np.abs(resid) ** 2, axis=0).real
+    resid = None
+    if model.s_rows is None or model.num_sampling <= q.shape[1]:
+        # Dense S, or a selection of at most rank-Q columns: the N_amb x J
+        # residual is formed (for a selection it is at most N_amb x n).
+        resid = _residual_columns(model, q)
+        un2 = np.sum(np.abs(resid) ** 2, axis=0).real
+        t_norm = float(np.linalg.svd(resid, compute_uv=False)[0] ** 2)
+    else:
+        # ||u_j||^2 = 1 - ||Q[r_j, :]||^2; with more selected columns than
+        # rank Q some unit combination of them is orthogonal to W_n, and
+        # ||(I - QQ^H) S|| <= 1, so T = 1 exactly.
+        un2 = np.maximum(1.0 - np.sum(np.abs(q[model.s_rows]) ** 2, axis=1), 0.0)
+        t_norm = 1.0
 
     r_v = float(np.max(vn2[supp] / p[supp])) if np.any(supp) else 0.0
     r_u = float(np.max(un2[supp] / p[supp])) if np.any(supp) else 0.0
-    sv_resid = np.linalg.svd(resid, compute_uv=False)
-    t_norm = float(sv_resid[0] ** 2)
-    c_mat = prof.v @ resid.conj().T
+    c_mat = _cross_term_limit(model, prof, resid)
     c_norm = float(np.linalg.svd(c_mat, compute_uv=False)[0])
     sigma_norm = operator_norm(prof.sigma)
     sigma_inv_norm = 1.0 / prof.lambda0
@@ -332,10 +439,9 @@ def coherence_profile(model: FrameModel, prof: LeverageProfile) -> CoherenceProf
 
 
 def cross_term_matrix(model: FrameModel, prof: LeverageProfile) -> np.ndarray:
-    """Limiting cross-term C = sum_j v_j u_j^H as an n x N_amb matrix."""
-    q = _reconstruction_basis(model, prof.n)
-    resid = _residual_columns(model, q)
-    return prof.v @ resid.conj().T
+    """Limiting cross-term C = sum_j v_j u_j^H as a read-only n x N_amb
+    matrix."""
+    return _cross_term_limit(model, prof)
 
 
 def draw_samples(prof: LeverageProfile, m: int, seed: int) -> SampleDraw:
@@ -387,16 +493,13 @@ def empirical_cross_term(
     sel = np.flatnonzero(counts > 0)
     weights = counts[sel] / (draw.m * prof.p[sel])
     q = _reconstruction_basis(model, prof.n)
-    resid = _residual_columns(model, q, cols=sel)
-    return (prof.v[:, sel] * weights) @ resid.conj().T
+    return _weighted_cross_term(model, q, prof.v[:, sel] * weights, cols=sel)
 
 
 def _k_factor(model, prof, gram_hat, cross_hat) -> float:
     # ||W iota_n Sigma_hat^+ C_hat||; reduce through QR of the n reconstruction
     # columns so only small SVDs are taken.
-    wn = model.w_coef[:, : prof.n]
-    _, r = np.linalg.qr(wn)
-    inner = r @ (pseudo_inverse(gram_hat) @ cross_hat)
+    inner = _r_factor(model, prof.n) @ (pseudo_inverse(gram_hat) @ cross_hat)
     return float(np.linalg.svd(inner, compute_uv=False)[0])
 
 
@@ -422,7 +525,7 @@ def reconstruct(
     idx = draw.indices
     wts = 1.0 / np.sqrt(draw.m * prof.p[idx])
     design = prof.v[:, idx].conj().T * wts[:, None]
-    samples = model.s_coef.conj().T @ f
+    samples = _sampling_adjoint(model, f)
     rhs = wts * samples[idx]
     x = minimal_norm_lsq(design, rhs)
 

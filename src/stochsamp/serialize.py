@@ -18,6 +18,7 @@ from .sampling import (
     LeverageProfile,
     ReconstructionReport,
     SampleDraw,
+    _frozen,
     build_frame_model,
 )
 
@@ -206,8 +207,3 @@ def _expect(data: dict, type_name: str) -> None:
         raise InputValidationError(
             f"expected serialized {type_name}, got {data.get('type')!r}"
         )
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a

@@ -1,10 +1,18 @@
 import json
 import math
+import os
+import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import stochsamp
+import stochsamp.cli as cli
 from stochsamp.cli import main
+from stochsamp.sampling import build_frame_model
+from stochsamp.serialize import model_to_dict
 
 
 def run(capsys, *argv):
@@ -211,3 +219,122 @@ class TestDeterminism:
                 + (tmp_path / f"{tag}.csv").read_bytes()
             )
         assert blobs[0] == blobs[1]
+
+
+class TestInputValidation:
+    """Bad numeric input exits 2 naming the field before any sample is drawn."""
+
+    @pytest.fixture(autouse=True)
+    def no_draws(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started before input validation")
+
+        monkeypatch.setattr(cli, "draw_samples", refuse)
+
+    @pytest.mark.parametrize("command", ["mc-gram", "bounds", "reconstruct"])
+    @pytest.mark.parametrize("flag,value,field", [
+        ("--epsilon", "nan", "epsilon"),
+        ("--epsilon", "inf", "epsilon"),
+        ("--delta", "nan", "delta"),
+        ("--delta", "-inf", "delta"),
+        ("--seed", "-1", "seed"),
+        ("--trials", "0", "trials"),
+        ("--m", "0", "m"),
+    ])
+    def test_flag_rejected(self, capsys, command, flag, value, field):
+        code = main([command, "--model", "fl:n=10,ambient=301,max_defect=0.05",
+                     "--target", "exp_c:1", "--m", "20", f"{flag}={value}"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert f"{field} must" in captured.err
+
+    def test_config_field_rejected(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": "identity:4", "seed": 2.5}))
+        code = main(["mc-gram", "--config", str(cfg)])
+        assert code == 2
+        assert "seed must" in capsys.readouterr().err
+
+    def test_convergence_zero_trials_rejected(self, capsys):
+        code = main(["convergence", "--model", "fl:n=7,ambient=301,max_defect=0.05",
+                     "--n", "4,5,6,7", "--trials", "0"])
+        assert code == 2
+        assert "trials must" in capsys.readouterr().err
+
+
+def test_fl_ambient_20001_runs(capsys):
+    # A dense S at this size would take 6.4 GB; the selection form needs O(ambient * n).
+    code, report = run(
+        capsys, "mc-gram", "--model", "fl:n=10,ambient=20001", "--target", "exp_c:1",
+        "--trials", "3", "--seed", "0",
+    )
+    assert code == 0
+    assert report["model"]["ambient"] == 20001
+    assert report["full_rank_frequency"]["trials"] == 3
+    assert report["bound_violations"] == 0
+
+
+def _cli_outputs(tmp_path, tag, threads, argv):
+    """Run the CLI in a fresh process with the given BLAS thread count."""
+    env = dict(os.environ)
+    env.update({var: str(threads) for var in
+                ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")})
+    src = os.path.dirname(os.path.dirname(os.path.abspath(stochsamp.__file__)))
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    out = tmp_path / tag
+    proc = subprocess.run(
+        [sys.executable, "-m", "stochsamp.cli", *argv, "--out", str(out)],
+        env=env, capture_output=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout, (tmp_path / f"{tag}.csv").read_bytes()
+
+
+def _same_up_to_reals(a: str, b: str) -> bool:
+    """Token-wise equal, except decimal reals may differ by 1e-12 relative."""
+    number = re.compile(r"(-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?)")
+    ta, tb = number.split(a), number.split(b)
+    if len(ta) != len(tb):
+        return False
+    # split() puts the captured numbers at odd positions, the text between at even.
+    for i, (x, y) in enumerate(zip(ta, tb)):
+        if x == y:
+            continue
+        if i % 2 == 0 or not re.search(r"[.eE]", x + y):  # text and integers exactly
+            return False
+        fx, fy = float(x), float(y)
+        if abs(fx - fy) > 1e-12 * max(abs(fx), abs(fy)):
+            return False
+    return True
+
+
+def _coherent_frame_file(path) -> None:
+    """A 100 x 100 unitary S and W on a few of its columns plus noise; with
+    OpenBLAS its CSV reals change in the last digits with the thread count."""
+    rng = np.random.default_rng(3)
+    z = rng.standard_normal((100, 100)) + 1j * rng.standard_normal((100, 100))
+    s = np.linalg.qr(z / np.sqrt(2.0))[0]
+    cols = rng.choice(100, size=64, replace=False)
+    g = rng.standard_normal((64, 32)) + 1j * rng.standard_normal((64, 32))
+    e = rng.standard_normal((100, 32)) + 1j * rng.standard_normal((100, 32))
+    w = s[:, cols] @ g / np.sqrt(128.0) + 0.02 * e / np.sqrt(200.0)
+    path.write_text(json.dumps(model_to_dict(build_frame_model(s, w))))
+
+
+@pytest.mark.parametrize("model", ["fl:n=10,ambient=301,max_defect=0.05", "custom"])
+def test_determinism_scope_across_blas_threads(tmp_path, model):
+    # Byte-identical for one BLAS build and thread count; across thread counts
+    # integers, booleans and strings match and reals agree within 1e-12.
+    if model == "custom":
+        _coherent_frame_file(tmp_path / "frame.json")
+        argv = ["mc-gram", "--model", f"custom:{tmp_path / 'frame.json'}",
+                "--n", "32", "--m", "48", "--trials", "30", "--seed", "0"]
+    else:
+        argv = ["mc-gram", "--model", model, "--target", "exp_c:1",
+                "--trials", "50", "--seed", "0"]
+    first = _cli_outputs(tmp_path, "one_a", 1, argv)
+    assert _cli_outputs(tmp_path, "one_b", 1, argv) == first
+    two = _cli_outputs(tmp_path, "two", 2, argv)
+    for got, ref in zip(two, first):
+        assert _same_up_to_reals(got.decode(), ref.decode())
