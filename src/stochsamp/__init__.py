@@ -65,6 +65,7 @@ from .sampling import (
     build_selection_model,
     christoffel_profile,
     coherence_profile,
+    cross_term_deviation,
     cross_term_matrix,
     draw_samples,
     empirical_cross_term,

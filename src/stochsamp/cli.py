@@ -34,9 +34,8 @@ from .sampling import (
     FrameModel,
     build_frame_model,
     coherence_profile,
-    cross_term_matrix,
+    cross_term_deviation,
     draw_samples,
-    empirical_cross_term,
     empirical_gram,
     leverage_profile,
     range_stability_check,
@@ -48,8 +47,13 @@ __all__ = ["main"]
 
 COMMANDS = ("reconstruct", "mc-gram", "mc-crossterm", "convergence", "leverage", "bounds")
 
+# An unset model is identity:8, except for convergence sweeps, which default
+# to a Fourier-Legendre model; None marks "not given".
+DEFAULT_MODEL = "identity:8"
+FL_KINDS = ("fourier-legendre", "fl")
+
 DEFAULTS = {
-    "model": "identity:8",
+    "model": None,
     "target": None,
     "n": None,
     "m": None,
@@ -83,6 +87,11 @@ def _load_config(args: argparse.Namespace) -> dict:
         if val is not None:
             cfg[key] = val
     _check_numeric_fields(cfg)
+    if isinstance(cfg["n"], list) and args.command != "convergence":
+        raise InputValidationError(
+            f"n must be a single integer >= 1 for {args.command}, got {cfg['n']!r}; "
+            "sweep lists are for convergence"
+        )
     return cfg
 
 
@@ -112,24 +121,27 @@ def _check_numeric_fields(cfg: dict) -> None:
         if not valid:
             raise InputValidationError(f"{key} must be {rule}, got {val!r}")
         cfg[key] = num
+    if cfg["n"] is not None:
+        cfg["n"] = _parse_counts(cfg["n"])
 
 
-def _parse_counts(value, *, name: str) -> list[int]:
-    """A count or a strictly increasing sweep list ('4,8,12' or [4, 8, 12])."""
+def _parse_counts(value) -> int | list[int]:
+    """``n`` as a count (an int) or a strictly increasing sweep list of
+    counts ('4,8,12' or [4, 8, 12]); anything else is rejected naming n."""
     if isinstance(value, str):
-        parts = [p for p in value.split(",") if p.strip()]
-        value = [int(p) for p in parts] if len(parts) > 1 else int(parts[0])
-    if isinstance(value, (int, float)):
-        vals = [int(value)]
+        items = [p for p in value.split(",") if p.strip()]
     else:
-        vals = [int(v) for v in value]
-    if not vals:
-        raise InputValidationError(f"{name} sweep list is empty")
-    if any(b <= a for a, b in zip(vals, vals[1:])):
-        raise InputValidationError(f"{name} sweep list must be strictly increasing")
-    if any(v < 1 for v in vals):
-        raise InputValidationError(f"{name} values must be >= 1")
-    return vals
+        items = value if isinstance(value, (list, tuple)) else [value]
+    try:
+        vals = [int(v) for v in items]
+        valid = bool(vals) and all(v >= 1 and float(x) == v for v, x in zip(vals, items))
+    except (TypeError, ValueError, OverflowError):
+        valid = False
+    if not valid or any(b <= a for a, b in zip(vals, vals[1:])):
+        raise InputValidationError(
+            f"n must be an integer >= 1 or a strictly increasing list of them, got {value!r}"
+        )
+    return vals[0] if len(vals) == 1 else vals
 
 
 def _spec_to_dict(spec, *, name: str) -> dict:
@@ -154,7 +166,8 @@ def _spec_to_dict(spec, *, name: str) -> dict:
 
 
 def _build_model(cfg: dict) -> tuple[FrameModel, dict]:
-    spec = _spec_to_dict(cfg["model"], name="model")
+    given = cfg["model"]
+    spec = _spec_to_dict(DEFAULT_MODEL if given is None else given, name="model")
     kind = spec.get("kind")
     if kind == "identity":
         dim = int(spec.get("dim", spec.get("value", 8)))
@@ -162,7 +175,7 @@ def _build_model(cfg: dict) -> tuple[FrameModel, dict]:
             raise InputValidationError(f"identity model needs dim >= 1, got {dim}")
         eye = np.eye(dim, dtype=complex)
         return build_frame_model(eye, eye), {"kind": "identity", "dim": dim}
-    if kind in ("fourier-legendre", "fl"):
+    if kind in FL_KINDS:
         n = int(spec.get("n", spec.get("value", 10)))
         ambient = int(spec.get("ambient", 2001))
         j_count = int(spec.get("J", ambient))
@@ -219,7 +232,7 @@ def _target_ambient_coef(
 
 def _pick_n(cfg: dict, model: FrameModel, model_info: dict) -> int:
     if cfg.get("n") is not None:
-        n = int(cfg["n"])
+        n = cfg["n"]
     elif model_info["kind"] == "fourier-legendre":
         n = model.num_reconstruction
     else:
@@ -337,7 +350,6 @@ def run_montecarlo(cfg: dict, command: str) -> None:
     )
     eps = float(cfg["epsilon"]) if cfg.get("epsilon") is not None else prof.lambda0
     f_coef = _target_ambient_coef(model, model_info, target, cfg)
-    c_limit = cross_term_matrix(model, prof)
     base_seed = int(cfg["seed"])
 
     rows = []
@@ -347,7 +359,7 @@ def run_montecarlo(cfg: dict, command: str) -> None:
         draw = draw_samples(prof, m, seed)
         rep = reconstruct(model, prof, draw, f_coef)
         gram_dev = operator_norm(empirical_gram(prof, draw) - prof.sigma)
-        cross_dev = operator_norm(empirical_cross_term(model, prof, draw) - c_limit)
+        cross_dev = cross_term_deviation(model, prof, draw)
         stable = range_stability_check(prof, draw).equal
         full_rank = not rep.used_pseudo_inverse
         gram_exceed += gram_dev >= eps
@@ -396,19 +408,19 @@ def run_montecarlo(cfg: dict, command: str) -> None:
 
 
 def run_convergence(cfg: dict) -> None:
-    n_list = _parse_counts(cfg.get("n") or [4, 8, 12, 16, 20], name="n")
-    if len(n_list) < 4:
+    n_list = [4, 8, 12, 16, 20] if cfg["n"] is None else cfg["n"]
+    if not isinstance(n_list, list) or len(n_list) < 4:
         raise InputValidationError("convergence sweep needs at least 4 n values")
     delta = float(cfg["delta"])
     trials = int(cfg["trials"])
     if cfg.get("target") is None:
         cfg = dict(cfg, target="pole_a:1.5")
     target, target_info = _build_target(cfg)
-    if cfg.get("model") == DEFAULTS["model"]:
+    if cfg["model"] is None:
         cfg = dict(cfg, model=f"fl:n={max(n_list)}")
-    model, model_info = _build_model(cfg)
-    if model_info["kind"] != "fourier-legendre":
+    elif _spec_to_dict(cfg["model"], name="model").get("kind") not in FL_KINDS:
         raise InputValidationError("convergence sweeps require a fourier-legendre model")
+    model, model_info = _build_model(cfg)
     if max(n_list) > model.num_reconstruction:
         raise InputValidationError(
             f"sweep max n={max(n_list)} exceeds model degrees {model.num_reconstruction}"

@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import DegenerateModelError, InputValidationError, SupportViolationError
 from .linalg import (
+    _svd_with_rank,
     as_matrix,
     default_rel_tol,
     minimal_norm_lsq,
@@ -43,6 +44,7 @@ __all__ = [
     "leverage_profile",
     "coherence_profile",
     "cross_term_matrix",
+    "cross_term_deviation",
     "draw_samples",
     "empirical_gram",
     "empirical_cross_term",
@@ -117,6 +119,17 @@ class LeverageProfile:
     n x n Gram section (sum of v_j v_j^H); ``p`` the sampling distribution
     over the J model indices; ``lambda0`` the smallest retained (nonzero)
     eigenvalue of sigma.
+
+    ``tail_mass`` is 1 - trace(sigma)/n.  When the first n reconstruction
+    columns are unit-norm and the sampling vectors orthonormal, it is the
+    share of their energy that the J sampling vectors miss (for
+    Fourier-Legendre, the leverage mass beyond the J retained frequencies).
+    For columns that are not unit-norm it is only that formula: it measures
+    how far trace(sigma) is from n and can be negative.
+
+    The digest, the sampling CDF and the projector onto the range of sigma
+    are memoized on the profile; the memo takes no part in equality or
+    serialization.
     """
 
     n: int
@@ -126,6 +139,7 @@ class LeverageProfile:
     p: np.ndarray
     tail_mass: float
     lambda0: float
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def num_indices(self) -> int:
@@ -133,18 +147,25 @@ class LeverageProfile:
 
     @property
     def distribution_id(self) -> str:
-        return _distribution_digest(self.p)
+        if "digest" not in self._memo:
+            self._memo["digest"] = _distribution_digest(self.p)
+        return self._memo["digest"]
 
 
 @dataclass(frozen=True)
 class SampleDraw:
     """A multiset of drawn indices (0-based into the model columns) plus the
-    seed and distribution digest that produced it."""
+    seed and distribution digest that produced it.
+
+    The per-draw estimator quantities (see :func:`_draw_kernel`) are memoized
+    on the draw; the memo takes no part in equality or serialization.
+    """
 
     indices: np.ndarray
     m: int
     seed: int
     distribution_id: str
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -337,7 +358,7 @@ def leverage_profile(model: FrameModel, n: int, p_spec="leverage") -> LeveragePr
         sigma=_frozen(sigma),
         trace_sigma=trace_sigma,
         p=_frozen(p),
-        tail_mass=0.0,
+        tail_mass=1.0 - trace_sigma / n,
         lambda0=lambda0,
     )
 
@@ -354,6 +375,15 @@ def _reconstruction_basis(model: FrameModel, n: int) -> np.ndarray:
     return model._memo[key]
 
 
+def _basis_adjoint(model: FrameModel, n: int) -> np.ndarray:
+    """Q^H for the basis of :func:`_reconstruction_basis`; memoized per n so
+    the per-trial tail projection copies no ambient-sized conjugate."""
+    key = ("QH", n)
+    if key not in model._memo:
+        model._memo[key] = _frozen(_reconstruction_basis(model, n).conj().T)
+    return model._memo[key]
+
+
 def _r_factor(model: FrameModel, n: int) -> np.ndarray:
     """R of the QR factorization of the first n reconstruction columns;
     memoized per n."""
@@ -361,6 +391,13 @@ def _r_factor(model: FrameModel, n: int) -> np.ndarray:
     if key not in model._memo:
         model._memo[key] = _frozen(np.linalg.qr(model.w_coef[:, :n])[1])
     return model._memo[key]
+
+
+def _explicit_residuals(model: FrameModel, q: np.ndarray) -> bool:
+    """Whether the residual columns u_j are formed explicitly: for a dense S,
+    and for a selection of at most rank-Q columns (which may lie inside W_n,
+    where the small-side square-root forms lose accuracy)."""
+    return model.s_rows is None or model.num_sampling <= q.shape[1]
 
 
 def _residual_columns(model: FrameModel, q: np.ndarray, cols=None) -> np.ndarray:
@@ -384,18 +421,23 @@ def _weighted_cross_term(model: FrameModel, q: np.ndarray, vw: np.ndarray, cols=
     return out
 
 
+def _memo_for_v(model: FrameModel, prof: LeverageProfile, name: str, build) -> np.ndarray:
+    """Per-n memo of a quantity of the profile's interaction vectors; it is
+    rebuilt when a profile with other interaction vectors asks for it."""
+    key = (name, prof.n)
+    hit = model._memo.get(key)
+    if hit is None or hit[0] is not prof.v:
+        hit = model._memo[key] = (prof.v, _frozen(build()))
+    return hit[1]
+
+
 def _cross_term_limit(model: FrameModel, prof: LeverageProfile, resid=None) -> np.ndarray:
     """C = sum_j v_j u_j^H, memoized per n for the profile's interaction
     vectors; ``resid`` passes residual columns the caller already holds."""
-    key = ("C", prof.n)
-    hit = model._memo.get(key)
-    if hit is None or hit[0] is not prof.v:
-        if resid is not None:
-            c = prof.v @ resid.conj().T
-        else:
-            c = _weighted_cross_term(model, _reconstruction_basis(model, prof.n), prof.v)
-        hit = model._memo[key] = (prof.v, _frozen(c))
-    return hit[1]
+    if resid is not None:
+        return _memo_for_v(model, prof, "C", lambda: prof.v @ resid.conj().T)
+    q = _reconstruction_basis(model, prof.n)
+    return _memo_for_v(model, prof, "C", lambda: _weighted_cross_term(model, q, prof.v))
 
 
 def coherence_profile(model: FrameModel, prof: LeverageProfile) -> CoherenceProfile:
@@ -406,7 +448,7 @@ def coherence_profile(model: FrameModel, prof: LeverageProfile) -> CoherenceProf
     vn2 = np.sum(np.abs(prof.v) ** 2, axis=0).real
     q = _reconstruction_basis(model, prof.n)
     resid = None
-    if model.s_rows is None or model.num_sampling <= q.shape[1]:
+    if _explicit_residuals(model, q):
         # Dense S, or a selection of at most rank-Q columns: the N_amb x J
         # residual is formed (for a selection it is at most N_amb x n).
         resid = _residual_columns(model, q)
@@ -451,13 +493,13 @@ def draw_samples(prof: LeverageProfile, m: int, seed: int) -> SampleDraw:
     """
     if m < 1:
         raise InputValidationError(f"m must be >= 1, got {m}")
+    if "cdf" not in prof._memo:
+        # The last supported index absorbs cumulative rounding past the end.
+        prof._memo["cdf"] = (_frozen(np.cumsum(prof.p)), int(np.flatnonzero(prof.p > 0)[-1]))
+    cdf, last = prof._memo["cdf"]
     rng = np.random.default_rng(seed)
     u = rng.random(m)
-    cdf = np.cumsum(prof.p)
-    idx = np.searchsorted(cdf, u, side="right")
-    # Guard against cumulative rounding: remap overflow to the last supported index.
-    last = int(np.flatnonzero(prof.p > 0)[-1])
-    idx = np.minimum(idx, last)
+    idx = np.minimum(np.searchsorted(cdf, u, side="right"), last)
     return SampleDraw(
         indices=_frozen(idx.astype(np.int64)),
         m=int(m),
@@ -471,36 +513,154 @@ def _check_draw(prof: LeverageProfile, draw: SampleDraw) -> None:
         raise InputValidationError("draw was produced under a different distribution")
 
 
+@dataclass(frozen=True)
+class _DrawKernel:
+    """Per-draw quantities every estimator reads: the distinct drawn indices
+    ``sel``, ``vw = v[:, sel] * count/(m p)``, the empirical Gram with its one
+    SVD (``u``, ``s``, ``vh``) and rank decision, and (in ``_memo``) the
+    n x N_amb empirical cross-term of one model once it is formed."""
+
+    sel: np.ndarray
+    vw: np.ndarray
+    gram: np.ndarray
+    u: np.ndarray
+    s: np.ndarray
+    vh: np.ndarray
+    rank: int
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    @property
+    def full_rank(self) -> bool:
+        return self.rank == self.gram.shape[0]
+
+    @property
+    def gram_condition(self) -> float | str:
+        return float(self.s[0] / self.s[-1]) if self.full_rank else "rank-deficient"
+
+    def gram_pinv(self) -> np.ndarray:
+        """Pseudo-inverse of the empirical Gram through the kernel's SVD."""
+        r = self.rank
+        return (self.vh[:r].conj().T / self.s[:r]) @ self.u[:, :r].conj().T
+
+
+def _draw_kernel(prof: LeverageProfile, draw: SampleDraw) -> _DrawKernel:
+    """The per-draw quantities of ``draw`` under ``prof``, computed once per
+    (profile, draw) and memoized on the draw."""
+    hit = draw._memo.get("kernel")
+    if hit is not None and hit[0] is prof:
+        return hit[1]
+    _check_draw(prof, draw)
+    sel, counts = np.unique(draw.indices, return_counts=True)
+    if sel.size == 0 or sel[0] < 0 or sel[-1] >= prof.num_indices:
+        raise InputValidationError(
+            f"draw indices must be nonempty and lie in [0, {prof.num_indices - 1}]"
+        )
+    weights = counts / (draw.m * prof.p[sel])
+    vs = prof.v[:, sel]
+    vw = vs * weights
+    g = vw @ vs.conj().T
+    g = _frozen((g + g.conj().T) / 2.0)
+    # The SVD and rank rule of pseudo_inverse and projector_from_columns.
+    u, s, vh, rank = _svd_with_rank(g, default_rel_tol(g))
+    kern = _DrawKernel(sel=sel, vw=vw, gram=g, u=u, s=s, vh=vh, rank=rank)
+    draw._memo["kernel"] = (prof, kern)
+    return kern
+
+
 def empirical_gram(prof: LeverageProfile, draw: SampleDraw) -> np.ndarray:
     """Unbiased estimator (1/m) sum_t v_{i_t} v_{i_t}^H / p_{i_t} of the Gram
-    section."""
-    _check_draw(prof, draw)
-    counts = np.bincount(draw.indices, minlength=prof.num_indices)
-    sel = counts > 0
-    weights = counts[sel] / (draw.m * prof.p[sel])
-    vs = prof.v[:, sel]
-    g = (vs * weights) @ vs.conj().T
-    return (g + g.conj().T) / 2.0
+    section, as a read-only n x n matrix."""
+    return _draw_kernel(prof, draw).gram
 
 
 def empirical_cross_term(
     model: FrameModel, prof: LeverageProfile, draw: SampleDraw
 ) -> np.ndarray:
     """Unbiased estimator (1/m) sum_t v_{i_t} u_{i_t}^H / p_{i_t} of the
-    cross-term, as an n x N_amb matrix."""
-    _check_draw(prof, draw)
-    counts = np.bincount(draw.indices, minlength=prof.num_indices)
-    sel = np.flatnonzero(counts > 0)
-    weights = counts[sel] / (draw.m * prof.p[sel])
+    cross-term, as a read-only n x N_amb matrix."""
+    return _cross_hat(model, prof, _draw_kernel(prof, draw))
+
+
+def _wide_norm(a: np.ndarray) -> float:
+    """Spectral norm of an n x N matrix from the top eigenvalue of its n x n
+    Gram a a^H; the Gram is of ``a`` itself, so nothing cancels."""
+    return float(np.sqrt(max(np.linalg.eigvalsh(a @ a.conj().T)[-1], 0.0)))
+
+
+def _cross_hat(model: FrameModel, prof: LeverageProfile, kern: _DrawKernel) -> np.ndarray:
+    """C_hat as a read-only n x N_amb matrix, formed once per (draw, model)
+    and shared by the K-factor and the cross-term deviation."""
+    hit = kern._memo.get("C_hat")
+    if hit is None or hit[0] is not model:
+        q = _reconstruction_basis(model, prof.n)
+        c_hat = _weighted_cross_term(model, q, kern.vw, cols=kern.sel)
+        hit = kern._memo["C_hat"] = (model, _frozen(c_hat))
+    return hit[1]
+
+
+def _k_factor(model: FrameModel, prof: LeverageProfile, kern: _DrawKernel) -> float:
+    """||W iota_n G_hat^+ C_hat|| = ||R G_hat^+ C_hat|| with R from the QR of
+    the n reconstruction columns.
+
+    C_hat = vw U_sel^H, where U_sel holds the residual columns of the drawn
+    indices.  For a selection wider than rank Q, U_sel^H U_sel = I - Q_r Q_r^H
+    with Q_r = Q[rows[sel]] = U diag(s) V^H, whose square root is
+    L = I - U diag(s^2 / (1 + sqrt(1 - s^2))) U^H, so K = ||R G_hat^+ vw L||
+    and nothing ambient-sized is formed.
+    """
+    r_pinv = _r_factor(model, prof.n) @ kern.gram_pinv()
     q = _reconstruction_basis(model, prof.n)
-    return _weighted_cross_term(model, q, prof.v[:, sel] * weights, cols=sel)
+    if _explicit_residuals(model, q):
+        return _wide_norm(r_pinv @ _cross_hat(model, prof, kern))
+    a = r_pinv @ kern.vw
+    uq, sq, _ = np.linalg.svd(q[model.s_rows[kern.sel]], full_matrices=False)
+    shrink = sq**2 / (1.0 + np.sqrt(np.maximum(1.0 - sq**2, 0.0)))
+    return _wide_norm(a - ((a @ uq) * shrink) @ uq.conj().T)
 
 
-def _k_factor(model, prof, gram_hat, cross_hat) -> float:
-    # ||W iota_n Sigma_hat^+ C_hat||; reduce through QR of the n reconstruction
-    # columns so only small SVDs are taken.
-    inner = _r_factor(model, prof.n) @ (pseudo_inverse(gram_hat) @ cross_hat)
-    return float(np.linalg.svd(inner, compute_uv=False)[0])
+# Below this share of ||D||^2 the squared form of ||C_hat - C||^2 has lost
+# about two digits to cancellation (at a share of 1.8e-3 it was measured 7e-13
+# off the direct form), so the direct form is used.
+_SQUARED_FORM_GUARD = 1e-2
+
+
+def cross_term_deviation(model: FrameModel, prof: LeverageProfile, draw: SampleDraw) -> float:
+    """||C_hat - C||, the deviation of the empirical cross-term from its
+    limit, without forming an n x N_amb matrix for a selection wider than
+    rank Q.
+
+    With D = vw S_sel^H - V S^H (n x N_amb), C_hat - C = D (I - QQ^H), so
+    ||C_hat - C||^2 = lambda_max(D D^H - (DQ)(DQ)^H), where
+    D D^H = Sigma - v_sel v_sel^H + (vw - v_sel)(vw - v_sel)^H and
+    DQ = vw Q_r - V Q[rows] are n x n and n x rank Q.  The difference loses
+    relative accuracy when ||C_hat - C|| << ||D||; below
+    ``_SQUARED_FORM_GUARD`` of lambda_max(D D^H) the direct form is used.
+    """
+    kern = _draw_kernel(prof, draw)
+    q = _reconstruction_basis(model, prof.n)
+    if _explicit_residuals(model, q):
+        return _direct_cross_dev(model, prof, kern)
+    vs = prof.v[:, kern.sel]
+    dv = kern.vw - vs
+    dd = prof.sigma - vs @ vs.conj().T + dv @ dv.conj().T
+    v_q = _memo_for_v(model, prof, "VQ", lambda: prof.v @ q[model.s_rows])
+    dq = kern.vw @ q[model.s_rows[kern.sel]] - v_q
+    lam = np.linalg.eigvalsh(dd - dq @ dq.conj().T)[-1]
+    if lam < _SQUARED_FORM_GUARD * np.linalg.eigvalsh(dd)[-1]:
+        return _direct_cross_dev(model, prof, kern)
+    return float(np.sqrt(lam))
+
+
+def _direct_cross_dev(model: FrameModel, prof: LeverageProfile, kern: _DrawKernel) -> float:
+    """||C_hat - C|| from the n x N_amb matrices."""
+    return _wide_norm(_cross_hat(model, prof, kern) - _cross_term_limit(model, prof))
+
+
+def _sampled_values(model: FrameModel, f: np.ndarray, idx) -> np.ndarray:
+    """(S^H f)[idx], applying only the drawn sampling vectors."""
+    if model.s_rows is not None:
+        return f[model.s_rows[idx]]
+    return model.s_matrix[:, idx].conj().T @ f
 
 
 def reconstruct(
@@ -520,28 +680,19 @@ def reconstruct(
         )
     if not np.all(np.isfinite(f.real)) or not np.all(np.isfinite(f.imag)):
         raise InputValidationError("f_coef contains non-finite entries")
-    _check_draw(prof, draw)
+    kern = _draw_kernel(prof, draw)
 
     idx = draw.indices
     wts = 1.0 / np.sqrt(draw.m * prof.p[idx])
     design = prof.v[:, idx].conj().T * wts[:, None]
-    samples = _sampling_adjoint(model, f)
-    rhs = wts * samples[idx]
+    rhs = wts * _sampled_values(model, f, idx)
     x = minimal_norm_lsq(design, rhs)
-
-    gram_hat = empirical_gram(prof, draw)
-    sv = np.linalg.svd(gram_hat, compute_uv=False)
-    full_rank = bool(sv[0] > 0 and sv[-1] > default_rel_tol(gram_hat) * sv[0])
-    gram_condition: float | str
-    gram_condition = float(sv[0] / sv[-1]) if full_rank else "rank-deficient"
-
-    cross_hat = empirical_cross_term(model, prof, draw)
-    k_factor = _k_factor(model, prof, gram_hat, cross_hat)
+    k_factor = _k_factor(model, prof, kern)
 
     wn = model.w_coef[:, : prof.n]
     f_tilde = wn @ x
     q = _reconstruction_basis(model, prof.n)
-    tail = f - q @ (q.conj().T @ f)
+    tail = f - q @ (_basis_adjoint(model, prof.n) @ f)
     err_l2 = float(np.linalg.norm(f - f_tilde))
     tail_err = float(np.linalg.norm(tail))
     return ReconstructionReport(
@@ -552,8 +703,8 @@ def reconstruct(
         tail_err=tail_err,
         k_factor=k_factor,
         bound_ok=bool(err_l2 <= tail_err * np.sqrt(1.0 + k_factor**2) + 1e-8),
-        gram_condition=gram_condition,
-        used_pseudo_inverse=not full_rank,
+        gram_condition=kern.gram_condition,
+        used_pseudo_inverse=not kern.full_rank,
     )
 
 
@@ -575,8 +726,10 @@ def christoffel_profile(prof: LeverageProfile) -> ChristoffelProfile:
 def range_stability_check(prof: LeverageProfile, draw: SampleDraw) -> RangeStability:
     """Compare the ranges of the empirical and limiting Gram sections through
     their orthogonal projectors."""
-    gram_hat = empirical_gram(prof, draw)
-    p_hat = projector_from_columns(gram_hat)
-    p_lim = projector_from_columns(prof.sigma)
-    dist = range_distance(p_hat, p_lim)
+    kern = _draw_kernel(prof, draw)
+    basis = kern.u[:, : kern.rank]
+    p_hat = basis @ basis.conj().T
+    if "range_projector" not in prof._memo:
+        prof._memo["range_projector"] = _frozen(projector_from_columns(prof.sigma))
+    dist = range_distance(p_hat, prof._memo["range_projector"])
     return RangeStability(equal=bool(dist < 1e-6), distance=dist)

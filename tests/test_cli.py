@@ -101,6 +101,17 @@ class TestLeverage:
         assert cums == sorted(cums)
         assert float(report["tail_mass"]) == 0.0
 
+    def test_fl_tail_mass_matches_closed_form(self, capsys):
+        from stochsamp.fourier_legendre import fl_leverage_distribution
+
+        code, report = run(
+            capsys, "leverage", "--model", "fl:n=10,ambient=301,max_defect=0.05",
+        )
+        assert code == 0
+        exact = fl_leverage_distribution(10, 301)[1].tail_mass
+        assert abs(float(report["tail_mass"]) - exact) <= 1e-12
+        assert float(report["tail_mass"]) > 0.007
+
     def test_fl_zero_frequency_row(self, capsys, tmp_path):
         out = tmp_path / "levfl"
         code, report = run(
@@ -202,6 +213,31 @@ class TestConvergence:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("model", ["identity:8", "custom:frame.json"])
+    def test_explicit_non_fl_model_rejected(self, capsys, monkeypatch, model):
+        def refuse(cfg):
+            raise AssertionError("a model was built for a rejected sweep")
+
+        monkeypatch.setattr(cli, "_build_model", refuse)
+        code = main(["convergence", "--model", model, "--n", "4,5,6,7", "--trials", "2"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "convergence sweeps require a fourier-legendre model" in captured.err
+
+    def test_default_model_is_fl(self, capsys, monkeypatch):
+        built = []
+        build = cli._build_model
+        monkeypatch.setattr(cli, "_build_model", lambda cfg: built.append(cfg["model"]) or build(cfg))
+        small = cli.fl.build_fl_model
+        # The default ambient of 2001 shrunk to 301 to keep the test fast.
+        monkeypatch.setattr(cli.fl, "build_fl_model",
+                            lambda n, j, amb, max_defect: small(n, 301, 301, max_defect=0.05))
+        code, report = run(capsys, "convergence", "--n", "4,5,6,7", "--trials", "2")
+        assert code == 0
+        assert built == ["fl:n=7"]
+        assert report["model"]["kind"] == "fourier-legendre"
+
 
 class TestDeterminism:
     def test_byte_identical_reruns(self, capsys, tmp_path):
@@ -261,6 +297,45 @@ class TestInputValidation:
                      "--n", "4,5,6,7", "--trials", "0"])
         assert code == 2
         assert "trials must" in capsys.readouterr().err
+
+
+class TestNValidation:
+    """n is checked at load, as a count or a strictly increasing sweep list."""
+
+    @pytest.fixture(autouse=True)
+    def no_models(self, monkeypatch):
+        def refuse(cfg):
+            raise AssertionError("work started before n was checked")
+
+        monkeypatch.setattr(cli, "_build_model", refuse)
+
+    @pytest.mark.parametrize("command", ["leverage", "mc-gram", "convergence"])
+    @pytest.mark.parametrize("value", ["abc", "3.7", "4,4", "0", "5,4,6,7", "4,x,6,7", ""])
+    def test_bad_flag_rejected(self, capsys, command, value):
+        code = main([command, f"--n={value}", "--trials", "2"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "n must be" in captured.err
+
+    @pytest.mark.parametrize("value", [3.7, "abc", [4, 4], [4, 3.5, 6, 7], [], -1])
+    def test_bad_config_field_rejected(self, capsys, tmp_path, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": value}))
+        code = main(["leverage", "--config", str(cfg)])
+        assert code == 2
+        assert "n must be" in capsys.readouterr().err
+
+    def test_sweep_list_only_for_convergence(self, capsys):
+        code = main(["reconstruct", "--n", "4,8", "--m", "10"])
+        assert code == 2
+        assert "n must be a single integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value,parsed", [
+        ("4", 4), (" 4 , 8,12,16 ", [4, 8, 12, 16]), (5.0, 5), ([4, 8, 12, 16], [4, 8, 12, 16]),
+    ])
+    def test_good_values_parsed(self, value, parsed):
+        assert cli._parse_counts(value) == parsed
 
 
 def test_fl_ambient_20001_runs(capsys):
