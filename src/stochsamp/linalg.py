@@ -17,11 +17,14 @@ __all__ = [
     "as_matrix",
     "operator_norm",
     "numerical_rank",
+    "svd_with_rank",
     "pseudo_inverse",
+    "pinv_from_svd",
     "minimal_norm_lsq",
     "hermitian_dilation",
     "effective_rank",
     "projector_from_columns",
+    "projector_from_svd",
     "range_distance",
 ]
 
@@ -60,7 +63,12 @@ def numerical_rank(a, rel_tol: float | None = None) -> int:
     return int(np.count_nonzero(s > rel_tol * s[0]))
 
 
-def _svd_with_rank(m: np.ndarray, rel_tol: float):
+def svd_with_rank(m: np.ndarray, rel_tol: float | None = None):
+    """Thin SVD ``(u, s, vh)`` of ``m`` and the shared rank decision r: the
+    number of singular values above ``rel_tol * sigma_max`` (default
+    :func:`default_rel_tol`), 0 for the zero matrix."""
+    if rel_tol is None:
+        rel_tol = default_rel_tol(m)
     u, s, vh = np.linalg.svd(m, full_matrices=False)
     if s[0] == 0.0:
         r = 0
@@ -78,9 +86,12 @@ def pseudo_inverse(a, rel_tol: float | None = None) -> np.ndarray:
         rel_tol = default_rel_tol(m)
     if not 0.0 < rel_tol < 1.0:
         raise InputValidationError(f"rel_tol must lie in (0, 1), got {rel_tol}")
-    u, s, vh, r = _svd_with_rank(m, rel_tol)
-    if r == 0:
-        return np.zeros((m.shape[1], m.shape[0]), dtype=complex)
+    return pinv_from_svd(*svd_with_rank(m, rel_tol))
+
+
+def pinv_from_svd(u: np.ndarray, s: np.ndarray, vh: np.ndarray, r: int) -> np.ndarray:
+    """Pseudo-inverse from the output of :func:`svd_with_rank` (the zero
+    matrix of transposed shape when r = 0)."""
     return (vh[:r].conj().T / s[:r]) @ u[:, :r].conj().T
 
 
@@ -98,9 +109,7 @@ def minimal_norm_lsq(design, rhs, rel_tol: float | None = None) -> np.ndarray:
         )
     if not np.all(np.isfinite(b.real)) or not np.all(np.isfinite(b.imag)):
         raise InputValidationError("rhs contains non-finite entries")
-    if rel_tol is None:
-        rel_tol = default_rel_tol(m)
-    u, s, vh, r = _svd_with_rank(m, rel_tol)
+    u, s, vh, r = svd_with_rank(m, rel_tol)
     if r == 0:
         return np.zeros(m.shape[1], dtype=complex)
     return vh[:r].conj().T @ ((u[:, :r].conj().T @ b) / s[:r])
@@ -145,11 +154,13 @@ def projector_from_columns(cols, rel_tol: float | None = None) -> np.ndarray:
     dependent columns do not inflate the range.
     """
     m = as_matrix(cols, name="cols")
-    if rel_tol is None:
-        rel_tol = default_rel_tol(m)
-    u, s, _, r = _svd_with_rank(m, rel_tol)
-    if r == 0:
-        return np.zeros((m.shape[0], m.shape[0]), dtype=complex)
+    u, _, _, r = svd_with_rank(m, rel_tol)
+    return projector_from_svd(u, r)
+
+
+def projector_from_svd(u: np.ndarray, r: int) -> np.ndarray:
+    """Orthogonal projector onto the span of the first r left singular
+    vectors ``u`` of :func:`svd_with_rank` (the zero matrix when r = 0)."""
     q = u[:, :r]
     return q @ q.conj().T
 

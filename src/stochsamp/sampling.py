@@ -20,14 +20,16 @@ import numpy as np
 
 from .errors import DegenerateModelError, InputValidationError, SupportViolationError
 from .linalg import (
-    _svd_with_rank,
     as_matrix,
     default_rel_tol,
     minimal_norm_lsq,
     operator_norm,
+    pinv_from_svd,
     projector_from_columns,
+    projector_from_svd,
     pseudo_inverse,
     range_distance,
+    svd_with_rank,
 )
 
 __all__ = [
@@ -368,16 +370,14 @@ def _reconstruction_basis(model: FrameModel, n: int) -> np.ndarray:
     reconstruction vectors, rank-revealed through the SVD; memoized per n."""
     key = ("Q", n)
     if key not in model._memo:
-        wn = model.w_coef[:, :n]
-        u, s, _ = np.linalg.svd(wn, full_matrices=False)
-        r = 0 if s[0] == 0.0 else int(np.count_nonzero(s > default_rel_tol(wn) * s[0]))
+        u, _, _, r = svd_with_rank(model.w_coef[:, :n])
         model._memo[key] = _frozen(u[:, :r])
     return model._memo[key]
 
 
 def _basis_adjoint(model: FrameModel, n: int) -> np.ndarray:
     """Q^H for the basis of :func:`_reconstruction_basis`; memoized per n so
-    the per-trial tail projection copies no ambient-sized conjugate."""
+    per-trial products with Q^H copy no ambient-sized conjugate."""
     key = ("QH", n)
     if key not in model._memo:
         model._memo[key] = _frozen(_reconstruction_basis(model, n).conj().T)
@@ -393,51 +393,40 @@ def _r_factor(model: FrameModel, n: int) -> np.ndarray:
     return model._memo[key]
 
 
-def _explicit_residuals(model: FrameModel, q: np.ndarray) -> bool:
-    """Whether the residual columns u_j are formed explicitly: for a dense S,
-    and for a selection of at most rank-Q columns (which may lie inside W_n,
-    where the small-side square-root forms lose accuracy)."""
-    return model.s_rows is None or model.num_sampling <= q.shape[1]
-
-
-def _residual_columns(model: FrameModel, q: np.ndarray, cols=None) -> np.ndarray:
+def _residual_columns(model: FrameModel, n: int, cols=None) -> np.ndarray:
     """u_j = (I - QQ^H) s_j for the selected columns (all if None)."""
     s = _sampling_columns(model, cols)
-    return s - q @ (q.conj().T @ s)
+    return s - _reconstruction_basis(model, n) @ (_basis_adjoint(model, n) @ s)
 
 
-def _weighted_cross_term(model: FrameModel, q: np.ndarray, vw: np.ndarray, cols=None):
+def _weighted_cross_term(model: FrameModel, n: int, vw: np.ndarray, cols=None):
     """sum_j vw_j u_j^H over the selected columns (all if None), n x N_amb.
 
-    For a selection u_j^H = e_{r_j}^T - Q[r_j, :] Q^H, so the sum is a
-    scatter of vw minus (vw Q[rows, :]) Q^H; no N_amb x J array is formed.
+    For a selection u_j^H = e_{r_j}^T - Q[r_j, :] Q^H, so the sum is
+    -(vw Q[rows, :]) Q^H plus a scatter-add of vw; no N_amb x J array is
+    formed.
     """
     if model.s_rows is None:
-        return vw @ _residual_columns(model, q, cols).conj().T
+        return vw @ _residual_columns(model, n, cols).conj().T
+    q = _reconstruction_basis(model, n)
     rows = model.s_rows if cols is None else model.s_rows[cols]
-    out = np.zeros((vw.shape[0], model.ambient_dim), dtype=complex)
-    out[:, rows] = vw
-    out -= (vw @ q[rows]) @ q.conj().T
+    out = -(vw @ q[rows]) @ _basis_adjoint(model, n)
+    out[:, rows] += vw
     return out
-
-
-def _memo_for_v(model: FrameModel, prof: LeverageProfile, name: str, build) -> np.ndarray:
-    """Per-n memo of a quantity of the profile's interaction vectors; it is
-    rebuilt when a profile with other interaction vectors asks for it."""
-    key = (name, prof.n)
-    hit = model._memo.get(key)
-    if hit is None or hit[0] is not prof.v:
-        hit = model._memo[key] = (prof.v, _frozen(build()))
-    return hit[1]
 
 
 def _cross_term_limit(model: FrameModel, prof: LeverageProfile, resid=None) -> np.ndarray:
     """C = sum_j v_j u_j^H, memoized per n for the profile's interaction
     vectors; ``resid`` passes residual columns the caller already holds."""
-    if resid is not None:
-        return _memo_for_v(model, prof, "C", lambda: prof.v @ resid.conj().T)
-    q = _reconstruction_basis(model, prof.n)
-    return _memo_for_v(model, prof, "C", lambda: _weighted_cross_term(model, q, prof.v))
+    key = ("C", prof.n)
+    hit = model._memo.get(key)
+    if hit is None or hit[0] is not prof.v:
+        if resid is not None:
+            c = prof.v @ resid.conj().T
+        else:
+            c = _weighted_cross_term(model, prof.n, prof.v)
+        hit = model._memo[key] = (prof.v, _frozen(c))
+    return hit[1]
 
 
 def coherence_profile(model: FrameModel, prof: LeverageProfile) -> CoherenceProfile:
@@ -448,10 +437,10 @@ def coherence_profile(model: FrameModel, prof: LeverageProfile) -> CoherenceProf
     vn2 = np.sum(np.abs(prof.v) ** 2, axis=0).real
     q = _reconstruction_basis(model, prof.n)
     resid = None
-    if _explicit_residuals(model, q):
+    if model.s_rows is None or model.num_sampling <= q.shape[1]:
         # Dense S, or a selection of at most rank-Q columns: the N_amb x J
         # residual is formed (for a selection it is at most N_amb x n).
-        resid = _residual_columns(model, q)
+        resid = _residual_columns(model, prof.n)
         un2 = np.sum(np.abs(resid) ** 2, axis=0).real
         t_norm = float(np.linalg.svd(resid, compute_uv=False)[0] ** 2)
     else:
@@ -516,9 +505,8 @@ def _check_draw(prof: LeverageProfile, draw: SampleDraw) -> None:
 @dataclass(frozen=True)
 class _DrawKernel:
     """Per-draw quantities every estimator reads: the distinct drawn indices
-    ``sel``, ``vw = v[:, sel] * count/(m p)``, the empirical Gram with its one
-    SVD (``u``, ``s``, ``vh``) and rank decision, and (in ``_memo``) the
-    n x N_amb empirical cross-term of one model once it is formed."""
+    ``sel``, ``vw = v[:, sel] * count/(m p)``, and the empirical Gram with its
+    one SVD (``u``, ``s``, ``vh``) and rank decision."""
 
     sel: np.ndarray
     vw: np.ndarray
@@ -527,7 +515,6 @@ class _DrawKernel:
     s: np.ndarray
     vh: np.ndarray
     rank: int
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def full_rank(self) -> bool:
@@ -539,8 +526,7 @@ class _DrawKernel:
 
     def gram_pinv(self) -> np.ndarray:
         """Pseudo-inverse of the empirical Gram through the kernel's SVD."""
-        r = self.rank
-        return (self.vh[:r].conj().T / self.s[:r]) @ self.u[:, :r].conj().T
+        return pinv_from_svd(self.u, self.s, self.vh, self.rank)
 
 
 def _draw_kernel(prof: LeverageProfile, draw: SampleDraw) -> _DrawKernel:
@@ -560,8 +546,7 @@ def _draw_kernel(prof: LeverageProfile, draw: SampleDraw) -> _DrawKernel:
     vw = vs * weights
     g = vw @ vs.conj().T
     g = _frozen((g + g.conj().T) / 2.0)
-    # The SVD and rank rule of pseudo_inverse and projector_from_columns.
-    u, s, vh, rank = _svd_with_rank(g, default_rel_tol(g))
+    u, s, vh, rank = svd_with_rank(g)
     kern = _DrawKernel(sel=sel, vw=vw, gram=g, u=u, s=s, vh=vh, rank=rank)
     draw._memo["kernel"] = (prof, kern)
     return kern
@@ -578,7 +563,8 @@ def empirical_cross_term(
 ) -> np.ndarray:
     """Unbiased estimator (1/m) sum_t v_{i_t} u_{i_t}^H / p_{i_t} of the
     cross-term, as a read-only n x N_amb matrix."""
-    return _cross_hat(model, prof, _draw_kernel(prof, draw))
+    kern = _draw_kernel(prof, draw)
+    return _frozen(_weighted_cross_term(model, prof.n, kern.vw, cols=kern.sel))
 
 
 def _wide_norm(a: np.ndarray) -> float:
@@ -587,73 +573,21 @@ def _wide_norm(a: np.ndarray) -> float:
     return float(np.sqrt(max(np.linalg.eigvalsh(a @ a.conj().T)[-1], 0.0)))
 
 
-def _cross_hat(model: FrameModel, prof: LeverageProfile, kern: _DrawKernel) -> np.ndarray:
-    """C_hat as a read-only n x N_amb matrix, formed once per (draw, model)
-    and shared by the K-factor and the cross-term deviation."""
-    hit = kern._memo.get("C_hat")
-    if hit is None or hit[0] is not model:
-        q = _reconstruction_basis(model, prof.n)
-        c_hat = _weighted_cross_term(model, q, kern.vw, cols=kern.sel)
-        hit = kern._memo["C_hat"] = (model, _frozen(c_hat))
-    return hit[1]
-
-
 def _k_factor(model: FrameModel, prof: LeverageProfile, kern: _DrawKernel) -> float:
     """||W iota_n G_hat^+ C_hat|| = ||R G_hat^+ C_hat|| with R from the QR of
-    the n reconstruction columns.
-
-    C_hat = vw U_sel^H, where U_sel holds the residual columns of the drawn
-    indices.  For a selection wider than rank Q, U_sel^H U_sel = I - Q_r Q_r^H
-    with Q_r = Q[rows[sel]] = U diag(s) V^H, whose square root is
-    L = I - U diag(s^2 / (1 + sqrt(1 - s^2))) U^H, so K = ||R G_hat^+ vw L||
-    and nothing ambient-sized is formed.
-    """
-    r_pinv = _r_factor(model, prof.n) @ kern.gram_pinv()
-    q = _reconstruction_basis(model, prof.n)
-    if _explicit_residuals(model, q):
-        return _wide_norm(r_pinv @ _cross_hat(model, prof, kern))
-    a = r_pinv @ kern.vw
-    uq, sq, _ = np.linalg.svd(q[model.s_rows[kern.sel]], full_matrices=False)
-    shrink = sq**2 / (1.0 + np.sqrt(np.maximum(1.0 - sq**2, 0.0)))
-    return _wide_norm(a - ((a @ uq) * shrink) @ uq.conj().T)
-
-
-# Below this share of ||D||^2 the squared form of ||C_hat - C||^2 has lost
-# about two digits to cancellation (at a share of 1.8e-3 it was measured 7e-13
-# off the direct form), so the direct form is used.
-_SQUARED_FORM_GUARD = 1e-2
+    the n reconstruction columns.  C_hat = sum_j vw_j u_j^H is linear in vw,
+    so R G_hat^+ C_hat is formed directly from R G_hat^+ vw."""
+    a = _r_factor(model, prof.n) @ kern.gram_pinv() @ kern.vw
+    return _wide_norm(_weighted_cross_term(model, prof.n, a, cols=kern.sel))
 
 
 def cross_term_deviation(model: FrameModel, prof: LeverageProfile, draw: SampleDraw) -> float:
     """||C_hat - C||, the deviation of the empirical cross-term from its
-    limit, without forming an n x N_amb matrix for a selection wider than
-    rank Q.
-
-    With D = vw S_sel^H - V S^H (n x N_amb), C_hat - C = D (I - QQ^H), so
-    ||C_hat - C||^2 = lambda_max(D D^H - (DQ)(DQ)^H), where
-    D D^H = Sigma - v_sel v_sel^H + (vw - v_sel)(vw - v_sel)^H and
-    DQ = vw Q_r - V Q[rows] are n x n and n x rank Q.  The difference loses
-    relative accuracy when ||C_hat - C|| << ||D||; below
-    ``_SQUARED_FORM_GUARD`` of lambda_max(D D^H) the direct form is used.
-    """
+    limit."""
     kern = _draw_kernel(prof, draw)
-    q = _reconstruction_basis(model, prof.n)
-    if _explicit_residuals(model, q):
-        return _direct_cross_dev(model, prof, kern)
-    vs = prof.v[:, kern.sel]
-    dv = kern.vw - vs
-    dd = prof.sigma - vs @ vs.conj().T + dv @ dv.conj().T
-    v_q = _memo_for_v(model, prof, "VQ", lambda: prof.v @ q[model.s_rows])
-    dq = kern.vw @ q[model.s_rows[kern.sel]] - v_q
-    lam = np.linalg.eigvalsh(dd - dq @ dq.conj().T)[-1]
-    if lam < _SQUARED_FORM_GUARD * np.linalg.eigvalsh(dd)[-1]:
-        return _direct_cross_dev(model, prof, kern)
-    return float(np.sqrt(lam))
-
-
-def _direct_cross_dev(model: FrameModel, prof: LeverageProfile, kern: _DrawKernel) -> float:
-    """||C_hat - C|| from the n x N_amb matrices."""
-    return _wide_norm(_cross_hat(model, prof, kern) - _cross_term_limit(model, prof))
+    diff = _weighted_cross_term(model, prof.n, kern.vw, cols=kern.sel)
+    diff -= _cross_term_limit(model, prof)
+    return _wide_norm(diff)
 
 
 def _sampled_values(model: FrameModel, f: np.ndarray, idx) -> np.ndarray:
@@ -727,8 +661,7 @@ def range_stability_check(prof: LeverageProfile, draw: SampleDraw) -> RangeStabi
     """Compare the ranges of the empirical and limiting Gram sections through
     their orthogonal projectors."""
     kern = _draw_kernel(prof, draw)
-    basis = kern.u[:, : kern.rank]
-    p_hat = basis @ basis.conj().T
+    p_hat = projector_from_svd(kern.u, kern.rank)
     if "range_projector" not in prof._memo:
         prof._memo["range_projector"] = _frozen(projector_from_columns(prof.sigma))
     dist = range_distance(p_hat, prof._memo["range_projector"])
