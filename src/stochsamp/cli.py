@@ -41,7 +41,7 @@ from .sampling import (
     range_stability_check,
     reconstruct,
 )
-from .serialize import dumps, fmt_real, model_from_dict
+from .serialize import dumps, fmt_real, model_from_dict, read_model_json
 
 __all__ = ["main"]
 
@@ -192,8 +192,7 @@ def _build_model(cfg: dict) -> tuple[FrameModel, dict]:
         if not path:
             raise InputValidationError("custom model spec needs a file path")
         try:
-            with open(path, encoding="utf-8") as fp:
-                data = json.load(fp)
+            data = read_model_json(path)
         except (OSError, json.JSONDecodeError) as exc:
             raise InputValidationError(f"cannot read model file {path}: {exc}")
         return model_from_dict(data), {"kind": "custom", "path": path}

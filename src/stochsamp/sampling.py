@@ -28,7 +28,6 @@ from .linalg import (
     projector_from_columns,
     projector_from_svd,
     pseudo_inverse,
-    range_distance,
     svd_with_rank,
 )
 
@@ -664,5 +663,8 @@ def range_stability_check(prof: LeverageProfile, draw: SampleDraw) -> RangeStabi
     p_hat = projector_from_svd(kern.u, kern.rank)
     if "range_projector" not in prof._memo:
         prof._memo["range_projector"] = _frozen(projector_from_columns(prof.sigma))
-    dist = range_distance(p_hat, prof._memo["range_projector"])
+    # Both projectors are exact by construction (the kernel's SVD and a
+    # memoized rank-revealing SVD), so the checks of linalg.range_distance,
+    # three SVDs per projector, are not repeated for every draw.
+    dist = operator_norm(p_hat - prof._memo["range_projector"])
     return RangeStability(equal=bool(dist < 1e-6), distance=dist)

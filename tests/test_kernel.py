@@ -9,7 +9,13 @@ import pytest
 
 import stochsamp.sampling as sampling
 from stochsamp.fourier_legendre import build_fl_model, exp_target, frequencies
-from stochsamp.linalg import operator_norm, pseudo_inverse
+from stochsamp.linalg import (
+    operator_norm,
+    projector_from_columns,
+    projector_from_svd,
+    pseudo_inverse,
+    range_distance,
+)
 from stochsamp.sampling import (
     SampleDraw,
     build_frame_model,
@@ -100,6 +106,23 @@ def test_rank_decision_is_shared(case):
         if not rep.used_pseudo_inverse:
             assert abs(rep.gram_condition - sv[0] / sv[-1]) <= 1e-10 * rep.gram_condition
         assert range_stability_check(prof, draw).equal == (rank == np.linalg.matrix_rank(prof.sigma))
+
+
+def test_range_distance_without_projector_checks(case, monkeypatch):
+    # Both projectors are exact by construction, so the distance is one
+    # operator norm per draw, with the same bits as linalg.range_distance.
+    model, prof, ms, f = case
+    calls = []
+    norm = sampling.operator_norm
+    monkeypatch.setattr(sampling, "operator_norm", lambda a: calls.append(1) or norm(a))
+    limit = projector_from_columns(prof.sigma)
+    for seed in range(4):
+        draw = draw_samples(prof, ms[0], seed)
+        kern = sampling._draw_kernel(prof, draw)
+        calls.clear()
+        got = range_stability_check(prof, draw)
+        assert len(calls) == 1
+        assert got.distance == range_distance(projector_from_svd(kern.u, kern.rank), limit)
 
 
 def near_w_model(spread):
