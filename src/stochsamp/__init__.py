@@ -31,22 +31,15 @@ from .fourier_legendre import (
     exp_target,
     fl_leverage_distribution,
     frequencies,
-    frequency_of,
-    index_of,
-    l2_error,
-    legendre_eval,
-    legendre_fourier_coef,
     legendre_fourier_table,
     legendre_table,
     pole_target,
-    spherical_bessel_seq,
-    target_coefficients,
+    spherical_bessel_table,
 )
 from .linalg import (
     effective_rank,
     hermitian_dilation,
     minimal_norm_lsq,
-    numerical_rank,
     operator_norm,
     projector_from_columns,
     pseudo_inverse,

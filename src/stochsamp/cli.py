@@ -1,10 +1,10 @@
 """Config-driven command-line front end.
 
-Subcommands: reconstruct, mc-gram, mc-crossterm, convergence, leverage,
-bounds.  Every run reads an optional JSON config (--config) whose fields the
-command-line flags override, prints a JSON report to stdout, and writes CSV
-and JSON artifacts next to --out when given.  Exit codes: 0 success, 2 config
-or validation error, 3 numerical-accuracy failure.
+Subcommands: reconstruct, mc-gram, convergence, leverage, bounds.  Every run
+reads an optional JSON config (--config) whose fields the command-line flags
+override, prints a JSON report to stdout, and writes CSV and JSON artifacts
+next to --out when given.  Exit codes: 0 success, 2 config or validation
+error, 3 numerical-accuracy failure.
 
 Trial t of a Monte Carlo run uses seed base_seed + t, so identical configs
 reproduce byte-identical outputs (for one numpy/BLAS build and BLAS thread
@@ -32,7 +32,7 @@ from .errors import InputValidationError, NumericalAccuracyError
 from .linalg import operator_norm
 from .sampling import (
     FrameModel,
-    build_frame_model,
+    build_selection_model,
     coherence_profile,
     cross_term_deviation,
     draw_samples,
@@ -44,8 +44,6 @@ from .sampling import (
 from .serialize import dumps, fmt_real, model_from_dict, read_model_json
 
 __all__ = ["main"]
-
-COMMANDS = ("reconstruct", "mc-gram", "mc-crossterm", "convergence", "leverage", "bounds")
 
 # An unset model is identity:8, except for convergence sweeps, which default
 # to a Fourier-Legendre model; None marks "not given".
@@ -87,6 +85,9 @@ def _load_config(args: argparse.Namespace) -> dict:
         if val is not None:
             cfg[key] = val
     _check_numeric_fields(cfg)
+    for key, kinds in (("model", MODEL_FIELDS), ("target", TARGET_FIELDS)):
+        if cfg[key] is not None:
+            _spec_fields(cfg[key], key, kinds)
     if isinstance(cfg["n"], list) and args.command != "convergence":
         raise InputValidationError(
             f"n must be a single integer >= 1 for {args.command}, got {cfg['n']!r}; "
@@ -165,57 +166,95 @@ def _spec_to_dict(spec, *, name: str) -> dict:
     return out
 
 
+# Fields of each model and target kind: parser and default.  The bare form
+# 'kind:VALUE' sets the first field.
+FL_FIELDS = {
+    "n": (int, 10), "ambient": (int, 2001), "J": (int, None), "max_defect": (float, 1e-2),
+}
+MODEL_FIELDS = {
+    "identity": {"dim": (int, 8)},
+    "fourier-legendre": FL_FIELDS,
+    "fl": FL_FIELDS,
+    "custom": {"path": (str, None)},
+}
+TARGET_FIELDS = {"exp_c": {"c": (float, 1.0)}, "pole_a": {"a": (float, 1.5)}}
+FIELD_RULES = {int: "an integer", float: "a finite real number"}
+
+
+def _spec_fields(spec, name: str, kinds: dict) -> tuple[str, dict]:
+    """Kind and fields of a model or target spec, each field parsed or set
+    to its default.  An unknown kind or key, or a value that does not parse,
+    is rejected naming the spec and the key."""
+    given = _spec_to_dict(spec, name=name)
+    kind = given.pop("kind", None)
+    if kind not in kinds:
+        raise InputValidationError(f"unknown {name} kind {kind!r}")
+    fields = kinds[kind]
+    if "value" in given:
+        first = next(iter(fields))
+        if first in given:
+            raise InputValidationError(f"{name} spec {spec!r} gives {first} twice")
+        given[first] = given.pop("value")
+    out = {key: default for key, (_, default) in fields.items()}
+    for key, val in given.items():
+        if key not in fields:
+            raise InputValidationError(
+                f"{name} spec {spec!r} has unknown key {key!r}; "
+                f"{kind} takes {', '.join(fields)}"
+            )
+        parse = fields[key][0]
+        try:
+            out[key] = parse(val)
+            valid = parse is str or (math.isfinite(out[key]) and float(val) == out[key])
+        except (TypeError, ValueError, OverflowError):
+            valid = False
+        if not valid:
+            raise InputValidationError(
+                f"{name} spec {spec!r}: {key} must be {FIELD_RULES[parse]}, got {val!r}"
+            )
+    return kind, out
+
+
 def _build_model(cfg: dict) -> tuple[FrameModel, dict]:
     given = cfg["model"]
-    spec = _spec_to_dict(DEFAULT_MODEL if given is None else given, name="model")
-    kind = spec.get("kind")
+    kind, spec = _spec_fields(DEFAULT_MODEL if given is None else given, "model", MODEL_FIELDS)
     if kind == "identity":
-        dim = int(spec.get("dim", spec.get("value", 8)))
+        dim = spec["dim"]
         if dim < 1:
             raise InputValidationError(f"identity model needs dim >= 1, got {dim}")
-        eye = np.eye(dim, dtype=complex)
-        return build_frame_model(eye, eye), {"kind": "identity", "dim": dim}
+        model = build_selection_model(np.arange(dim), np.eye(dim))
+        return model, {"kind": "identity", "dim": dim}
     if kind in FL_KINDS:
-        n = int(spec.get("n", spec.get("value", 10)))
-        ambient = int(spec.get("ambient", 2001))
-        j_count = int(spec.get("J", ambient))
-        max_defect = float(spec.get("max_defect", 1e-2))
-        model = fl.build_fl_model(n, j_count, ambient, max_defect=max_defect)
+        n = spec["n"]
+        ambient = spec["ambient"]
+        j_count = ambient if spec["J"] is None else spec["J"]
+        model = fl.build_fl_model(n, j_count, ambient, max_defect=spec["max_defect"])
         return model, {
             "kind": "fourier-legendre",
             "n": n,
             "J": j_count,
             "ambient": ambient,
         }
-    if kind == "custom":
-        path = spec.get("path", spec.get("value"))
-        if not path:
-            raise InputValidationError("custom model spec needs a file path")
-        try:
-            data = read_model_json(path)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise InputValidationError(f"cannot read model file {path}: {exc}")
-        return model_from_dict(data), {"kind": "custom", "path": path}
-    raise InputValidationError(f"unknown model kind {kind!r}")
+    path = spec["path"]
+    if not path:
+        raise InputValidationError("custom model spec needs a file path")
+    try:
+        data = read_model_json(path)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise InputValidationError(f"cannot read model file {path}: {exc}")
+    return model_from_dict(data), {"kind": "custom", "path": path}
 
 
 def _build_target(cfg: dict) -> tuple[fl.AnalyticTarget | None, dict | None]:
-    if cfg.get("target") is None:
+    if cfg["target"] is None:
         return None, None
-    spec = _spec_to_dict(cfg["target"], name="target")
-    kind = spec.get("kind")
+    kind, spec = _spec_fields(cfg["target"], "target", TARGET_FIELDS)
     if kind == "exp_c":
-        c = float(spec.get("c", spec.get("value", 1.0)))
-        return fl.exp_target(c), {"kind": "exp_c", "c": c}
-    if kind == "pole_a":
-        a = float(spec.get("a", spec.get("value", 1.5)))
-        return fl.pole_target(a), {"kind": "pole_a", "a": a}
-    raise InputValidationError(f"unknown target kind {kind!r}")
+        return fl.exp_target(spec["c"]), {"kind": "exp_c", "c": spec["c"]}
+    return fl.pole_target(spec["a"]), {"kind": "pole_a", "a": spec["a"]}
 
 
-def _target_ambient_coef(
-    model: FrameModel, model_info: dict, target, cfg: dict
-) -> np.ndarray:
+def _target_ambient_coef(model: FrameModel, model_info: dict, target) -> np.ndarray:
     """Ambient coefficients of the function to reconstruct.
 
     Fourier-Legendre models require a target; other models default to the
@@ -230,13 +269,25 @@ def _target_ambient_coef(
 
 
 def _pick_n(cfg: dict, model: FrameModel, model_info: dict) -> int:
-    if cfg.get("n") is not None:
+    if cfg["n"] is not None:
         n = cfg["n"]
     elif model_info["kind"] == "fourier-legendre":
         n = model.num_reconstruction
     else:
         n = min(4, model.num_reconstruction)
     return n
+
+
+def _pick_m(cfg: dict, n: int) -> int:
+    """The given m, or the rate_onb Gram sample size for n at delta."""
+    if cfg["m"] is not None:
+        return cfg["m"]
+    return gram_sample_size(BoundInputs(n=n, delta=cfg["delta"]), "rate_onb")
+
+
+def _pick_eps(cfg: dict, prof) -> float:
+    """The given epsilon, or the smallest retained eigenvalue of Sigma."""
+    return prof.lambda0 if cfg["epsilon"] is None else cfg["epsilon"]
 
 
 # -- output helpers ------------------------------------------------------------
@@ -265,7 +316,7 @@ def _write_text(path: str, text: str) -> None:
 def _emit(report: dict, cfg: dict, csv_payload: tuple[list, list] | None = None) -> None:
     text = dumps(report)
     sys.stdout.write(text)
-    out = cfg.get("out")
+    out = cfg["out"]
     if out:
         _write_text(f"{out}.json", text)
         if csv_payload is not None:
@@ -297,15 +348,13 @@ def _prob_entry(successes: int, trials: int) -> dict:
 # -- subcommand runners ----------------------------------------------------------
 
 def run_reconstruct(cfg: dict) -> None:
-    model, model_info = _build_model(cfg)
     target, target_info = _build_target(cfg)
+    model, model_info = _build_model(cfg)
     n = _pick_n(cfg, model, model_info)
-    prof = leverage_profile(model, n, cfg.get("p_spec", "leverage"))
-    m = int(cfg["m"]) if cfg.get("m") is not None else gram_sample_size(
-        BoundInputs(n=n, delta=float(cfg["delta"])), "rate_onb"
-    )
-    f_coef = _target_ambient_coef(model, model_info, target, cfg)
-    draw = draw_samples(prof, m, int(cfg["seed"]))
+    prof = leverage_profile(model, n, cfg["p_spec"])
+    m = _pick_m(cfg, n)
+    f_coef = _target_ambient_coef(model, model_info, target)
+    draw = draw_samples(prof, m, cfg["seed"])
     rep = reconstruct(model, prof, draw, f_coef)
     stability = range_stability_check(prof, draw)
 
@@ -315,7 +364,7 @@ def run_reconstruct(cfg: dict) -> None:
         "target": target_info,
         "n": n,
         "m": m,
-        "seed": int(cfg["seed"]),
+        "seed": cfg["seed"],
         "err_l2": fmt_real(rep.err_l2),
         "tail_err": fmt_real(rep.tail_err),
         "k_factor": fmt_real(rep.k_factor),
@@ -336,20 +385,18 @@ def run_reconstruct(cfg: dict) -> None:
     _emit(report, cfg, (header, rows))
 
 
-def run_montecarlo(cfg: dict, command: str) -> None:
-    model, model_info = _build_model(cfg)
+def run_montecarlo(cfg: dict) -> None:
     target, target_info = _build_target(cfg)
+    model, model_info = _build_model(cfg)
     n = _pick_n(cfg, model, model_info)
-    delta = float(cfg["delta"])
-    trials = int(cfg["trials"])
-    prof = leverage_profile(model, n, cfg.get("p_spec", "leverage"))
+    delta = cfg["delta"]
+    trials = cfg["trials"]
+    base_seed = cfg["seed"]
+    prof = leverage_profile(model, n, cfg["p_spec"])
     coh = coherence_profile(model, prof)
-    m = int(cfg["m"]) if cfg.get("m") is not None else gram_sample_size(
-        BoundInputs(n=n, delta=delta), "rate_onb"
-    )
-    eps = float(cfg["epsilon"]) if cfg.get("epsilon") is not None else prof.lambda0
-    f_coef = _target_ambient_coef(model, model_info, target, cfg)
-    base_seed = int(cfg["seed"])
+    m = _pick_m(cfg, n)
+    eps = _pick_eps(cfg, prof)
+    f_coef = _target_ambient_coef(model, model_info, target)
 
     rows = []
     gram_exceed = cross_exceed = full_rank_count = stable_count = bound_fail = 0
@@ -365,7 +412,8 @@ def run_montecarlo(cfg: dict, command: str) -> None:
         cross_exceed += cross_dev >= eps
         full_rank_count += full_rank
         stable_count += stable
-        bound_fail += not rep.bound_ok
+        # The error bound is a statement about full-rank draws only.
+        bound_fail += full_rank and not rep.bound_ok
         rows.append(
             [t, seed, m, n, rep.err_l2, rep.tail_err, rep.k_factor,
              gram_dev, cross_dev, rep.bound_ok, full_rank, stable]
@@ -383,7 +431,7 @@ def run_montecarlo(cfg: dict, command: str) -> None:
     thresholds["crossterm"] = crossterm_sample_size(inputs)
 
     report = {
-        "command": command,
+        "command": "mc-gram",
         "model": model_info,
         "target": target_info,
         "n": n,
@@ -410,30 +458,28 @@ def run_convergence(cfg: dict) -> None:
     n_list = [4, 8, 12, 16, 20] if cfg["n"] is None else cfg["n"]
     if not isinstance(n_list, list) or len(n_list) < 4:
         raise InputValidationError("convergence sweep needs at least 4 n values")
-    delta = float(cfg["delta"])
-    trials = int(cfg["trials"])
-    if cfg.get("target") is None:
+    delta = cfg["delta"]
+    trials = cfg["trials"]
+    base_seed = cfg["seed"]
+    if cfg["target"] is None:
         cfg = dict(cfg, target="pole_a:1.5")
     target, target_info = _build_target(cfg)
     if cfg["model"] is None:
         cfg = dict(cfg, model=f"fl:n={max(n_list)}")
-    elif _spec_to_dict(cfg["model"], name="model").get("kind") not in FL_KINDS:
+    elif _spec_fields(cfg["model"], "model", MODEL_FIELDS)[0] not in FL_KINDS:
         raise InputValidationError("convergence sweeps require a fourier-legendre model")
     model, model_info = _build_model(cfg)
     if max(n_list) > model.num_reconstruction:
         raise InputValidationError(
             f"sweep max n={max(n_list)} exceeds model degrees {model.num_reconstruction}"
         )
-    f_coef = _target_ambient_coef(model, model_info, target, cfg)
-    base_seed = int(cfg["seed"])
+    f_coef = _target_ambient_coef(model, model_info, target)
 
     rows = []
     medians = []
     for n in n_list:
-        prof = leverage_profile(model, n, cfg.get("p_spec", "leverage"))
-        m = int(cfg["m"]) if cfg.get("m") is not None else gram_sample_size(
-            BoundInputs(n=n, delta=delta), "rate_onb"
-        )
+        prof = leverage_profile(model, n, cfg["p_spec"])
+        m = _pick_m(cfg, n)
         errs = []
         for t in range(trials):
             draw = draw_samples(prof, m, base_seed + t)
@@ -463,7 +509,7 @@ def run_convergence(cfg: dict) -> None:
 def run_leverage(cfg: dict) -> None:
     model, model_info = _build_model(cfg)
     n = _pick_n(cfg, model, model_info)
-    prof = leverage_profile(model, n, cfg.get("p_spec", "leverage"))
+    prof = leverage_profile(model, n, cfg["p_spec"])
     vn2 = np.sum(np.abs(prof.v) ** 2, axis=0).real
     cum = np.cumsum(prof.p)
     is_fl = model_info["kind"] == "fourier-legendre"
@@ -489,10 +535,10 @@ def run_leverage(cfg: dict) -> None:
 def run_bounds(cfg: dict) -> None:
     model, model_info = _build_model(cfg)
     n = _pick_n(cfg, model, model_info)
-    delta = float(cfg["delta"])
-    prof = leverage_profile(model, n, cfg.get("p_spec", "leverage"))
+    delta = cfg["delta"]
+    prof = leverage_profile(model, n, cfg["p_spec"])
     coh = coherence_profile(model, prof)
-    eps = float(cfg["epsilon"]) if cfg.get("epsilon") is not None else prof.lambda0
+    eps = _pick_eps(cfg, prof)
     d_upper = model.declared_bounds[3] if model.declared_bounds else coh.sigma_norm
     inputs = BoundInputs(
         n=n, delta=delta, epsilon=eps,
@@ -544,13 +590,22 @@ def run_bounds(cfg: dict) -> None:
 
 # -- entry point --------------------------------------------------------------------
 
+RUNNERS = {
+    "reconstruct": run_reconstruct,
+    "mc-gram": run_montecarlo,
+    "convergence": run_convergence,
+    "leverage": run_leverage,
+    "bounds": run_bounds,
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="stochsamp",
         description="Stochastic generalized sampling experiments",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    for name in RUNNERS:
         cmd = sub.add_parser(name)
         cmd.add_argument("--config", default=None)
         cmd.add_argument("--out", default=None)
@@ -569,18 +624,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _load_config(args)
-        command = args.command
-        if command == "reconstruct":
-            run_reconstruct(cfg)
-        elif command in ("mc-gram", "mc-crossterm"):
-            run_montecarlo(cfg, command)
-        elif command == "convergence":
-            run_convergence(cfg)
-        elif command == "leverage":
-            run_leverage(cfg)
-        else:
-            run_bounds(cfg)
+        RUNNERS[args.command](_load_config(args))
     except NumericalAccuracyError as exc:
         print(f"numerical accuracy failure: {exc}", file=sys.stderr)
         return 3

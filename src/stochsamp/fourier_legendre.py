@@ -22,45 +22,22 @@ from .errors import InputValidationError, NumericalAccuracyError, TruncationErro
 from .sampling import FrameModel, build_selection_model
 
 __all__ = [
-    "frequency_of",
-    "index_of",
     "frequencies",
-    "spherical_bessel_seq",
-    "legendre_fourier_coef",
+    "spherical_bessel_table",
     "legendre_fourier_table",
     "FLTruncation",
     "fl_leverage_distribution",
     "AnalyticTarget",
     "exp_target",
     "pole_target",
-    "target_coefficients",
     "build_fl_model",
     "column_defects",
-    "l2_error",
-    "legendre_eval",
     "legendre_table",
     "adaptive_quadrature",
 ]
 
 
 # -- frequency enumeration ---------------------------------------------------
-
-def frequency_of(index: int) -> int:
-    """sigma(l) for a 1-based index l: 0, +1, -1, +2, -2, ..."""
-    if index < 1:
-        raise InputValidationError(f"index must be >= 1, got {index}")
-    if index == 1:
-        return 0
-    half, odd = divmod(index, 2)
-    return -half if odd else half
-
-
-def index_of(freq: int) -> int:
-    """Inverse of :func:`frequency_of`."""
-    if freq == 0:
-        return 1
-    return 2 * freq if freq > 0 else -2 * freq + 1
-
 
 def frequencies(count: int) -> np.ndarray:
     """sigma(l) for l = 1..count as an int array."""
@@ -70,29 +47,6 @@ def frequencies(count: int) -> np.ndarray:
 
 
 # -- spherical Bessel functions ----------------------------------------------
-
-def spherical_bessel_seq(x: float, k_max: int) -> np.ndarray:
-    """j_0(x) .. j_{k_max}(x) by upward recurrence below the turning point and
-    a normalized downward (Miller-type) recurrence above it.
-
-    The downward pass is anchored at the most reliable upward value (or at the
-    closed-form j_0 when |x| < 1), since j_0 itself vanishes at the integer
-    multiples of pi where this module evaluates.
-    """
-    if k_max < 0:
-        raise InputValidationError(f"k_max must be >= 0, got {k_max}")
-    if not math.isfinite(x):
-        raise InputValidationError(f"x must be finite, got {x}")
-    if x == 0.0:
-        out = np.zeros(k_max + 1)
-        out[0] = 1.0
-        return out
-    ax = abs(x)
-    out = _bessel_scalar_abs(ax, k_max)
-    if x < 0.0:
-        out = out * np.where(np.arange(k_max + 1) % 2 == 0, 1.0, -1.0)
-    return out
-
 
 def _bessel_scalar_abs(ax: float, k_max: int) -> np.ndarray:
     k_up = min(k_max, int(math.floor(ax)))
@@ -124,13 +78,20 @@ def _bessel_scalar_abs(ax: float, k_max: int) -> np.ndarray:
     return vals * scale
 
 
-def _bessel_table(xs: np.ndarray, k_max: int) -> np.ndarray:
+def spherical_bessel_table(xs, k_max: int) -> np.ndarray:
     """j_k(x) for every x in ``xs`` and k = 0..k_max, shape (len(xs), k_max+1).
 
-    Vectorized upward recurrence where |x| > k_max (stable region), scalar
-    Miller recurrence elsewhere.
+    Vectorized upward recurrence where |x| > k_max + 1 (the stable region).
+    Elsewhere a normalized downward (Miller-type) recurrence, anchored at the
+    most reliable upward value (or at the closed-form j_0 when |x| < 1),
+    since j_0 itself vanishes at the integer multiples of pi where this module
+    evaluates.
     """
-    xs = np.asarray(xs, dtype=float)
+    if k_max < 0:
+        raise InputValidationError(f"k_max must be >= 0, got {k_max}")
+    xs = np.asarray(xs, dtype=float).reshape(-1)
+    if not np.all(np.isfinite(xs)):
+        raise InputValidationError("spherical Bessel arguments must be finite")
     out = np.empty((xs.size, k_max + 1))
     ax = np.abs(xs)
     fast = ax > k_max + 1.0
@@ -161,22 +122,13 @@ def _bessel_table(xs: np.ndarray, k_max: int) -> np.ndarray:
 
 # -- Fourier coefficients of Legendre polynomials -----------------------------
 
-def legendre_fourier_coef(k: int, ell: int) -> complex:
-    """Fourier coefficient of the normalized Legendre polynomial of degree k
-    at integer frequency ell: i^k sqrt(2k+1) j_k(-pi*ell)."""
-    if k < 0:
-        raise InputValidationError(f"degree k must be >= 0, got {k}")
-    jk = spherical_bessel_seq(-math.pi * ell, k)[k]
-    return (1j) ** k * math.sqrt(2 * k + 1) * jk
-
-
 def legendre_fourier_table(n: int, freqs: np.ndarray) -> np.ndarray:
     """Matrix of Fourier coefficients, shape (len(freqs), n), column k the
     degree-k normalized Legendre polynomial."""
     if n < 1:
         raise InputValidationError(f"n must be >= 1, got {n}")
     freqs = np.asarray(freqs, dtype=float)
-    tbl = _bessel_table(-math.pi * freqs, n - 1)
+    tbl = spherical_bessel_table(-math.pi * freqs, n - 1)
     ks = np.arange(n)
     return (1j) ** ks * np.sqrt(2 * ks + 1) * tbl
 
@@ -202,7 +154,7 @@ def fl_leverage_distribution(n: int, J: int) -> tuple[np.ndarray, FLTruncation]:
     """
     if n < 1 or J < 1:
         raise InputValidationError("n and J must be >= 1")
-    tbl = _bessel_table(-math.pi * frequencies(J).astype(float), n - 1)
+    tbl = spherical_bessel_table(-math.pi * frequencies(J).astype(float), n - 1)
     ks = np.arange(n)
     p_raw = ((2 * ks + 1) * tbl**2).sum(axis=1) / n
     retained = float(p_raw.sum())
@@ -216,13 +168,6 @@ def fl_leverage_distribution(n: int, J: int) -> tuple[np.ndarray, FLTruncation]:
 
 
 # -- Legendre evaluation and quadrature ----------------------------------------
-
-def legendre_eval(k_max: int, x: float) -> np.ndarray:
-    """Normalized Legendre values sqrt(k+1/2) P_k(x) for k = 0..k_max."""
-    if not -1.0 <= x <= 1.0:
-        raise InputValidationError(f"x must lie in [-1, 1], got {x}")
-    return legendre_table(k_max, np.array([float(x)]))[:, 0]
-
 
 def legendre_table(k_max: int, xs: np.ndarray) -> np.ndarray:
     """Normalized Legendre values, shape (k_max+1, len(xs)), via the
@@ -334,16 +279,6 @@ def pole_target(a: float) -> AnalyticTarget:
     return AnalyticTarget(kind="pole_a", param=a, rho=a + math.sqrt(a**2 - 1.0))
 
 
-def target_coefficients(
-    target: AnalyticTarget, n: int, J: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """(Legendre coefficients for degrees 0..n-1, Fourier coefficients for the
-    first J enumerated frequencies)."""
-    if n < 1 or J < 1:
-        raise InputValidationError("n and J must be >= 1")
-    return target.legendre_coef(n - 1), target.fourier_coef(frequencies(J))
-
-
 # -- model builder ----------------------------------------------------------------
 
 def column_defects(w_coef: np.ndarray) -> np.ndarray:
@@ -377,13 +312,3 @@ def build_fl_model(
             f"(> {max_defect:.1e}); increase ambient"
         )
     return build_selection_model(np.arange(J), w_coef)
-
-
-def l2_error(f_coef, g_coef) -> float:
-    """Euclidean distance of two coefficient vectors (the L^2([-1,1]) distance
-    by Parseval in the ambient Fourier coordinates)."""
-    f = np.asarray(f_coef, dtype=complex).reshape(-1)
-    g = np.asarray(g_coef, dtype=complex).reshape(-1)
-    if f.shape != g.shape:
-        raise InputValidationError(f"length mismatch: {f.shape[0]} vs {g.shape[0]}")
-    return float(np.linalg.norm(f - g))

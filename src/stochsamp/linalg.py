@@ -16,7 +16,6 @@ __all__ = [
     "default_rel_tol",
     "as_matrix",
     "operator_norm",
-    "numerical_rank",
     "svd_with_rank",
     "pseudo_inverse",
     "pinv_from_svd",
@@ -50,17 +49,6 @@ def operator_norm(a) -> float:
     """Largest singular value of ``a`` (the spectral norm)."""
     m = as_matrix(a)
     return float(np.linalg.svd(m, compute_uv=False)[0])
-
-
-def numerical_rank(a, rel_tol: float | None = None) -> int:
-    """Number of singular values above ``rel_tol * sigma_max``."""
-    m = as_matrix(a)
-    if rel_tol is None:
-        rel_tol = default_rel_tol(m)
-    s = np.linalg.svd(m, compute_uv=False)
-    if s[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(s > rel_tol * s[0]))
 
 
 def svd_with_rank(m: np.ndarray, rel_tol: float | None = None):

@@ -14,6 +14,7 @@ per seed, so parallel Monte Carlo should derive disjoint seeds per trial
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -129,8 +130,7 @@ class LeverageProfile:
     how far trace(sigma) is from n and can be negative.
 
     The digest, the sampling CDF and the projector onto the range of sigma
-    are memoized on the profile; the memo takes no part in equality or
-    serialization.
+    are memoized on the profile; the memo takes no part in equality.
     """
 
     n: int
@@ -159,7 +159,7 @@ class SampleDraw:
     seed and distribution digest that produced it.
 
     The per-draw estimator quantities (see :func:`_draw_kernel`) are memoized
-    on the draw; the memo takes no part in equality or serialization.
+    on the draw; the memo takes no part in equality.
     """
 
     indices: np.ndarray
@@ -226,6 +226,25 @@ def _is_riesz(w: np.ndarray) -> bool:
     return bool(sv_w[0] > 0 and sv_w[-1] > default_rel_tol(w) * sv_w[0])
 
 
+def _check_bounds(raw) -> tuple[float, float, float, float]:
+    """(A, B, C, D) from four finite numbers or numeric strings with
+    0 < A <= B and 0 < C <= D; anything else, a string too, is rejected
+    naming declared_bounds."""
+    try:
+        if isinstance(raw, (str, bytes, dict)) or any(isinstance(x, bool) for x in raw):
+            raise TypeError
+        a, b, c, d = (float(x) for x in raw)
+        valid = 0 < a <= b < math.inf and 0 < c <= d < math.inf
+    except (TypeError, ValueError):
+        valid = False
+    if not valid:
+        raise InputValidationError(
+            "declared_bounds must be null or four finite numbers [A, B, C, D] "
+            f"with 0 < A <= B and 0 < C <= D, got {raw!r:.80}"
+        )
+    return a, b, c, d
+
+
 def build_frame_model(s_coef, w_coef, declared_bounds=None) -> FrameModel:
     """Assemble an immutable frame model, testing orthonormality of the
     sampling columns and full column rank of the reconstruction columns."""
@@ -236,10 +255,7 @@ def build_frame_model(s_coef, w_coef, declared_bounds=None) -> FrameModel:
             f"ambient row counts differ: s_coef has {s.shape[0]}, w_coef has {w.shape[0]}"
         )
     if declared_bounds is not None:
-        a, b, c, d = (float(x) for x in declared_bounds)
-        if not (0 < a <= b and 0 < c <= d):
-            raise InputValidationError("declared bounds must satisfy 0 < A <= B, 0 < C <= D")
-        declared_bounds = (a, b, c, d)
+        declared_bounds = _check_bounds(declared_bounds)
 
     gram_s = s.conj().T @ s
     # Frobenius dominates the spectral norm, so this is a conservative test.
@@ -286,11 +302,13 @@ def _sampling_columns(model: FrameModel, cols=None) -> np.ndarray:
     return s
 
 
-def _sampling_adjoint(model: FrameModel, x: np.ndarray) -> np.ndarray:
-    """S^H x for an ambient vector or matrix x (a gather for a selection)."""
+def _sampling_adjoint(model: FrameModel, x: np.ndarray, cols=None) -> np.ndarray:
+    """S[:, cols]^H x (all columns if None) for an ambient vector or matrix
+    x, applying only the selected sampling vectors (a gather for a
+    selection)."""
     if model.s_rows is not None:
-        return x[model.s_rows]
-    return model.s_matrix.conj().T @ x
+        return x[model.s_rows if cols is None else model.s_rows[cols]]
+    return _sampling_columns(model, cols).conj().T @ x
 
 
 def _interaction_vectors(model: FrameModel, n: int) -> np.ndarray:
@@ -496,11 +514,6 @@ def draw_samples(prof: LeverageProfile, m: int, seed: int) -> SampleDraw:
     )
 
 
-def _check_draw(prof: LeverageProfile, draw: SampleDraw) -> None:
-    if draw.distribution_id != prof.distribution_id:
-        raise InputValidationError("draw was produced under a different distribution")
-
-
 @dataclass(frozen=True)
 class _DrawKernel:
     """Per-draw quantities every estimator reads: the distinct drawn indices
@@ -534,7 +547,8 @@ def _draw_kernel(prof: LeverageProfile, draw: SampleDraw) -> _DrawKernel:
     hit = draw._memo.get("kernel")
     if hit is not None and hit[0] is prof:
         return hit[1]
-    _check_draw(prof, draw)
+    if draw.distribution_id != prof.distribution_id:
+        raise InputValidationError("draw was produced under a different distribution")
     sel, counts = np.unique(draw.indices, return_counts=True)
     if sel.size == 0 or sel[0] < 0 or sel[-1] >= prof.num_indices:
         raise InputValidationError(
@@ -589,13 +603,6 @@ def cross_term_deviation(model: FrameModel, prof: LeverageProfile, draw: SampleD
     return _wide_norm(diff)
 
 
-def _sampled_values(model: FrameModel, f: np.ndarray, idx) -> np.ndarray:
-    """(S^H f)[idx], applying only the drawn sampling vectors."""
-    if model.s_rows is not None:
-        return f[model.s_rows[idx]]
-    return model.s_matrix[:, idx].conj().T @ f
-
-
 def reconstruct(
     model: FrameModel, prof: LeverageProfile, draw: SampleDraw, f_coef
 ) -> ReconstructionReport:
@@ -618,7 +625,7 @@ def reconstruct(
     idx = draw.indices
     wts = 1.0 / np.sqrt(draw.m * prof.p[idx])
     design = prof.v[:, idx].conj().T * wts[:, None]
-    rhs = wts * _sampled_values(model, f, idx)
+    rhs = wts * _sampling_adjoint(model, f, idx)
     x = minimal_norm_lsq(design, rhs)
     k_factor = _k_factor(model, prof, kern)
 

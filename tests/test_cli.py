@@ -83,6 +83,104 @@ class TestConfigHandling:
         assert code == 2
 
 
+class TestSpecKeys:
+    """Model and target specs are checked key by key when the config is
+    loaded, before any model is built."""
+
+    @pytest.fixture(autouse=True)
+    def no_models(self, monkeypatch):
+        def refuse(cfg):
+            raise AssertionError("a model was built for a bad spec")
+
+        monkeypatch.setattr(cli, "_build_model", refuse)
+
+    @pytest.mark.parametrize("flag,spec,key", [
+        ("--model", "fl:N=4,ambient=301,max_defect=0.05", "N"),
+        ("--model", "identity:dim=8,foo=3", "foo"),
+        ("--model", "identity:abc", "dim"),
+        ("--model", "fl:n=4,ambient=3.5", "ambient"),
+        ("--model", "custom:path=frame.json,mode=fast", "mode"),
+        ("--target", "exp_c:xyz", "c"),
+        ("--target", "exp_c:nan", "c"),
+        ("--target", "pole_a:a=1.5,b=2", "b"),
+    ])
+    @pytest.mark.parametrize("command", ["reconstruct", "mc-gram", "leverage", "bounds"])
+    def test_bad_spec_rejected(self, capsys, command, flag, spec, key):
+        code = main([command, flag, spec, "--n", "2"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert repr(spec) in captured.err
+        assert key in captured.err
+
+    def test_config_spec_value_must_be_an_integer(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": {"kind": "identity", "dim": 8.5}}))
+        code = main(["leverage", "--config", str(cfg)])
+        assert code == 2
+        assert "dim must be an integer, got 8.5" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["reconstruct", "mc-gram"])
+    def test_target_built_before_model(self, capsys, command):
+        # The spec parses; the target itself is invalid (pole inside [-1, 1]).
+        code = main([command, "--model", "custom:frame.json", "--target", "pole_a:0.5"])
+        assert code == 2
+        assert "pole location must satisfy a > 1" in capsys.readouterr().err
+
+
+def test_spec_forms_give_the_same_model_info(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"model": {"kind": "fl", "n": 4, "ambient": 301,
+                                         "max_defect": 0.05}}))
+    infos = []
+    for argv in (["--model", "fl:n=4,ambient=301,max_defect=0.05"], ["--config", str(cfg)]):
+        code, report = run(capsys, "leverage", *argv)
+        assert code == 0
+        infos.append(report["model"])
+    assert infos == [{"kind": "fourier-legendre", "n": 4, "J": 301, "ambient": 301}] * 2
+    for spec in ("identity:6", "identity:dim=6"):
+        code, report = run(capsys, "leverage", "--model", spec)
+        assert report["model"] == {"kind": "identity", "dim": 6}
+
+
+def test_identity_model_is_a_selection():
+    model, info = cli._build_model({"model": "identity:5"})
+    assert info == {"kind": "identity", "dim": 5}
+    assert model.s_matrix is None
+    assert np.array_equal(model.s_rows, np.arange(5))
+    assert np.array_equal(model.s_coef, np.eye(5)) and np.array_equal(model.w_coef, np.eye(5))
+
+
+class TestDeclaredBounds:
+    """A model file's declared_bounds is null or four numbers (or numeric strings)."""
+
+    @staticmethod
+    def write(tmp_path, bounds) -> str:
+        data = model_to_dict(build_frame_model(np.eye(1), np.eye(1)))
+        data["declared_bounds"] = bounds
+        path = tmp_path / "frame.json"
+        path.write_text(json.dumps(data))
+        return f"custom:{path}"
+
+    @pytest.mark.parametrize("bounds", [
+        "1234", ["a", "1", "1", "1"], ["1", "1", "1"], [1, 1, 1, 1, 1], [True, 1, 1, 1],
+        [[1], 1, 1, 1], {"A": 1}, 4, ["1", "inf", "1", "1"], [2, 1, 1, 1],
+    ])
+    def test_bad_bounds_rejected(self, capsys, tmp_path, bounds):
+        code = main(["leverage", "--model", self.write(tmp_path, bounds), "--n", "1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "declared_bounds must be null or four finite numbers" in captured.err
+
+    @pytest.mark.parametrize("bounds", [None, [0.5, 2, 0.25, 4], ["0.5", "2", "0.25", "4"]])
+    def test_good_bounds_read(self, capsys, tmp_path, bounds):
+        code, report = run(capsys, "bounds", "--model", self.write(tmp_path, bounds), "--n", "1")
+        assert code == 0
+        expected = "4" if bounds else report["inputs"]["sigma_norm"]
+        assert report["inputs"]["D_riesz_upper"] == expected
+
+
 class TestLeverage:
     def test_identity_uniform_rows(self, capsys, tmp_path):
         out = tmp_path / "lev"
@@ -166,11 +264,19 @@ class TestMonteCarlo:
 
     def test_pathological_m1_never_full_rank(self, capsys):
         code, report = run(
-            capsys, "mc-crossterm", "--model", "identity:8", "--n", "4", "--m", "1",
+            capsys, "mc-gram", "--model", "identity:8", "--n", "4", "--m", "1",
             "--trials", "20", "--seed", "0",
         )
         assert code == 0
         assert float(report["full_rank_frequency"]["estimate"]) == 0.0
+        # The error bound covers full-rank draws only, so none can violate it.
+        assert report["bound_violations"] == 0
+
+    def test_crossterm_alias_removed(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["mc-crossterm", "--model", "identity:8", "--n", "4", "--trials", "2"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
 
     def test_doubling_m_reduces_median_gram_dev(self, capsys, tmp_path):
         meds = []

@@ -12,18 +12,12 @@ from stochsamp.fourier_legendre import (
     exp_target,
     fl_leverage_distribution,
     frequencies,
-    frequency_of,
-    index_of,
-    l2_error,
-    legendre_eval,
-    legendre_fourier_coef,
     legendre_fourier_table,
     legendre_table,
     pole_target,
-    spherical_bessel_seq,
-    target_coefficients,
+    spherical_bessel_table,
 )
-from stochsamp.sampling import leverage_profile
+from stochsamp.sampling import draw_samples, leverage_profile, reconstruct
 
 
 def bessel_oracle(x, k):
@@ -37,38 +31,52 @@ def bessel_oracle(x, k):
         return float(val)
 
 
+def frequency_oracle(index):
+    """sigma(l) for a 1-based index l, straight from the enumeration rule
+    0, +1, -1, +2, -2, ..."""
+    half, odd = divmod(index, 2)
+    return 0 if index == 1 else (-half if odd else half)
+
+
+def bessel_seq(x, k_max):
+    """j_0(x) .. j_{k_max}(x) through the production table."""
+    return spherical_bessel_table([x], k_max)[0]
+
+
+def legendre_fourier_coef(k, ell):
+    """Fourier coefficient of the degree-k normalized Legendre polynomial at
+    frequency ell, through the production table."""
+    return legendre_fourier_table(k + 1, [ell])[0, k]
+
+
 class TestFrequencyMap:
     def test_enumeration_rule(self):
-        assert [frequency_of(i) for i in range(1, 8)] == [0, 1, -1, 2, -2, 3, -3]
+        assert frequencies(7).tolist() == [0, 1, -1, 2, -2, 3, -3]
 
     def test_bijection(self):
-        for i in range(1, 200):
-            assert index_of(frequency_of(i)) == i
+        # The first 2q + 1 indices enumerate each frequency in [-q, q] once.
+        assert sorted(frequencies(199).tolist()) == list(range(-99, 100))
 
     def test_vectorized_matches_scalar(self):
         fr = frequencies(50)
-        assert [frequency_of(i) for i in range(1, 51)] == fr.tolist()
-
-    def test_rejects_zero_index(self):
-        with pytest.raises(InputValidationError):
-            frequency_of(0)
+        assert [frequency_oracle(i) for i in range(1, 51)] == fr.tolist()
 
 
 class TestSphericalBessel:
     def test_x_zero_exact(self):
-        seq = spherical_bessel_seq(0.0, 5)
+        seq = bessel_seq(0.0, 5)
         assert seq[0] == 1.0
         assert np.all(seq[1:] == 0.0)
 
     def test_closed_forms_at_pi(self):
-        seq = spherical_bessel_seq(math.pi, 2)
+        seq = bessel_seq(math.pi, 2)
         assert abs(seq[0]) <= 1e-15
         assert seq[1] == pytest.approx(1.0 / math.pi, rel=1e-12)
         assert seq[2] == pytest.approx(3.0 / math.pi**2, rel=1e-12)
 
     @pytest.mark.parametrize("x", [math.pi, 2 * math.pi, 10.5])
     def test_oracle_agreement(self, x):
-        seq = spherical_bessel_seq(x, 40)
+        seq = bessel_seq(x, 40)
         for k in range(41):
             truth = bessel_oracle(x, k)
             # at the zeros of j_0 (x = pi*l) only absolute accuracy is possible
@@ -76,7 +84,7 @@ class TestSphericalBessel:
 
     @pytest.mark.parametrize("x", [0.3, -0.3, 1.7, -7.2, 25.0, 100.0])
     def test_oracle_agreement_general(self, x):
-        seq = spherical_bessel_seq(x, 30)
+        seq = bessel_seq(x, 30)
         for k in range(31):
             truth = bessel_oracle(x, k)
             if abs(truth) > 1e-250:
@@ -84,21 +92,20 @@ class TestSphericalBessel:
 
     @pytest.mark.parametrize("x", [1.3, 4.0, 10.5, -6.6, 33.3])
     def test_recurrence_residual(self, x):
-        seq = spherical_bessel_seq(x, 25)
+        seq = bessel_seq(x, 25)
         for k in range(1, 25):
             resid = seq[k - 1] + seq[k + 1] - (2 * k + 1) / x * seq[k]
             scale = max(abs(seq[k - 1]), abs(seq[k]), abs(seq[k + 1]))
             assert abs(resid) <= 1e-10 * max(scale, 1e-300)
 
     def test_parity(self):
-        pos = spherical_bessel_seq(5.3, 12)
-        neg = spherical_bessel_seq(-5.3, 12)
+        pos, neg = spherical_bessel_table([5.3, -5.3], 12)
         signs = np.where(np.arange(13) % 2 == 0, 1.0, -1.0)
         assert np.allclose(neg, pos * signs, rtol=1e-13)
 
     def test_rejects_nonfinite(self):
         with pytest.raises(InputValidationError):
-            spherical_bessel_seq(math.nan, 3)
+            spherical_bessel_table([1.0, math.nan], 3)
 
 
 class TestLegendreFourierCoef:
@@ -130,13 +137,14 @@ class TestLegendreFourierCoef:
                 assert abs(minus - (-1) ** k * plus) <= 1e-12
 
     def test_table_matches_scalar(self):
+        # Each entry against the closed form i^k sqrt(2k+1) j_k(-pi l), with
+        # j_k from mpmath; the table mixes the upward and Miller paths.
         freqs = frequencies(15)
         tbl = legendre_fourier_table(6, freqs)
         for li, ell in enumerate(freqs):
             for k in range(6):
-                assert tbl[li, k] == pytest.approx(
-                    legendre_fourier_coef(k, int(ell)), abs=1e-13
-                )
+                scalar = 1j**k * math.sqrt(2 * k + 1) * bessel_oracle(-math.pi * ell, k)
+                assert tbl[li, k] == pytest.approx(scalar, abs=1e-13)
 
 
 class TestLeverageDistribution:
@@ -238,7 +246,8 @@ class TestAnalyticTargets:
         assert abs(fitted - 1.0 / t.rho) <= 0.05 / t.rho
 
     def test_target_coefficients_shapes(self):
-        legendre, fourier = target_coefficients(pole_target(1.5), 8, 101)
+        target = pole_target(1.5)
+        legendre, fourier = target.legendre_coef(7), target.fourier_coef(frequencies(101))
         assert legendre.shape == (8,)
         assert fourier.shape == (101,)
 
@@ -288,28 +297,25 @@ class TestBuildFlModel:
 
 
 class TestL2Error:
-    def test_zero_on_equal(self):
-        f = np.array([1.0, 2.0j, 3.0])
-        assert l2_error(f, f) == 0.0
-
-    def test_unit_vector_difference(self):
-        f = np.zeros(4, dtype=complex)
-        g = f.copy()
-        g[0] = 1.0
-        assert l2_error(f, g) == pytest.approx(1.0)
+    """reconstruct's err_l2 is the coefficient-space distance ||f - f_tilde||."""
 
     def test_shape_mismatch(self):
+        model = build_fl_model(2, 9, 9, max_defect=1.0)
+        prof = leverage_profile(model, 2)
         with pytest.raises(InputValidationError):
-            l2_error(np.ones(3), np.ones(4))
+            reconstruct(model, prof, draw_samples(prof, 4, 0), np.ones(8))
 
     def test_quadrature_cross_check(self):
-        # synthesize two functions from Fourier coefficients and compare the
-        # coefficient-space distance to direct quadrature of |f - g|^2
+        # synthesize f and its reconstruction from Fourier coefficients and
+        # compare err_l2 to direct quadrature of |f - f_tilde|^2 (Parseval)
         rng = np.random.default_rng(0)
         j_count = 9
         fr = frequencies(j_count)
         fc = rng.standard_normal(j_count) + 1j * rng.standard_normal(j_count)
-        gc = rng.standard_normal(j_count) + 1j * rng.standard_normal(j_count)
+        model = build_fl_model(2, j_count, j_count, max_defect=1.0)
+        prof = leverage_profile(model, 2)
+        rep = reconstruct(model, prof, draw_samples(prof, 4, 0), fc)
+        gc = rep.f_tilde_coef
 
         def diff_sq(x):
             basis = np.exp(1j * math.pi * np.outer(fr, x)) / math.sqrt(2.0)
@@ -317,22 +323,18 @@ class TestL2Error:
             return np.abs(d) ** 2
 
         truth = math.sqrt(float(adaptive_quadrature(diff_sq).real))
-        assert abs(l2_error(fc, gc) - truth) <= 1e-8
+        assert abs(rep.err_l2 - truth) <= 1e-8
 
 
 class TestLegendreEval:
     def test_degree_zero(self):
-        assert legendre_eval(0, 0.37)[0] == pytest.approx(math.sqrt(0.5))
+        assert legendre_table(0, [0.37])[0, 0] == pytest.approx(math.sqrt(0.5))
 
     def test_degree_one_at_one(self):
-        assert legendre_eval(1, 1.0)[1] == pytest.approx(math.sqrt(1.5))
+        assert legendre_table(1, [1.0])[1, 0] == pytest.approx(math.sqrt(1.5))
 
     def test_orthonormality_by_quadrature(self):
         x, w = np.polynomial.legendre.leggauss(64)
         vals = legendre_table(7, x)
         gram = (vals * w) @ vals.T
         assert np.max(np.abs(gram - np.eye(8))) <= 1e-12
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(InputValidationError):
-            legendre_eval(3, 1.5)

@@ -29,7 +29,6 @@ from stochsamp.sampling import (
     range_stability_check,
     reconstruct,
 )
-from stochsamp.serialize import draw_to_dict
 
 REL = 1e-12
 
@@ -176,7 +175,6 @@ def test_memo_takes_no_part_in_equality_or_serialization():
     assert draw._memo and not fresh._memo
     assert draw == fresh
     assert repr(draw) == repr(fresh)
-    assert draw_to_dict(draw) == draw_to_dict(fresh)
 
 
 @pytest.mark.parametrize("bad", [[-1, 0], [0, 41]])

@@ -3,25 +3,22 @@ import json
 import numpy as np
 import pytest
 
+from stochsamp.cli import main
 from stochsamp.errors import InputValidationError
 from stochsamp.sampling import (
+    SampleDraw,
     build_frame_model,
     draw_samples,
+    empirical_gram,
     leverage_profile,
     reconstruct,
 )
 from stochsamp.serialize import (
-    draw_from_dict,
-    draw_to_dict,
     dumps,
     fmt_complex,
     fmt_real,
     model_from_dict,
     model_to_dict,
-    profile_from_dict,
-    profile_to_dict,
-    report_from_dict,
-    report_to_dict,
 )
 
 
@@ -64,69 +61,68 @@ class TestModelRoundTrip:
         assert model_to_dict(model) == json.loads(text)
 
     def test_wrong_type_tag(self):
-        _, prof, _, _ = sample_objects()
+        model, _, _, _ = sample_objects()
         with pytest.raises(InputValidationError):
-            model_from_dict(profile_to_dict(prof))
+            model_from_dict(dict(model_to_dict(model), type="LeverageProfile"))
+
+
+def run_cli(capsys, tmp_path, *argv):
+    """Run a CLI command on the sample model's file; its JSON report and CSV rows."""
+    model, _, _, _ = sample_objects()
+    path = tmp_path / "model.json"
+    path.write_text(dumps(model_to_dict(model)))
+    out = tmp_path / "out"
+    code = main([*argv, "--model", f"custom:{path}", "--n", "3", "--out", str(out)])
+    assert code == 0
+    report = json.loads(capsys.readouterr().out)
+    rows = [line.split(",") for line in (tmp_path / "out.csv").read_text().splitlines()[1:]]
+    return report, rows
 
 
 class TestProfileRoundTrip:
-    def test_exact(self):
+    """The leverage report and table carry the profile's values exactly."""
+
+    def test_exact(self, capsys, tmp_path):
         _, prof, _, _ = sample_objects()
-        back = profile_from_dict(profile_to_dict(prof))
-        assert back.n == prof.n
-        assert np.array_equal(back.v, prof.v)
-        assert np.array_equal(back.sigma, prof.sigma)
-        assert np.array_equal(back.p, prof.p)
-        assert back.trace_sigma == prof.trace_sigma
-        assert back.lambda0 == prof.lambda0
-        assert back.distribution_id == prof.distribution_id
+        report, rows = run_cli(capsys, tmp_path, "leverage")
+        assert report["n"] == prof.n
+        assert report["num_indices"] == prof.num_indices
+        assert float(report["trace_sigma"]) == prof.trace_sigma
+        assert float(report["lambda0"]) == prof.lambda0
+        assert float(report["tail_mass"]) == prof.tail_mass
+        assert report["distribution_id"] == prof.distribution_id
+        assert np.array_equal([float(r[3]) for r in rows], prof.p)
 
     def test_digest_validated(self):
-        _, prof, _, _ = sample_objects()
-        data = profile_to_dict(prof)
-        data["distribution_id"] = "0" * 16
-        with pytest.raises(InputValidationError):
-            profile_from_dict(data)
-
-
-class TestDrawRoundTrip:
-    def test_exact_and_one_based_wire_format(self):
         _, prof, draw, _ = sample_objects()
-        data = draw_to_dict(draw)
-        assert min(data["indices"]) >= 1  # wire format is 1-based
-        back = draw_from_dict(data)
-        assert np.array_equal(back.indices, draw.indices)
-        assert back.m == draw.m
-        assert back.seed == draw.seed
-        assert back.distribution_id == draw.distribution_id
-
-    def test_rejects_zero_based_wire_indices(self):
-        _, _, draw, _ = sample_objects()
-        data = draw_to_dict(draw)
-        data["indices"][0] = 0
+        forged = SampleDraw(indices=draw.indices, m=draw.m, seed=draw.seed,
+                            distribution_id="0" * 16)
         with pytest.raises(InputValidationError):
-            draw_from_dict(data)
+            empirical_gram(prof, forged)
 
 
 class TestReportRoundTrip:
-    def test_exact(self):
-        _, _, _, report = sample_objects()
-        back = report_from_dict(report_to_dict(report))
-        assert np.array_equal(back.x_tilde, report.x_tilde)
-        assert np.array_equal(back.f_tilde_coef, report.f_tilde_coef)
-        assert back.err_l2 == report.err_l2
-        assert back.tail_err == report.tail_err
-        assert back.k_factor == report.k_factor
-        assert back.bound_ok == report.bound_ok
-        assert back.gram_condition == report.gram_condition
-        assert back.used_pseudo_inverse == report.used_pseudo_inverse
+    """The reconstruct report and table carry the library's values exactly."""
 
-    def test_rank_deficient_flag_survives(self):
-        _, _, _, report = sample_objects()
-        data = report_to_dict(report)
-        data["gram_condition"] = "rank-deficient"
-        back = report_from_dict(data)
-        assert back.gram_condition == "rank-deficient"
+    def test_exact(self, capsys, tmp_path):
+        model, prof, draw, _ = sample_objects()
+        f = 1.0 / np.arange(1.0, model.ambient_dim + 1.0)
+        report = reconstruct(model, prof, draw, f / np.linalg.norm(f))
+        back, rows = run_cli(capsys, tmp_path, "reconstruct", "--m", "25", "--seed", "7")
+        x_tilde = [complex(float(r[1]), float(r[2])) for r in rows]
+        assert np.array_equal(x_tilde, report.x_tilde)
+        assert float(back["err_l2"]) == report.err_l2
+        assert float(back["tail_err"]) == report.tail_err
+        assert float(back["k_factor"]) == report.k_factor
+        assert float(back["residual_weighted"]) == report.residual_weighted
+        assert back["bound_ok"] == report.bound_ok
+        assert float(back["gram_condition"]) == report.gram_condition
+        assert back["full_rank"] == (not report.used_pseudo_inverse)
+
+    def test_rank_deficient_flag_survives(self, capsys, tmp_path):
+        back, _ = run_cli(capsys, tmp_path, "reconstruct", "--m", "1")
+        assert back["gram_condition"] == "rank-deficient"
+        assert back["full_rank"] is False
 
 
 class TestDumps:
