@@ -40,6 +40,7 @@ from .sampling import (
     leverage_profile,
     range_stability_check,
     reconstruct,
+    reconstruction_error,
 )
 from .serialize import dumps, fmt_real, model_from_dict, read_model_json
 
@@ -109,14 +110,16 @@ NUMERIC_RULES = {
 def _check_numeric_fields(cfg: dict) -> None:
     """Reject bad numeric fields, naming the field, before any work starts;
     integer fields are normalized to int in place.  Fields whose default is
-    None may stay None."""
+    None may stay None.  A JSON boolean is not a number, though Python
+    converts it to one."""
     for key, (kind, in_range, rule) in NUMERIC_RULES.items():
         val = cfg[key]
         if val is None and DEFAULTS[key] is None:
             continue
         try:
             num = kind(val)
-            valid = math.isfinite(num) and in_range(num) and float(val) == num
+            valid = (not isinstance(val, bool) and math.isfinite(num) and in_range(num)
+                     and float(val) == num)
         except (TypeError, ValueError, OverflowError):
             valid = False
         if not valid:
@@ -128,14 +131,17 @@ def _check_numeric_fields(cfg: dict) -> None:
 
 def _parse_counts(value) -> int | list[int]:
     """``n`` as a count (an int) or a strictly increasing sweep list of
-    counts ('4,8,12' or [4, 8, 12]); anything else is rejected naming n."""
+    counts ('4,8,12' or [4, 8, 12]); anything else, a boolean too, is
+    rejected naming n."""
     if isinstance(value, str):
         items = [p for p in value.split(",") if p.strip()]
     else:
         items = value if isinstance(value, (list, tuple)) else [value]
     try:
         vals = [int(v) for v in items]
-        valid = bool(vals) and all(v >= 1 and float(x) == v for v, x in zip(vals, items))
+        valid = bool(vals) and all(
+            v >= 1 and not isinstance(x, bool) and float(x) == v for v, x in zip(vals, items)
+        )
     except (TypeError, ValueError, OverflowError):
         valid = False
     if not valid or any(b <= a for a, b in zip(vals, vals[1:])):
@@ -178,13 +184,13 @@ MODEL_FIELDS = {
     "custom": {"path": (str, None)},
 }
 TARGET_FIELDS = {"exp_c": {"c": (float, 1.0)}, "pole_a": {"a": (float, 1.5)}}
-FIELD_RULES = {int: "an integer", float: "a finite real number"}
+FIELD_RULES = {int: "an integer", float: "a finite real number", str: "a string"}
 
 
 def _spec_fields(spec, name: str, kinds: dict) -> tuple[str, dict]:
     """Kind and fields of a model or target spec, each field parsed or set
-    to its default.  An unknown kind or key, or a value that does not parse,
-    is rejected naming the spec and the key."""
+    to its default.  An unknown kind or key, or a value that does not parse
+    (a boolean included), is rejected naming the spec and the key."""
     given = _spec_to_dict(spec, name=name)
     kind = given.pop("kind", None)
     if kind not in kinds:
@@ -205,7 +211,9 @@ def _spec_fields(spec, name: str, kinds: dict) -> tuple[str, dict]:
         parse = fields[key][0]
         try:
             out[key] = parse(val)
-            valid = parse is str or (math.isfinite(out[key]) and float(val) == out[key])
+            valid = not isinstance(val, bool) and (
+                parse is str or (math.isfinite(out[key]) and float(val) == out[key])
+            )
         except (TypeError, ValueError, OverflowError):
             valid = False
         if not valid:
@@ -255,7 +263,8 @@ def _build_target(cfg: dict) -> tuple[fl.AnalyticTarget | None, dict | None]:
 
 
 def _target_ambient_coef(model: FrameModel, model_info: dict, target) -> np.ndarray:
-    """Ambient coefficients of the function to reconstruct.
+    """Ambient coefficients of the function to reconstruct, read-only so that
+    ``reconstruct`` computes their tail once per n.
 
     Fourier-Legendre models require a target; other models default to the
     fixed unit vector with entries proportional to 1/(j+1).
@@ -263,9 +272,12 @@ def _target_ambient_coef(model: FrameModel, model_info: dict, target) -> np.ndar
     if model_info["kind"] == "fourier-legendre":
         if target is None:
             raise InputValidationError("fourier-legendre models need a --target")
-        return target.fourier_coef(fl.frequencies(model.ambient_dim))
-    f = 1.0 / np.arange(1.0, model.ambient_dim + 1.0)
-    return (f / np.linalg.norm(f)).astype(complex)
+        f = target.fourier_coef(fl.frequencies(model.ambient_dim))
+    else:
+        f = 1.0 / np.arange(1.0, model.ambient_dim + 1.0)
+        f = (f / np.linalg.norm(f)).astype(complex)
+    f.setflags(write=False)
+    return f
 
 
 def _pick_n(cfg: dict, model: FrameModel, model_info: dict) -> int:
@@ -483,7 +495,7 @@ def run_convergence(cfg: dict) -> None:
         errs = []
         for t in range(trials):
             draw = draw_samples(prof, m, base_seed + t)
-            errs.append(reconstruct(model, prof, draw, f_coef).err_l2)
+            errs.append(reconstruction_error(model, prof, draw, f_coef))
         med = float(np.median(errs))
         medians.append(med)
         rows.append([n, m, trials, med, float(np.min(errs)), float(np.max(errs))])

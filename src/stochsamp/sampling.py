@@ -51,6 +51,7 @@ __all__ = [
     "empirical_gram",
     "empirical_cross_term",
     "reconstruct",
+    "reconstruction_error",
     "christoffel_profile",
     "range_stability_check",
 ]
@@ -246,8 +247,17 @@ def _check_bounds(raw) -> tuple[float, float, float, float]:
 
 
 def build_frame_model(s_coef, w_coef, declared_bounds=None) -> FrameModel:
-    """Assemble an immutable frame model, testing orthonormality of the
-    sampling columns and full column rank of the reconstruction columns."""
+    """Assemble an immutable frame model from copies of the caller's arrays,
+    testing orthonormality of the sampling columns and full column rank of
+    the reconstruction columns."""
+    return _frame_model(
+        np.array(s_coef, dtype=complex), np.array(w_coef, dtype=complex), declared_bounds
+    )
+
+
+def _frame_model(s_coef, w_coef, declared_bounds=None) -> FrameModel:
+    """:func:`build_frame_model` on arrays the caller hands over: they are
+    checked and frozen in place, not copied."""
     s = as_matrix(s_coef, name="s_coef")
     w = as_matrix(w_coef, name="w_coef")
     if s.shape[0] != w.shape[0]:
@@ -263,11 +273,11 @@ def build_frame_model(s_coef, w_coef, declared_bounds=None) -> FrameModel:
         np.linalg.norm(gram_s - np.eye(s.shape[1])) <= 1e-8
     )
     return FrameModel(
-        w_coef=_frozen(w.copy(order="K")),
+        w_coef=_frozen(w),
         declared_bounds=declared_bounds,
         sampling_is_orthonormal=orthonormal,
         reconstruction_is_riesz=_is_riesz(w),
-        s_matrix=_frozen(s.copy(order="K")),
+        s_matrix=_frozen(s),
     )
 
 
@@ -541,19 +551,26 @@ class _DrawKernel:
         return pinv_from_svd(self.u, self.s, self.vh, self.rank)
 
 
+def _check_draw(prof: LeverageProfile, draw: SampleDraw) -> None:
+    """Reject a draw from another distribution or with an index outside the
+    profile's [0, J - 1]."""
+    if draw.distribution_id != prof.distribution_id:
+        raise InputValidationError("draw was produced under a different distribution")
+    idx = draw.indices
+    if idx.size == 0 or idx.min() < 0 or idx.max() >= prof.num_indices:
+        raise InputValidationError(
+            f"draw indices must be nonempty and lie in [0, {prof.num_indices - 1}]"
+        )
+
+
 def _draw_kernel(prof: LeverageProfile, draw: SampleDraw) -> _DrawKernel:
     """The per-draw quantities of ``draw`` under ``prof``, computed once per
     (profile, draw) and memoized on the draw."""
     hit = draw._memo.get("kernel")
     if hit is not None and hit[0] is prof:
         return hit[1]
-    if draw.distribution_id != prof.distribution_id:
-        raise InputValidationError("draw was produced under a different distribution")
+    _check_draw(prof, draw)
     sel, counts = np.unique(draw.indices, return_counts=True)
-    if sel.size == 0 or sel[0] < 0 or sel[-1] >= prof.num_indices:
-        raise InputValidationError(
-            f"draw indices must be nonempty and lie in [0, {prof.num_indices - 1}]"
-        )
     weights = counts / (draw.m * prof.p[sel])
     vs = prof.v[:, sel]
     vw = vs * weights
@@ -603,16 +620,9 @@ def cross_term_deviation(model: FrameModel, prof: LeverageProfile, draw: SampleD
     return _wide_norm(diff)
 
 
-def reconstruct(
-    model: FrameModel, prof: LeverageProfile, draw: SampleDraw, f_coef
-) -> ReconstructionReport:
-    """Weighted least-squares reconstruction of ``f_coef`` from the drawn
-    samples.
-
-    Row t of the design is (m p_{i_t})^{-1/2} v_{i_t}^H with matching weighted
-    right-hand side; the minimal-norm solve covers both the invertible and the
-    rank-deficient (pseudo-inverse) path.
-    """
+def _check_target(model: FrameModel, f_coef) -> np.ndarray:
+    """``f_coef`` as a complex ambient vector; rejected naming its length or
+    non-finite entries."""
     f = np.asarray(f_coef, dtype=complex).reshape(-1)
     if f.shape[0] != model.ambient_dim:
         raise InputValidationError(
@@ -620,21 +630,54 @@ def reconstruct(
         )
     if not np.all(np.isfinite(f.real)) or not np.all(np.isfinite(f.imag)):
         raise InputValidationError("f_coef contains non-finite entries")
-    kern = _draw_kernel(prof, draw)
+    return f
 
+
+def _solve(model: FrameModel, prof: LeverageProfile, draw: SampleDraw, f: np.ndarray):
+    """The weighted design and right-hand side of ``draw``, the minimal-norm
+    solution x, f_tilde = W_n x and ||f - f_tilde||.
+
+    Row t of the design is (m p_{i_t})^{-1/2} v_{i_t}^H with matching weighted
+    right-hand side; the minimal-norm solve covers both the invertible and the
+    rank-deficient (pseudo-inverse) path.
+    """
     idx = draw.indices
     wts = 1.0 / np.sqrt(draw.m * prof.p[idx])
     design = prof.v[:, idx].conj().T * wts[:, None]
     rhs = wts * _sampling_adjoint(model, f, idx)
     x = minimal_norm_lsq(design, rhs)
-    k_factor = _k_factor(model, prof, kern)
+    f_tilde = model.w_coef[:, : prof.n] @ x
+    return design, rhs, x, f_tilde, float(np.linalg.norm(f - f_tilde))
 
-    wn = model.w_coef[:, : prof.n]
-    f_tilde = wn @ x
-    q = _reconstruction_basis(model, prof.n)
-    tail = f - q @ (_basis_adjoint(model, prof.n) @ f)
-    err_l2 = float(np.linalg.norm(f - f_tilde))
-    tail_err = float(np.linalg.norm(tail))
+
+def _tail_err(model: FrameModel, n: int, f_coef, f: np.ndarray) -> float:
+    """||f - Q Q^H f||, the best error from W_n.  Memoized per n, keyed on
+    the identity of ``f_coef``, when ``f_coef`` is a read-only ndarray that
+    owns its data (the memo keeps it alive, so its identity is not reused);
+    computed per call for any other ``f_coef``."""
+    key = ("tail", n)
+    fixed = isinstance(f_coef, np.ndarray) and f_coef.flags.owndata and not f_coef.flags.writeable
+    hit = model._memo.get(key)
+    if fixed and hit is not None and hit[0] is f_coef:
+        return hit[1]
+    q = _reconstruction_basis(model, n)
+    tail_err = float(np.linalg.norm(f - q @ (_basis_adjoint(model, n) @ f)))
+    if fixed:
+        model._memo[key] = (f_coef, tail_err)
+    return tail_err
+
+
+def reconstruct(
+    model: FrameModel, prof: LeverageProfile, draw: SampleDraw, f_coef
+) -> ReconstructionReport:
+    """Weighted least-squares reconstruction of ``f_coef`` from the drawn
+    samples, with the error bound, the K-factor and the empirical Gram's rank
+    decision (see :func:`_solve`)."""
+    f = _check_target(model, f_coef)
+    kern = _draw_kernel(prof, draw)
+    design, rhs, x, f_tilde, err_l2 = _solve(model, prof, draw, f)
+    k_factor = _k_factor(model, prof, kern)
+    tail_err = _tail_err(model, prof.n, f_coef, f)
     return ReconstructionReport(
         x_tilde=_frozen(x),
         f_tilde_coef=_frozen(f_tilde),
@@ -646,6 +689,17 @@ def reconstruct(
         gram_condition=kern.gram_condition,
         used_pseudo_inverse=not kern.full_rank,
     )
+
+
+def reconstruction_error(
+    model: FrameModel, prof: LeverageProfile, draw: SampleDraw, f_coef
+) -> float:
+    """||f - W_n x_tilde||, the ``err_l2`` of :func:`reconstruct` with the same
+    checks and bits, from the solve alone: no per-draw kernel, K-factor, tail
+    or weighted residual."""
+    f = _check_target(model, f_coef)
+    _check_draw(prof, draw)
+    return _solve(model, prof, draw, f)[4]
 
 
 def christoffel_profile(prof: LeverageProfile) -> ChristoffelProfile:

@@ -10,6 +10,7 @@ import pytest
 
 import stochsamp
 import stochsamp.cli as cli
+import stochsamp.sampling as sampling
 from stochsamp.cli import main
 from stochsamp.sampling import build_frame_model
 from stochsamp.serialize import model_to_dict
@@ -119,6 +120,24 @@ class TestSpecKeys:
         code = main(["leverage", "--config", str(cfg)])
         assert code == 2
         assert "dim must be an integer, got 8.5" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name,spec,key", [
+        ("model", {"kind": "fl", "n": True, "ambient": 301, "max_defect": 0.05}, "n"),
+        ("model", {"kind": "fl", "n": 4, "ambient": 301, "max_defect": False}, "max_defect"),
+        ("model", {"kind": "identity", "dim": True}, "dim"),
+        ("model", {"kind": "custom", "path": True}, "path"),
+        ("target", {"kind": "exp_c", "c": True}, "c"),
+    ])
+    def test_config_spec_boolean_rejected(self, capsys, tmp_path, name, spec, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({name: spec}))
+        with pytest.raises(cli.InputValidationError, match=f": {key} must be"):
+            cli._spec_fields(spec, name, cli.MODEL_FIELDS if name == "model" else cli.TARGET_FIELDS)
+        code = main(["mc-gram", "--config", str(cfg)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert f"{key} must be" in captured.err
 
     @pytest.mark.parametrize("command", ["reconstruct", "mc-gram"])
     def test_target_built_before_model(self, capsys, command):
@@ -305,6 +324,38 @@ class TestConvergence:
         lines = (tmp_path / "conv.csv").read_text().splitlines()
         assert len(lines) == 5
 
+    def test_trials_pay_only_for_the_solve(self, capsys, tmp_path, monkeypatch):
+        argv = ["convergence", "--model", "fl:n=7,ambient=301,max_defect=0.05",
+                "--target", "pole_a:1.5", "--n", "4,5,6,7", "--trials", "3", "--seed", "2"]
+        code = main([*argv, "--out", str(tmp_path / "plain")])
+        plain = capsys.readouterr().out
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a convergence trial built the kernel or K-factor")
+
+        monkeypatch.setattr(sampling, "_draw_kernel", refuse)
+        monkeypatch.setattr(sampling, "_k_factor", refuse)
+        draws = []
+        draw = cli.draw_samples
+        monkeypatch.setattr(cli, "draw_samples", lambda *a: draws.append(a) or draw(*a))
+        assert code == main([*argv, "--out", str(tmp_path / "bare")]) == 0
+        assert capsys.readouterr().out == plain
+        assert len(draws) == 4 * 3
+        for ext in ("json", "csv"):
+            assert (tmp_path / f"bare.{ext}").read_bytes() == (tmp_path / f"plain.{ext}").read_bytes()
+        monkeypatch.undo()
+        # The medians are those of reconstruct's err_l2.
+        model = cli.fl.build_fl_model(7, 301, 301, max_defect=0.05)
+        f = cli.fl.pole_target(1.5).fourier_coef(cli.fl.frequencies(301))
+        medians = []
+        for n in (4, 5, 6, 7):
+            prof = sampling.leverage_profile(model, n)
+            m = cli._pick_m({"m": None, "delta": 0.1}, n)
+            medians.append(cli.fmt_real(np.median(
+                [sampling.reconstruct(model, prof, draw(prof, m, 2 + t), f).err_l2
+                 for t in range(3)])))
+        assert json.loads(plain)["median_err"] == medians
+
     def test_requires_four_points(self, capsys):
         code, _ = run(
             capsys, "convergence", "--model", "fl:n=6,ambient=301,max_defect=0.05",
@@ -398,6 +449,18 @@ class TestInputValidation:
         assert code == 2
         assert "seed must" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field", ["seed", "trials", "m", "delta", "epsilon"])
+    @pytest.mark.parametrize("value", [True, False])
+    def test_json_boolean_rejected(self, capsys, tmp_path, field, value):
+        # int(True) == float(True) == 1, but a boolean is not a number.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": "identity:4", field: value}))
+        code = main(["mc-gram", "--config", str(cfg)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert f"{field} must be" in captured.err
+
     def test_convergence_zero_trials_rejected(self, capsys):
         code = main(["convergence", "--model", "fl:n=7,ambient=301,max_defect=0.05",
                      "--n", "4,5,6,7", "--trials", "0"])
@@ -429,6 +492,17 @@ class TestNValidation:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"n": value}))
         code = main(["leverage", "--config", str(cfg)])
+        assert code == 2
+        assert "n must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [True, False, [True, 4, 8, 12], [4, 8, 12, True]])
+    def test_json_boolean_rejected(self, capsys, tmp_path, value):
+        with pytest.raises(cli.InputValidationError, match="n must be"):
+            cli._parse_counts(value)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": value}))
+        command = "convergence" if isinstance(value, list) else "leverage"
+        code = main([command, "--config", str(cfg), "--trials", "2"])
         assert code == 2
         assert "n must be" in capsys.readouterr().err
 

@@ -28,6 +28,7 @@ from stochsamp.sampling import (
     leverage_profile,
     range_stability_check,
     reconstruct,
+    reconstruction_error,
 )
 
 REL = 1e-12
@@ -144,6 +145,124 @@ def test_sampling_close_to_reconstruction_space_keeps_accuracy(spread):
         assert abs(reconstruct(model, prof, draw, f).k_factor - k_ref) <= REL * k_ref
         dev_ref = direct_cross_dev(model, prof, draw)
         assert abs(cross_term_deviation(model, prof, draw) - dev_ref) <= REL * dev_ref
+
+
+def near_w_dense_model(spread):
+    """Dense analogue of :func:`near_w_model`: a random unitary S on 40
+    coordinates and W close to its first four columns."""
+    rng = np.random.default_rng(1)
+    z = rng.standard_normal((40, 40)) + 1j * rng.standard_normal((40, 40))
+    s = np.linalg.qr(z / np.sqrt(2.0))[0]
+    noise = rng.standard_normal((40, 4)) + 1j * rng.standard_normal((40, 4))
+    return build_frame_model(s, s[:, :4] + spread * noise)
+
+
+@pytest.mark.parametrize("spread", [1e-2, 1e-4, 1e-6])
+def test_dense_sampling_close_to_reconstruction_space_keeps_accuracy(spread):
+    model = near_w_dense_model(spread)
+    prof = leverage_profile(model, 4)
+    f = np.linspace(1.0, 2.0, 40).astype(complex)
+    for seed in range(4):
+        draw = draw_samples(prof, 200, seed)
+        k_ref = direct_k_factor(model, prof, draw)
+        assert abs(reconstruct(model, prof, draw, f).k_factor - k_ref) <= REL * k_ref
+        dev_ref = direct_cross_dev(model, prof, draw)
+        assert abs(cross_term_deviation(model, prof, draw) - dev_ref) <= REL * dev_ref
+
+
+def test_reconstruction_error_is_err_l2(case):
+    model, prof, ms, f = case
+    deficient = 0
+    for m in (1, *ms):
+        for seed in range(6):
+            # A fresh draw for each path, so neither reads the other's kernel.
+            err = reconstruction_error(model, prof, draw_samples(prof, m, seed), f)
+            rep = reconstruct(model, prof, draw_samples(prof, m, seed), f)
+            assert err == rep.err_l2, (m, seed)
+            deficient += rep.used_pseudo_inverse
+    assert deficient > 0
+
+
+def test_reconstruction_error_on_identity_model():
+    model = build_selection_model(np.arange(8), np.eye(8))
+    prof = leverage_profile(model, 4)
+    f = 1.0 / np.arange(1.0, 9.0) + 0.5j
+    for m in (1, 4, 20):
+        for seed in range(6):
+            draw = draw_samples(prof, m, seed)
+            assert reconstruction_error(model, prof, draw, f) == reconstruct(
+                model, prof, draw, f).err_l2
+
+
+def test_reconstruction_error_builds_no_kernel_or_k_factor(monkeypatch):
+    model = build_fl_model(10, 301, 301, max_defect=0.05)
+    prof = leverage_profile(model, 10)
+    f = exp_target(1.0).fourier_coef(frequencies(301))
+    want = reconstruct(model, prof, draw_samples(prof, 40, 3), f).err_l2
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the error-only path did more than the solve")
+
+    for name in ("_draw_kernel", "_k_factor", "_tail_err"):
+        monkeypatch.setattr(sampling, name, refuse)
+    draw = draw_samples(prof, 40, 3)
+    assert reconstruction_error(model, prof, draw, f) == want
+    assert not draw._memo
+
+
+def test_reconstruction_error_checks_as_reconstruct():
+    model = build_fl_model(4, 41, 101, max_defect=0.05)
+    prof = leverage_profile(model, 4)
+    other = leverage_profile(model, 4, "uniform_on_support")
+    f = exp_target(1.0).fourier_coef(frequencies(101))
+    good = draw_samples(prof, 10, 0)
+
+    def draw_of(indices):
+        return SampleDraw(indices=np.array(indices, dtype=np.int64), m=2, seed=0,
+                          distribution_id=prof.distribution_id)
+
+    bad_f = f.copy()
+    bad_f[3] = np.nan
+    cases = [
+        (good, f[:-1]), (good, bad_f), (draw_samples(other, 10, 0), f),
+        (draw_of([-1, 0]), f), (draw_of([0, 41]), f), (draw_of([]), f),
+    ]
+    for draw, target in cases:
+        with pytest.raises(sampling.InputValidationError) as want:
+            reconstruct(model, prof, draw, target)
+        with pytest.raises(sampling.InputValidationError) as got:
+            reconstruction_error(model, prof, draw, target)
+        assert str(got.value) == str(want.value)
+
+
+def test_tail_is_memoized_for_a_frozen_target():
+    model = build_fl_model(10, 301, 301, max_defect=0.05)
+    prof = leverage_profile(model, 10)
+    f = exp_target(1.0).fourier_coef(frequencies(301))
+    f.setflags(write=False)
+    first = reconstruct(model, prof, draw_samples(prof, 40, 0), f).tail_err
+    assert model._memo[("tail", 10)] == (f, first)
+    # A planted value shows that later trials read the memo.
+    model._memo[("tail", 10)] = (f, 0.5)
+    assert reconstruct(model, prof, draw_samples(prof, 40, 1), f).tail_err == 0.5
+    # A read-only view does not own its data (its base may change), and a
+    # list is no array: both are computed per call and leave the memo alone.
+    for other in (f[:], list(f)):
+        assert reconstruct(model, prof, draw_samples(prof, 40, 2), other).tail_err == first
+    assert model._memo[("tail", 10)] == (f, 0.5)
+
+
+def test_tail_follows_a_writeable_target_changed_in_place():
+    model = build_fl_model(10, 301, 301, max_defect=0.05)
+    prof = leverage_profile(model, 10)
+    f = exp_target(1.0).fourier_coef(frequencies(301))
+    draw = draw_samples(prof, 40, 0)
+    before = reconstruct(model, prof, draw, f).tail_err
+    f[-5:] += 1.0
+    after = reconstruct(model, prof, draw, f).tail_err
+    q = sampling._reconstruction_basis(model, 10)
+    assert after != before
+    assert after == float(np.linalg.norm(f - q @ (q.conj().T @ f)))
 
 
 def test_kernel_is_computed_once_per_profile_and_draw(monkeypatch):
