@@ -64,11 +64,22 @@ DEFAULTS = {
     "out": None,
 }
 
+# The fields each command reads; one given by a flag or config key that its
+# command does not read is rejected.
+COMMAND_FIELDS = {
+    "reconstruct": set(DEFAULTS) - {"trials", "epsilon"},
+    "mc-gram": set(DEFAULTS),
+    "convergence": set(DEFAULTS) - {"epsilon"},
+    "leverage": {"model", "n", "p_spec", "out"},
+    "bounds": {"model", "n", "delta", "epsilon", "p_spec", "out"},
+}
+
 
 # -- config handling ----------------------------------------------------------
 
 def _load_config(args: argparse.Namespace) -> dict:
     cfg = dict(DEFAULTS)
+    given = set()
     if args.config is not None:
         try:
             with open(args.config, encoding="utf-8") as fp:
@@ -81,10 +92,12 @@ def _load_config(args: argparse.Namespace) -> dict:
         if unknown:
             raise InputValidationError(f"unknown config fields: {sorted(unknown)}")
         cfg.update(loaded)
+        given.update(loaded)
     for key in ("out", "seed", "trials", "n", "m", "delta", "epsilon", "model", "target"):
         val = getattr(args, key, None)
         if val is not None:
             cfg[key] = val
+            given.add(key)
     _check_numeric_fields(cfg)
     for key, kinds in (("model", MODEL_FIELDS), ("target", TARGET_FIELDS)):
         if cfg[key] is not None:
@@ -94,6 +107,9 @@ def _load_config(args: argparse.Namespace) -> dict:
             f"n must be a single integer >= 1 for {args.command}, got {cfg['n']!r}; "
             "sweep lists are for convergence"
         )
+    unused = [key for key in DEFAULTS if key in given - COMMAND_FIELDS[args.command]]
+    if unused:
+        raise InputValidationError(f"{args.command} does not use {', '.join(unused)}")
     return cfg
 
 
@@ -211,8 +227,8 @@ def _spec_fields(spec, name: str, kinds: dict) -> tuple[str, dict]:
         parse = fields[key][0]
         try:
             out[key] = parse(val)
-            valid = not isinstance(val, bool) and (
-                parse is str or (math.isfinite(out[key]) and float(val) == out[key])
+            valid = isinstance(val, str) if parse is str else (
+                not isinstance(val, bool) and math.isfinite(out[key]) and float(val) == out[key]
             )
         except (TypeError, ValueError, OverflowError):
             valid = False
@@ -263,8 +279,7 @@ def _build_target(cfg: dict) -> tuple[fl.AnalyticTarget | None, dict | None]:
 
 
 def _target_ambient_coef(model: FrameModel, model_info: dict, target) -> np.ndarray:
-    """Ambient coefficients of the function to reconstruct, read-only so that
-    ``reconstruct`` computes their tail once per n.
+    """Ambient coefficients of the function to reconstruct.
 
     Fourier-Legendre models require a target; other models default to the
     fixed unit vector with entries proportional to 1/(j+1).
@@ -272,12 +287,9 @@ def _target_ambient_coef(model: FrameModel, model_info: dict, target) -> np.ndar
     if model_info["kind"] == "fourier-legendre":
         if target is None:
             raise InputValidationError("fourier-legendre models need a --target")
-        f = target.fourier_coef(fl.frequencies(model.ambient_dim))
-    else:
-        f = 1.0 / np.arange(1.0, model.ambient_dim + 1.0)
-        f = (f / np.linalg.norm(f)).astype(complex)
-    f.setflags(write=False)
-    return f
+        return target.fourier_coef(fl.frequencies(model.ambient_dim))
+    f = 1.0 / np.arange(1.0, model.ambient_dim + 1.0)
+    return (f / np.linalg.norm(f)).astype(complex)
 
 
 def _pick_n(cfg: dict, model: FrameModel, model_info: dict) -> int:

@@ -250,16 +250,8 @@ def build_frame_model(s_coef, w_coef, declared_bounds=None) -> FrameModel:
     """Assemble an immutable frame model from copies of the caller's arrays,
     testing orthonormality of the sampling columns and full column rank of
     the reconstruction columns."""
-    return _frame_model(
-        np.array(s_coef, dtype=complex), np.array(w_coef, dtype=complex), declared_bounds
-    )
-
-
-def _frame_model(s_coef, w_coef, declared_bounds=None) -> FrameModel:
-    """:func:`build_frame_model` on arrays the caller hands over: they are
-    checked and frozen in place, not copied."""
-    s = as_matrix(s_coef, name="s_coef")
-    w = as_matrix(w_coef, name="w_coef")
+    s = as_matrix(np.array(s_coef, dtype=complex), name="s_coef")
+    w = as_matrix(np.array(w_coef, dtype=complex), name="w_coef")
     if s.shape[0] != w.shape[0]:
         raise InputValidationError(
             f"ambient row counts differ: s_coef has {s.shape[0]}, w_coef has {w.shape[0]}"
@@ -650,21 +642,15 @@ def _solve(model: FrameModel, prof: LeverageProfile, draw: SampleDraw, f: np.nda
     return design, rhs, x, f_tilde, float(np.linalg.norm(f - f_tilde))
 
 
-def _tail_err(model: FrameModel, n: int, f_coef, f: np.ndarray) -> float:
-    """||f - Q Q^H f||, the best error from W_n.  Memoized per n, keyed on
-    the identity of ``f_coef``, when ``f_coef`` is a read-only ndarray that
-    owns its data (the memo keeps it alive, so its identity is not reused);
-    computed per call for any other ``f_coef``."""
-    key = ("tail", n)
-    fixed = isinstance(f_coef, np.ndarray) and f_coef.flags.owndata and not f_coef.flags.writeable
+def _tail_err(model: FrameModel, n: int, f: np.ndarray) -> float:
+    """||f - Q Q^H f||, the best error from W_n; memoized per n, keyed on the
+    bytes of ``f``."""
+    key, f_bytes = ("tail", n), f.tobytes()
     hit = model._memo.get(key)
-    if fixed and hit is not None and hit[0] is f_coef:
-        return hit[1]
-    q = _reconstruction_basis(model, n)
-    tail_err = float(np.linalg.norm(f - q @ (_basis_adjoint(model, n) @ f)))
-    if fixed:
-        model._memo[key] = (f_coef, tail_err)
-    return tail_err
+    if hit is None or hit[0] != f_bytes:
+        tail = f - _reconstruction_basis(model, n) @ (_basis_adjoint(model, n) @ f)
+        hit = model._memo[key] = (f_bytes, float(np.linalg.norm(tail)))
+    return hit[1]
 
 
 def reconstruct(
@@ -677,7 +663,7 @@ def reconstruct(
     kern = _draw_kernel(prof, draw)
     design, rhs, x, f_tilde, err_l2 = _solve(model, prof, draw, f)
     k_factor = _k_factor(model, prof, kern)
-    tail_err = _tail_err(model, prof.n, f_coef, f)
+    tail_err = _tail_err(model, prof.n, f)
     return ReconstructionReport(
         x_tilde=_frozen(x),
         f_tilde_coef=_frozen(f_tilde),

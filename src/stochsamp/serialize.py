@@ -22,7 +22,7 @@ import warnings
 import numpy as np
 
 from .errors import InputValidationError
-from .sampling import FrameModel, _frame_model
+from .sampling import FrameModel, build_frame_model
 
 __all__ = [
     "fmt_real",
@@ -81,31 +81,17 @@ def model_to_dict(model: FrameModel) -> dict:
 
 
 def model_from_dict(data: dict) -> FrameModel:
+    """The frame model of a :func:`model_to_dict` document, built by
+    :func:`build_frame_model` from copies of its arrays."""
     _expect(data, "FrameModel")
     for key in ("s_coef", "w_coef"):
         if data.get(key) is None:
             raise InputValidationError(f"serialized FrameModel has no {key!r} array")
-    return _frame_model(
-        _model_array(data["s_coef"]),
-        _model_array(data["w_coef"]),
-        declared_bounds=data.get("declared_bounds"),
+    return build_frame_model(
+        complex_array_from_lists(data["s_coef"]),
+        complex_array_from_lists(data["w_coef"]),
+        data.get("declared_bounds"),
     )
-
-
-def _model_array(raw) -> np.ndarray:
-    """The complex array of ``raw`` for a model to keep without a copy.  One
-    converted from lists is fresh.  One that may share the memory of the
-    caller's array is copied, unless that array and every array it views
-    are read-only, as those of :func:`read_model_json` are, so nothing can
-    change the model through them."""
-    arr = complex_array_from_lists(raw)
-    if isinstance(raw, np.ndarray) and np.may_share_memory(arr, raw):
-        while isinstance(raw, np.ndarray) and not raw.flags.writeable:
-            if raw.base is None:
-                return arr
-            raw = raw.base
-        arr = arr.copy()
-    return arr
 
 
 # The bytes of a model file's coefficient arrays as the checks read them:
@@ -123,8 +109,7 @@ _ARRAY_START = re.compile(rb"[ \t\n\r]*:[ \t\n\r]*\[")
 
 def read_model_json(path) -> dict:
     """The JSON document of a model file, as ``json.load`` reads it, except
-    that ``s_coef`` and ``w_coef`` are read-only ``(R, C, 2)`` float64
-    arrays, which :func:`model_from_dict` takes over without a copy.
+    that ``s_coef`` and ``w_coef`` are ``(R, C, 2)`` float64 arrays.
 
     That holds when both are written as :func:`model_to_dict` writes them:
     R rows of C ``["re", "im"]`` pairs of quoted decimal numbers, with any
@@ -225,7 +210,6 @@ def _pair_array(buf: bytearray, start: int, end: int) -> np.ndarray | None:
             return None
     if values.size != count:
         return None
-    values.setflags(write=False)
     return values.reshape(rows, cols, 2)
 
 

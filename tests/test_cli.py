@@ -147,6 +147,77 @@ class TestSpecKeys:
         assert "pole location must satisfy a > 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("path", [["a"], 5, True])
+def test_custom_path_must_be_a_string(capsys, tmp_path, monkeypatch, path):
+    def refuse(path):
+        raise AssertionError("a model file was opened for a bad path")
+
+    monkeypatch.setattr(cli, "read_model_json", refuse)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"model": {"kind": "custom", "path": path}}))
+    code = main(["leverage", "--config", str(cfg)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f": path must be a string, got {path!r}" in captured.err
+
+
+class TestUnusedFields:
+    """A field given by a flag or a config key that the command does not read
+    exits 2 naming the field and the command; defaults do not count."""
+
+    @pytest.fixture(autouse=True)
+    def no_models(self, monkeypatch):
+        def refuse(cfg):
+            raise AssertionError("a model was built for an unused field")
+
+        monkeypatch.setattr(cli, "_build_model", refuse)
+
+    FLAGS = {"target": "exp_c:1", "m": "3", "delta": "0.2", "epsilon": "0.3",
+             "trials": "5", "seed": "1"}
+
+    @pytest.mark.parametrize("command,field", [
+        ("reconstruct", "trials"), ("reconstruct", "epsilon"), ("convergence", "epsilon"),
+        *(("leverage", f) for f in ("target", "m", "delta", "epsilon", "trials", "seed")),
+        *(("bounds", f) for f in ("target", "m", "trials", "seed")),
+    ])
+    def test_unused_flag_rejected(self, capsys, command, field):
+        code = main([command, "--model", "identity:4", f"--{field}", self.FLAGS[field]])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert f"{command} does not use {field}" in captured.err
+
+    def test_unused_config_key_rejected_even_at_its_default(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": "identity:4", "trials": 100}))
+        code = main(["leverage", "--config", str(cfg)])
+        assert code == 2
+        assert "leverage does not use trials" in capsys.readouterr().err
+
+    def test_every_unused_field_named(self, capsys):
+        code = main(["leverage", "--model", "identity:4", "--trials", "5", "--m", "3"])
+        assert code == 2
+        assert "leverage does not use m, trials" in capsys.readouterr().err
+
+    def test_bad_values_reported_first(self, capsys):
+        code = main(["leverage", "--model", "identity:4", "--trials", "0"])
+        assert code == 2
+        assert "trials must be an integer >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", sorted(cli.COMMAND_FIELDS))
+    def test_every_field_a_command_reads_accepted(self, tmp_path, command):
+        values = {"model": "fl:n=4,ambient=301,max_defect=0.05", "target": "exp_c:1",
+                  "n": [1, 2, 3, 4] if command == "convergence" else 4, "m": 3,
+                  "delta": 0.2, "epsilon": 0.3, "trials": 5, "seed": 1,
+                  "p_spec": "leverage", "out": str(tmp_path / "run")}
+        wrote = {key: values[key] for key in cli.COMMAND_FIELDS[command]}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(wrote))
+        loaded = cli._load_config(cli._build_parser().parse_args([command, "--config", str(cfg)]))
+        assert {key: loaded[key] for key in wrote} == wrote
+
+
 def test_spec_forms_give_the_same_model_info(capsys, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"model": {"kind": "fl", "n": 4, "ambient": 301,

@@ -235,21 +235,26 @@ def test_reconstruction_error_checks_as_reconstruct():
         assert str(got.value) == str(want.value)
 
 
-def test_tail_is_memoized_for_a_frozen_target():
+def test_tail_memo_is_keyed_on_the_target_bytes():
     model = build_fl_model(10, 301, 301, max_defect=0.05)
     prof = leverage_profile(model, 10)
     f = exp_target(1.0).fourier_coef(frequencies(301))
-    f.setflags(write=False)
     first = reconstruct(model, prof, draw_samples(prof, 40, 0), f).tail_err
-    assert model._memo[("tail", 10)] == (f, first)
-    # A planted value shows that later trials read the memo.
-    model._memo[("tail", 10)] = (f, 0.5)
-    assert reconstruct(model, prof, draw_samples(prof, 40, 1), f).tail_err == 0.5
-    # A read-only view does not own its data (its base may change), and a
-    # list is no array: both are computed per call and leave the memo alone.
-    for other in (f[:], list(f)):
-        assert reconstruct(model, prof, draw_samples(prof, 40, 2), other).tail_err == first
-    assert model._memo[("tail", 10)] == (f, 0.5)
+    assert model._memo[("tail", 10)] == (f.tobytes(), first)
+    # A planted value shows which calls read the memo: every target with the
+    # same values, whatever its flags or form.
+    model._memo[("tail", 10)] = (f.tobytes(), 0.5)
+    frozen = f.copy()
+    frozen.setflags(write=False)
+    for same in (frozen, f.copy(), frozen[:], list(f)):
+        assert reconstruct(model, prof, draw_samples(prof, 40, 1), same).tail_err == 0.5
+    # Changed values recompute the tail and replace the memo entry.
+    changed = f.copy()
+    changed[-5:] += 1.0
+    q = sampling._reconstruction_basis(model, 10)
+    want = float(np.linalg.norm(changed - q @ (q.conj().T @ changed)))
+    assert reconstruct(model, prof, draw_samples(prof, 40, 2), changed).tail_err == want
+    assert model._memo[("tail", 10)] == (changed.tobytes(), want)
 
 
 def test_tail_follows_a_writeable_target_changed_in_place():

@@ -324,37 +324,33 @@ def test_build_frame_model_copies_caller_arrays():
     assert not model.s_coef.flags.writeable and not model.w_coef.flags.writeable
 
 
-def test_model_from_dict_takes_over_its_fresh_arrays(monkeypatch):
-    # The arrays model_from_dict builds from lists become the model's, with no copy.
+def test_model_from_dict_builds_through_build_frame_model(monkeypatch):
     s, w = random_frame(ambient=12, n=3, seed=7)
     data = model_to_dict(build_frame_model(s, w))
-    built = []
-    to_array = serialize.complex_array_from_lists
-    monkeypatch.setattr(serialize, "complex_array_from_lists",
-                        lambda rows: built.append(to_array(rows)) or built[-1])
+    calls = []
+    build = serialize.build_frame_model
+    monkeypatch.setattr(serialize, "build_frame_model",
+                        lambda *args: calls.append(args) or build(*args))
     model = model_from_dict(data)
-    assert model.s_coef is built[0] and model.w_coef is built[1]
+    assert len(calls) == 1
     assert model.s_coef.tobytes() == s.tobytes() and model.w_coef.tobytes() == w.tobytes()
-    assert not model.s_coef.flags.writeable and not model.w_coef.flags.writeable
 
 
-def test_model_from_dict_shares_only_read_only_arrays(tmp_path):
+def test_model_from_dict_never_shares_its_input(tmp_path):
     s, w = random_frame(ambient=12, n=3, seed=8)
     path = tmp_path / "frame.json"
     write_rows(path, s, w)
-    # The reader's arrays are read-only throughout, so the model keeps them.
     data = read_model_json(path)
-    assert not data["s_coef"].flags.writeable
-    model = model_from_dict(data)
-    assert np.shares_memory(model.s_coef, data["s_coef"])
-    assert np.shares_memory(model.w_coef, data["w_coef"])
-    # A caller's writeable array, or a read-only view of one, is copied.
     pairs = np.stack([s.real, s.imag], axis=-1)
     view = pairs[:]
     view.setflags(write=False)
-    for raw in (pairs, view):
-        model = model_from_dict({"type": "FrameModel", "s_coef": raw,
-                                 "w_coef": data["w_coef"]})
+    # The reader's arrays, a caller's writeable array and a read-only view
+    # of one are all copied; the model's arrays are read-only.
+    for raw in (data["s_coef"], pairs, view):
+        model = model_from_dict(dict(data, s_coef=raw))
+        assert not np.shares_memory(model.s_coef, raw)
+        assert not np.shares_memory(model.w_coef, data["w_coef"])
+        assert not model.s_coef.flags.writeable and not model.w_coef.flags.writeable
         pairs[0, 0] = 99.0
         assert model.s_coef.tobytes() == s.tobytes()
         pairs[0, 0] = [s[0, 0].real, s[0, 0].imag]
