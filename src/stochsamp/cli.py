@@ -91,6 +91,11 @@ def _load_config(args: argparse.Namespace) -> dict:
         unknown = set(loaded) - set(DEFAULTS) - {"command"}
         if unknown:
             raise InputValidationError(f"unknown config fields: {sorted(unknown)}")
+        if loaded.get("command", args.command) != args.command:
+            raise InputValidationError(
+                f"config field command is {loaded['command']!r}, "
+                f"but the command run is {args.command}"
+            )
         cfg.update(loaded)
         given.update(loaded)
     for key in ("out", "seed", "trials", "n", "m", "delta", "epsilon", "model", "target"):
@@ -110,8 +115,24 @@ def _load_config(args: argparse.Namespace) -> dict:
     unused = [key for key in DEFAULTS if key in given - COMMAND_FIELDS[args.command]]
     if unused:
         raise InputValidationError(f"{args.command} does not use {', '.join(unused)}")
+    _check_p_spec(cfg["p_spec"])
+    if cfg["target"] is not None:
+        _build_target(cfg)  # a bad target value is named before the model kind
+        model = cfg["model"]
+        if model is None:
+            model = FL_KINDS[0] if args.command == "convergence" else DEFAULT_MODEL
+        kind = _spec_fields(model, "model", MODEL_FIELDS)[0]
+        if kind not in FL_KINDS:
+            raise InputValidationError(
+                f"target is for fourier-legendre models only; a {kind} model "
+                "reconstructs the fixed vector with entries proportional to 1/(j+1)"
+            )
     return cfg
 
+
+# Ceiling on the samples per draw: a draw holds m uniforms and m indices,
+# and the solve a few m x n complex arrays of 16 m n bytes each.
+M_MAX = 1_000_000
 
 # Numeric fields: parser, admissible range, and the rule quoted on rejection.
 NUMERIC_RULES = {
@@ -119,7 +140,7 @@ NUMERIC_RULES = {
     "epsilon": (float, lambda x: x > 0.0, "a finite positive real number"),
     "seed": (int, lambda x: x >= 0, "an integer >= 0"),
     "trials": (int, lambda x: x >= 1, "an integer >= 1"),
-    "m": (int, lambda x: x >= 1, "an integer >= 1"),
+    "m": (int, lambda x: 1 <= x <= M_MAX, f"an integer in [1, {M_MAX}]"),
 }
 
 
@@ -143,6 +164,30 @@ def _check_numeric_fields(cfg: dict) -> None:
         cfg[key] = num
     if cfg["n"] is not None:
         cfg["n"] = _parse_counts(cfg["n"])
+
+
+P_SPECS = ("leverage", "uniform_on_support")
+
+
+def _check_p_spec(p_spec) -> None:
+    """Reject a p_spec that is neither a known distribution name nor a list
+    of finite nonnegative weights, naming p_spec; the list's length is
+    checked against the model's J when the profile is built."""
+    if isinstance(p_spec, str):
+        valid = p_spec in P_SPECS
+    else:
+        try:
+            valid = isinstance(p_spec, list) and bool(p_spec) and all(
+                isinstance(x, (int, float)) and not isinstance(x, bool)
+                and math.isfinite(x) and x >= 0 for x in p_spec
+            )
+        except OverflowError:
+            valid = False
+    if not valid:
+        raise InputValidationError(
+            f"p_spec must be {' or '.join(map(repr, P_SPECS))} or a list of finite "
+            f"nonnegative weights, got {p_spec!r:.80}"
+        )
 
 
 def _parse_counts(value) -> int | list[int]:

@@ -60,6 +60,10 @@ __all__ = [
 # sequence in floating point).
 SUPPORT_TOL = 1e-12
 
+# c u, the rounding slack per unit ||f|| of reconstruct's bound check: u the
+# unit round-off of float64, c = 1e3 (see reconstruct).
+_BOUND_ROUNDING = 1e3 * np.finfo(float).eps / 2
+
 
 def _frozen(a: np.ndarray) -> np.ndarray:
     """Mark ``a`` read-only in place; callers pass arrays they own."""
@@ -79,7 +83,10 @@ class FrameModel:
     optionally carries the frame/Riesz bounds (A, B, C, D).
 
     Factorizations of the first n reconstruction columns are memoized per n
-    on the model; the memo takes no part in equality or serialization.
+    on the model; the memo takes no part in equality or serialization.  For
+    a dense ``s_matrix`` the memo also holds, per n, the residual adjoint
+    U^H = ((I - QQ^H) S)^H, one J x N_amb array the size of S, and, per
+    target, the J-vector S^H f; a selection builds neither.
     """
 
     w_coef: np.ndarray
@@ -294,23 +301,20 @@ def build_selection_model(rows, w_coef) -> FrameModel:
     )
 
 
-def _sampling_columns(model: FrameModel, cols=None) -> np.ndarray:
-    """S[:, cols] (all columns if None) as a dense N_amb x len(cols) array."""
+def _sampling_columns(model: FrameModel) -> np.ndarray:
+    """S as a dense N_amb x J array."""
     if model.s_rows is None:
-        return model.s_matrix if cols is None else model.s_matrix[:, cols]
-    rows = model.s_rows if cols is None else model.s_rows[cols]
-    s = np.zeros((model.ambient_dim, rows.shape[0]), dtype=complex)
-    s[rows, np.arange(rows.shape[0])] = 1.0
+        return model.s_matrix
+    s = np.zeros((model.ambient_dim, model.num_sampling), dtype=complex)
+    s[model.s_rows, np.arange(model.num_sampling)] = 1.0
     return s
 
 
-def _sampling_adjoint(model: FrameModel, x: np.ndarray, cols=None) -> np.ndarray:
-    """S[:, cols]^H x (all columns if None) for an ambient vector or matrix
-    x, applying only the selected sampling vectors (a gather for a
-    selection)."""
+def _sampling_adjoint(model: FrameModel, x: np.ndarray) -> np.ndarray:
+    """S^H x for an ambient vector or matrix x (a gather for a selection)."""
     if model.s_rows is not None:
-        return x[model.s_rows if cols is None else model.s_rows[cols]]
-    return _sampling_columns(model, cols).conj().T @ x
+        return x[model.s_rows]
+    return model.s_matrix.conj().T @ x
 
 
 def _interaction_vectors(model: FrameModel, n: int) -> np.ndarray:
@@ -412,21 +416,32 @@ def _r_factor(model: FrameModel, n: int) -> np.ndarray:
     return model._memo[key]
 
 
-def _residual_columns(model: FrameModel, n: int, cols=None) -> np.ndarray:
-    """u_j = (I - QQ^H) s_j for the selected columns (all if None)."""
-    s = _sampling_columns(model, cols)
+def _residual_columns(model: FrameModel, n: int) -> np.ndarray:
+    """U = (I - QQ^H) S, column j the residual u_j of s_j, N_amb x J."""
+    s = _sampling_columns(model)
     return s - _reconstruction_basis(model, n) @ (_basis_adjoint(model, n) @ s)
+
+
+def _residual_adjoint(model: FrameModel, n: int) -> np.ndarray:
+    """U^H, J x N_amb and C-contiguous, for a dense S; memoized per n, so a
+    draw's residuals are a gather of rows."""
+    key = ("UH", n)
+    if key not in model._memo:
+        model._memo[key] = _frozen(np.conjugate(_residual_columns(model, n).T, order="C"))
+    return model._memo[key]
 
 
 def _weighted_cross_term(model: FrameModel, n: int, vw: np.ndarray, cols=None):
     """sum_j vw_j u_j^H over the selected columns (all if None), n x N_amb.
 
+    For a dense S this is vw times the selected rows of the memoized U^H.
     For a selection u_j^H = e_{r_j}^T - Q[r_j, :] Q^H, so the sum is
     -(vw Q[rows, :]) Q^H plus a scatter-add of vw; no N_amb x J array is
     formed.
     """
     if model.s_rows is None:
-        return vw @ _residual_columns(model, n, cols).conj().T
+        uh = _residual_adjoint(model, n)
+        return vw @ (uh if cols is None else uh[cols])
     q = _reconstruction_basis(model, n)
     rows = model.s_rows if cols is None else model.s_rows[cols]
     out = -(vw @ q[rows]) @ _basis_adjoint(model, n)
@@ -434,17 +449,13 @@ def _weighted_cross_term(model: FrameModel, n: int, vw: np.ndarray, cols=None):
     return out
 
 
-def _cross_term_limit(model: FrameModel, prof: LeverageProfile, resid=None) -> np.ndarray:
+def _cross_term_limit(model: FrameModel, prof: LeverageProfile) -> np.ndarray:
     """C = sum_j v_j u_j^H, memoized per n for the profile's interaction
-    vectors; ``resid`` passes residual columns the caller already holds."""
+    vectors."""
     key = ("C", prof.n)
     hit = model._memo.get(key)
     if hit is None or hit[0] is not prof.v:
-        if resid is not None:
-            c = prof.v @ resid.conj().T
-        else:
-            c = _weighted_cross_term(model, prof.n, prof.v)
-        hit = model._memo[key] = (prof.v, _frozen(c))
+        hit = model._memo[key] = (prof.v, _frozen(_weighted_cross_term(model, prof.n, prof.v)))
     return hit[1]
 
 
@@ -455,13 +466,13 @@ def coherence_profile(model: FrameModel, prof: LeverageProfile) -> CoherenceProf
     supp = p > 0.0
     vn2 = np.sum(np.abs(prof.v) ** 2, axis=0).real
     q = _reconstruction_basis(model, prof.n)
-    resid = None
     if model.s_rows is None or model.num_sampling <= q.shape[1]:
-        # Dense S, or a selection of at most rank-Q columns: the N_amb x J
-        # residual is formed (for a selection it is at most N_amb x n).
-        resid = _residual_columns(model, prof.n)
-        un2 = np.sum(np.abs(resid) ** 2, axis=0).real
-        t_norm = float(np.linalg.svd(resid, compute_uv=False)[0] ** 2)
+        # Dense S: the rows of the memoized U^H.  A selection of at most
+        # rank-Q columns: its residual, at most N_amb x n, formed here.
+        u, axis = ((_residual_adjoint(model, prof.n), 1) if model.s_rows is None
+                   else (_residual_columns(model, prof.n), 0))
+        un2 = np.sum(np.abs(u) ** 2, axis=axis)
+        t_norm = float(np.linalg.svd(u, compute_uv=False)[0] ** 2)
     else:
         # ||u_j||^2 = 1 - ||Q[r_j, :]||^2; with more selected columns than
         # rank Q some unit combination of them is orthogonal to W_n, and
@@ -471,7 +482,7 @@ def coherence_profile(model: FrameModel, prof: LeverageProfile) -> CoherenceProf
 
     r_v = float(np.max(vn2[supp] / p[supp])) if np.any(supp) else 0.0
     r_u = float(np.max(un2[supp] / p[supp])) if np.any(supp) else 0.0
-    c_mat = _cross_term_limit(model, prof, resid)
+    c_mat = _cross_term_limit(model, prof)
     c_norm = float(np.linalg.svd(c_mat, compute_uv=False)[0])
     sigma_norm = operator_norm(prof.sigma)
     sigma_inv_norm = 1.0 / prof.lambda0
@@ -589,10 +600,17 @@ def empirical_cross_term(
     return _frozen(_weighted_cross_term(model, prof.n, kern.vw, cols=kern.sel))
 
 
+def _hermitian_norm(h: np.ndarray) -> float:
+    """Spectral norm of a Hermitian matrix, max(-lambda_min, lambda_max), from
+    its eigenvalues; never negative."""
+    eigs = np.linalg.eigvalsh(h)
+    return float(max(-eigs[0], eigs[-1]))
+
+
 def _wide_norm(a: np.ndarray) -> float:
     """Spectral norm of an n x N matrix from the top eigenvalue of its n x n
     Gram a a^H; the Gram is of ``a`` itself, so nothing cancels."""
-    return float(np.sqrt(max(np.linalg.eigvalsh(a @ a.conj().T)[-1], 0.0)))
+    return float(np.sqrt(_hermitian_norm(a @ a.conj().T)))
 
 
 def _k_factor(model: FrameModel, prof: LeverageProfile, kern: _DrawKernel) -> float:
@@ -636,21 +654,31 @@ def _solve(model: FrameModel, prof: LeverageProfile, draw: SampleDraw, f: np.nda
     idx = draw.indices
     wts = 1.0 / np.sqrt(draw.m * prof.p[idx])
     design = prof.v[:, idx].conj().T * wts[:, None]
-    rhs = wts * _sampling_adjoint(model, f, idx)
+    if model.s_rows is None:
+        # S^H f once per target; the draw's samples are a gather of it.
+        shf = _per_target(model, "SHf", f, lambda f: _frozen(_sampling_adjoint(model, f)))
+        rhs = wts * shf[idx]
+    else:
+        rhs = wts * f[model.s_rows[idx]]
     x = minimal_norm_lsq(design, rhs)
     f_tilde = model.w_coef[:, : prof.n] @ x
     return design, rhs, x, f_tilde, float(np.linalg.norm(f - f_tilde))
 
 
-def _tail_err(model: FrameModel, n: int, f: np.ndarray) -> float:
-    """||f - Q Q^H f||, the best error from W_n; memoized per n, keyed on the
-    bytes of ``f``."""
-    key, f_bytes = ("tail", n), f.tobytes()
+def _per_target(model: FrameModel, key, f: np.ndarray, compute):
+    """compute(f), memoized on the model under ``key`` with one entry, keyed
+    on the bytes of ``f`` and recomputed whenever they change."""
+    f_bytes = f.tobytes()
     hit = model._memo.get(key)
     if hit is None or hit[0] != f_bytes:
-        tail = f - _reconstruction_basis(model, n) @ (_basis_adjoint(model, n) @ f)
-        hit = model._memo[key] = (f_bytes, float(np.linalg.norm(tail)))
+        hit = model._memo[key] = (f_bytes, compute(f))
     return hit[1]
+
+
+def _tail_err(model: FrameModel, n: int, f: np.ndarray) -> float:
+    """||f - Q Q^H f||, the best error from W_n; memoized per n and target."""
+    q, qh = _reconstruction_basis(model, n), _basis_adjoint(model, n)
+    return _per_target(model, ("tail", n), f, lambda f: float(np.linalg.norm(f - q @ (qh @ f))))
 
 
 def reconstruct(
@@ -658,7 +686,23 @@ def reconstruct(
 ) -> ReconstructionReport:
     """Weighted least-squares reconstruction of ``f_coef`` from the drawn
     samples, with the error bound, the K-factor and the empirical Gram's rank
-    decision (see :func:`_solve`)."""
+    decision (see :func:`_solve`).
+
+    ``bound_ok`` tests err_l2 <= tail_err sqrt(1 + K^2) + c u ||f||, with u
+    the unit round-off and c = 1e3.  The slack is for rounding only.  The
+    vectors behind the three computed quantities are f, f - QQ^H f (||Q|| =
+    1) and f - W_n x_tilde, whose size the bound itself limits to a few
+    ||f||.  Their inner products and norms are sums of at most N_amb terms,
+    whose rounding errors grow like sqrt(N_amb) u ||f|| in practice (N_amb u
+    ||f|| is the worst case); the backward error of the solve, carried
+    through a full-rank draw's G_hat^+, adds a modest multiple of u ||f||.
+    For ambient sizes up to a few 10^4 (sqrt(N_amb) below 200), c = 1e3
+    covers these, yet c u = 1.1e-13 lies far below the errors the bound
+    governs (err_l2 near 3e-10 ||f|| for fl:n=10 with exp_c:1), so a real
+    violation reads false.  Where tail_err itself is within a few c u ||f||
+    of zero the check cannot fail: rounding then resolves nothing the bound
+    could rule out.
+    """
     f = _check_target(model, f_coef)
     kern = _draw_kernel(prof, draw)
     design, rhs, x, f_tilde, err_l2 = _solve(model, prof, draw, f)
@@ -671,7 +715,8 @@ def reconstruct(
         err_l2=err_l2,
         tail_err=tail_err,
         k_factor=k_factor,
-        bound_ok=bool(err_l2 <= tail_err * np.sqrt(1.0 + k_factor**2) + 1e-8),
+        bound_ok=bool(err_l2 <= tail_err * np.sqrt(1.0 + k_factor**2)
+                      + _BOUND_ROUNDING * np.linalg.norm(f)),
         gram_condition=kern.gram_condition,
         used_pseudo_inverse=not kern.full_rank,
     )
@@ -712,6 +757,7 @@ def range_stability_check(prof: LeverageProfile, draw: SampleDraw) -> RangeStabi
         prof._memo["range_projector"] = _frozen(projector_from_columns(prof.sigma))
     # Both projectors are exact by construction (the kernel's SVD and a
     # memoized rank-revealing SVD), so the checks of linalg.range_distance,
-    # three SVDs per projector, are not repeated for every draw.
-    dist = operator_norm(p_hat - prof._memo["range_projector"])
+    # three SVDs per projector, are not repeated for every draw; their
+    # difference is Hermitian.
+    dist = _hermitian_norm(p_hat - prof._memo["range_projector"])
     return RangeStability(equal=bool(dist < 1e-6), distance=dist)

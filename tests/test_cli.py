@@ -218,6 +218,83 @@ class TestUnusedFields:
         assert {key: loaded[key] for key in wrote} == wrote
 
 
+class TestLoadChecks:
+    """The config key command, p_spec, a target's model kind and the ceiling
+    on m are checked at load, naming the field, before any model is built or
+    sample drawn."""
+
+    @pytest.fixture(autouse=True)
+    def no_work(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started before the config was checked")
+
+        monkeypatch.setattr(cli, "_build_model", refuse)
+        monkeypatch.setattr(cli, "draw_samples", refuse)
+
+    @staticmethod
+    def rejected(capsys, tmp_path, command, cfg, *argv) -> str:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        code = main([command, "--config", str(path), *argv])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        return captured.err
+
+    @pytest.mark.parametrize("value", ["leverage", 5, None, "mc_gram"])
+    def test_command_other_than_the_one_run_rejected(self, capsys, tmp_path, value):
+        err = self.rejected(capsys, tmp_path, "mc-gram", {"command": value, "model": "identity:4"})
+        assert f"config field command is {value!r}, but the command run is mc-gram" in err
+
+    def test_command_equal_to_the_one_run_accepted(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"command": "leverage", "model": "identity:4"}))
+        args = cli._build_parser().parse_args(["leverage", "--config", str(path)])
+        assert cli._load_config(args)["command"] == "leverage"
+
+    @pytest.mark.parametrize("value", [
+        "foo", "Leverage", "", 5, True, {"kind": "leverage"}, [], [1.0, -1.0], [1, True],
+        [1, "2"], [[1, 2]], [1e400], [10**400],
+    ])
+    def test_bad_p_spec_rejected(self, capsys, tmp_path, value):
+        cfg = {"p_spec": value, "model": "fl:n=10,ambient=20001"}
+        err = self.rejected(capsys, tmp_path, "leverage", cfg)
+        assert "p_spec must be 'leverage' or 'uniform_on_support' or a list" in err
+
+    @pytest.mark.parametrize("value", ["leverage", "uniform_on_support", [1, 0.5, 0]])
+    def test_good_p_spec_accepted(self, tmp_path, value):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"p_spec": value}))
+        args = cli._build_parser().parse_args(["leverage", "--config", str(path)])
+        assert cli._load_config(args)["p_spec"] == value
+
+    @pytest.mark.parametrize("command", ["reconstruct", "mc-gram"])
+    @pytest.mark.parametrize("model", [["--model", "identity:8"], ["--model", "custom:f.json"], []])
+    @pytest.mark.parametrize("target", ["exp_c:1", "pole_a:3"])
+    def test_target_on_a_non_fl_model_rejected(self, capsys, command, model, target):
+        code = main([command, *model, "--target", target])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "target is for fourier-legendre models only" in captured.err
+
+    def test_target_on_a_convergence_sweep_accepted(self):
+        args = cli._build_parser().parse_args(["convergence", "--target", "exp_c:2"])
+        assert cli._load_config(args)["target"] == "exp_c:2"
+
+    @pytest.mark.parametrize("command", ["reconstruct", "mc-gram", "convergence"])
+    def test_m_above_the_ceiling_rejected(self, capsys, command):
+        # Rejected at load: nothing of size m is allocated.
+        code = main([command, "--m", str(cli.M_MAX + 1)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert f"m must be an integer in [1, {cli.M_MAX}]" in captured.err
+
+    def test_m_at_the_ceiling_accepted(self):
+        args = cli._build_parser().parse_args(["mc-gram", "--m", str(cli.M_MAX)])
+        assert cli._load_config(args)["m"] == cli.M_MAX == 1_000_000
+
+
 def test_spec_forms_give_the_same_model_info(capsys, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"model": {"kind": "fl", "n": 4, "ambient": 301,

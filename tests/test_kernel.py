@@ -7,8 +7,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import stochsamp.linalg as linalg
 import stochsamp.sampling as sampling
-from stochsamp.fourier_legendre import build_fl_model, exp_target, frequencies
+from stochsamp.fourier_legendre import build_fl_model, exp_target, frequencies, pole_target
 from stochsamp.linalg import (
     operator_norm,
     projector_from_columns,
@@ -20,6 +21,7 @@ from stochsamp.sampling import (
     SampleDraw,
     build_frame_model,
     build_selection_model,
+    coherence_profile,
     cross_term_deviation,
     cross_term_matrix,
     draw_samples,
@@ -109,20 +111,22 @@ def test_rank_decision_is_shared(case):
 
 
 def test_range_distance_without_projector_checks(case, monkeypatch):
-    # Both projectors are exact by construction, so the distance is one
-    # operator norm per draw, with the same bits as linalg.range_distance.
+    # Both projectors are exact by construction, so neither is re-validated;
+    # the distance is the Hermitian norm of their difference and agrees with
+    # linalg.range_distance, a number in [0, 1], to 1e-14.
     model, prof, ms, f = case
-    calls = []
-    norm = sampling.operator_norm
-    monkeypatch.setattr(sampling, "operator_norm", lambda a: calls.append(1) or norm(a))
     limit = projector_from_columns(prof.sigma)
-    for seed in range(4):
-        draw = draw_samples(prof, ms[0], seed)
-        kern = sampling._draw_kernel(prof, draw)
-        calls.clear()
-        got = range_stability_check(prof, draw)
-        assert len(calls) == 1
-        assert got.distance == range_distance(projector_from_svd(kern.u, kern.rank), limit)
+    draws = [draw_samples(prof, ms[0], seed) for seed in range(4)]
+    want = [range_distance(projector_from_svd(k.u, k.rank), limit)
+            for k in (sampling._draw_kernel(prof, d) for d in draws)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a projector was re-validated")
+
+    monkeypatch.setattr(linalg, "_validate_projector", refuse)
+    monkeypatch.setattr(sampling, "operator_norm", refuse)
+    for draw, ref in zip(draws, want):
+        assert abs(range_stability_check(prof, draw).distance - ref) <= 1e-14
 
 
 def near_w_model(spread):
@@ -349,3 +353,143 @@ def test_sampling_inside_reconstruction_space_gives_zero_k():
         draw = draw_samples(prof, 10, seed)
         assert reconstruct(model, prof, draw, f).k_factor <= 1e-12
         assert cross_term_deviation(model, prof, draw) <= 1e-12
+
+
+# -- the dense-frame memos: U^H per n and S^H f per target ----------------------
+
+def direct_dense_estimates(model, prof, draw):
+    """K and ||C_hat - C|| from residuals (I - QQ^H) S[:, sel] formed afresh
+    for the drawn columns, with Q, R, G_hat^+ and C computed independently of
+    the package's memos and kernel."""
+    s, w = model.s_matrix, model.w_coef[:, :prof.n]
+    q, r = np.linalg.qr(w)
+    sel, counts = np.unique(draw.indices, return_counts=True)
+    vw = prof.v[:, sel] * (counts / (draw.m * prof.p[sel]))
+    u_sel = s[:, sel] - q @ (q.conj().T @ s[:, sel])
+    c_hat = vw @ u_sel.conj().T
+    c = prof.v @ (s - q @ (q.conj().T @ s)).conj().T
+    g_pinv = pseudo_inverse(vw @ prof.v[:, sel].conj().T)
+    k = np.linalg.svd(r @ g_pinv @ c_hat, compute_uv=False)[0]
+    return k, np.linalg.svd(c_hat - c, compute_uv=False)[0]
+
+
+def check_dense_estimates(model, prof, draw, f) -> bool:
+    """K and ||C_hat - C|| of the package against the direct estimates at
+    1e-12; returns whether the draw is rank-deficient."""
+    rep = reconstruct(model, prof, draw, f)
+    k_ref, dev_ref = direct_dense_estimates(model, prof, draw)
+    assert abs(rep.k_factor - k_ref) <= REL * k_ref, (prof.n, draw.m, draw.seed)
+    assert abs(cross_term_deviation(model, prof, draw) - dev_ref) <= REL * dev_ref
+    return rep.used_pseudo_inverse
+
+
+@pytest.fixture(scope="module")
+def haar_400():
+    return unitary_frame(ambient=400)
+
+
+def test_dense_memo_matches_direct_residuals(haar_400):
+    model = haar_400
+    prof = leverage_profile(model, 32)
+    f = np.linspace(1.0, 2.0, 400).astype(complex)
+    deficient = sum(check_dense_estimates(model, prof, draw_samples(prof, m, seed), f)
+                    for m in (32, 48) for seed in range(6))
+    assert deficient > 0  # rank-deficient draws are covered
+
+
+def test_dense_memo_built_once_per_n(haar_400, monkeypatch):
+    model = build_frame_model(haar_400.s_matrix, haar_400.w_coef)
+    resid = sampling._residual_columns
+    calls = []
+    monkeypatch.setattr(sampling, "_residual_columns",
+                        lambda *a: calls.append(a[1]) or resid(*a))
+    f = np.linspace(1.0, 2.0, 400).astype(complex)
+    profs = {n: leverage_profile(model, n) for n in (32, 16)}
+    for n in (32, 16, 32):
+        prof = profs[n]
+        coherence_profile(model, prof)
+        for seed in range(3):
+            check_dense_estimates(model, prof, draw_samples(prof, 48, seed), f)
+    assert calls == [32, 16]
+    for n in (32, 16):
+        uh = model._memo[("UH", n)]
+        assert uh.shape == (400, 400) and uh.flags.c_contiguous and not uh.flags.writeable
+
+
+def test_selection_builds_no_dense_memo():
+    for model, n in ((build_fl_model(10, 301, 301, max_defect=0.05), 10),
+                     (build_selection_model(np.arange(4), np.eye(6, 4)), 4)):
+        prof = leverage_profile(model, n)
+        f = np.linspace(1.0, 2.0, model.ambient_dim).astype(complex)
+        coherence_profile(model, prof)
+        for seed in range(3):
+            draw = draw_samples(prof, 20, seed)
+            reconstruct(model, prof, draw, f)
+            reconstruction_error(model, prof, draw, f)
+            cross_term_deviation(model, prof, draw)
+        assert not [key for key in model._memo if key == "SHf" or key[0] == "UH"]
+
+
+def test_sample_memo_follows_a_target_changed_in_place(haar_400):
+    model = haar_400
+    prof = leverage_profile(model, 32)
+    f = np.linspace(1.0, 2.0, 400).astype(complex)
+    draw = draw_samples(prof, 48, 0)
+    before = reconstruct(model, prof, draw, f)
+    assert model._memo["SHf"][0] == f.tobytes()
+    f[:50] += 1j
+    after = reconstruct(model, prof, draw, f)
+    # A fresh model of the same frame holds no memo to go stale.
+    fresh = build_frame_model(model.s_matrix, model.w_coef)
+    want = reconstruct(fresh, leverage_profile(fresh, 32), draw_samples(prof, 48, 0), f)
+    assert after.err_l2 != before.err_l2
+    assert after.err_l2 == want.err_l2
+    assert np.array_equal(after.x_tilde, want.x_tilde)
+    assert reconstruction_error(model, prof, draw, f) == want.err_l2
+    assert np.array_equal(model._memo["SHf"][1], model.s_matrix.conj().T @ f)
+
+
+# -- the error-bound check: a rounding slack c u ||f||, c = 1e3 -----------------
+
+@pytest.mark.parametrize("make", [lambda: build_fl_model(10, 301, 301, max_defect=0.05),
+                                  lambda: unitary_frame(ambient=100)], ids=["fl", "dense"])
+def test_planted_bound_violation_below_1e8_reads_false(make):
+    model = make()
+    prof = leverage_profile(model, model.num_reconstruction)
+    f = (exp_target(1.0).fourier_coef(frequencies(model.ambient_dim))
+         if model.s_rows is not None else np.linspace(1.0, 2.0, 100).astype(complex))
+    draw = next(d for d in (draw_samples(prof, 3 * prof.n, s) for s in range(20))
+                if not reconstruct(model, prof, d, f).used_pseudo_inverse)
+    rep = reconstruct(model, prof, draw, f)
+    slack = 1e3 * np.finfo(float).eps / 2 * np.linalg.norm(f)
+    scale = np.sqrt(1.0 + rep.k_factor**2)
+    # A tail planted in the memo sets the bound to err_l2 minus a margin.
+    for margin, ok in ((1e-10, False), (4 * slack, False), (slack / 4, True)):
+        model._memo[("tail", prof.n)] = (f.tobytes(), (rep.err_l2 - margin) / scale)
+        assert reconstruct(model, prof, draw, f).bound_ok is ok, margin
+
+
+@pytest.fixture(scope="module")
+def fl_2001():
+    return build_fl_model(20, 2001, 2001)
+
+
+@pytest.mark.parametrize("target", [exp_target(1.0), pole_target(1.5)])
+@pytest.mark.parametrize("n,m", [(4, 47), (10, 142), (20, 320)])
+def test_measured_fl_draws_meet_the_bound(fl_2001, target, n, m):
+    prof = leverage_profile(fl_2001, n)
+    f = target.fourier_coef(frequencies(2001))
+    for seed in range(25):
+        rep = reconstruct(fl_2001, prof, draw_samples(prof, m, seed), f)
+        assert rep.used_pseudo_inverse or rep.bound_ok, seed
+
+
+def test_measured_dense_draws_meet_the_bound(haar_400):
+    prof = leverage_profile(haar_400, 32)
+    f = np.linspace(1.0, 2.0, 400).astype(complex)
+    full = 0
+    for seed in range(40):
+        rep = reconstruct(haar_400, prof, draw_samples(prof, 48, seed), f)
+        full += not rep.used_pseudo_inverse
+        assert rep.used_pseudo_inverse or rep.bound_ok, seed
+    assert full > 20
