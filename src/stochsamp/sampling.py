@@ -86,7 +86,9 @@ class FrameModel:
     on the model; the memo takes no part in equality or serialization.  For
     a dense ``s_matrix`` the memo also holds, per n, the residual adjoint
     U^H = ((I - QQ^H) S)^H, one J x N_amb array the size of S, and, per
-    target, the J-vector S^H f; a selection builds neither.
+    target, the J-vector S^H f; a selection builds neither.  Per n it also
+    holds, for the K-factor and cross-term deviation, C C^H (n x n) with
+    U^H C^H (J x n) for a dense S or (CQ)^H (rank Q x n) for a selection.
     """
 
     w_coef: np.ndarray
@@ -459,6 +461,21 @@ def _cross_term_limit(model: FrameModel, prof: LeverageProfile) -> np.ndarray:
     return hit[1]
 
 
+def _cross_products(model: FrameModel, prof: LeverageProfile):
+    """(C C^H, B) for the profile's C, memoized per n like C: B = (C Q)^H,
+    r x n, for a selection and B = U^H C^H, J x n, for a dense S."""
+    key = ("CC", prof.n)
+    hit = model._memo.get(key)
+    if hit is None or hit[0] is not prof.v:
+        c = _cross_term_limit(model, prof)
+        if model.s_rows is None:
+            b = _residual_adjoint(model, prof.n) @ c.conj().T
+        else:
+            b = np.conjugate((c @ _reconstruction_basis(model, prof.n)).T, order="C")
+        hit = model._memo[key] = (prof.v, (_frozen(c @ c.conj().T), _frozen(b)))
+    return hit[1]
+
+
 def coherence_profile(model: FrameModel, prof: LeverageProfile) -> CoherenceProfile:
     """Coherence parameters R, R', R'', the limiting scales K and Lambda, and
     the spectral norms of the Gram section and cross-term."""
@@ -482,8 +499,8 @@ def coherence_profile(model: FrameModel, prof: LeverageProfile) -> CoherenceProf
 
     r_v = float(np.max(vn2[supp] / p[supp])) if np.any(supp) else 0.0
     r_u = float(np.max(un2[supp] / p[supp])) if np.any(supp) else 0.0
-    c_mat = _cross_term_limit(model, prof)
-    c_norm = float(np.linalg.svd(c_mat, compute_uv=False)[0])
+    # ||C|| from the memoized n x n Gram C C^H the deviation reads too.
+    c_norm = float(np.sqrt(_hermitian_norm(_cross_products(model, prof)[0])))
     sigma_norm = operator_norm(prof.sigma)
     sigma_inv_norm = 1.0 / prof.lambda0
     return CoherenceProfile(
@@ -531,7 +548,9 @@ def draw_samples(prof: LeverageProfile, m: int, seed: int) -> SampleDraw:
 class _DrawKernel:
     """Per-draw quantities every estimator reads: the distinct drawn indices
     ``sel``, ``vw = v[:, sel] * count/(m p)``, and the empirical Gram with its
-    one SVD (``u``, ``s``, ``vh``) and rank decision."""
+    one SVD (``u``, ``s``, ``vh``) and rank decision.  The drawn columns'
+    residual Gram, which also depends on the model, is memoized next to it
+    (see :func:`_residual_gram`)."""
 
     sel: np.ndarray
     vw: np.ndarray
@@ -585,6 +604,41 @@ def _draw_kernel(prof: LeverageProfile, draw: SampleDraw) -> _DrawKernel:
     return kern
 
 
+def _residual_gram(model: FrameModel, prof: LeverageProfile, draw: SampleDraw):
+    """(M, mu): the k x k Gram M = U_sel^H U_sel of the drawn columns'
+    residuals U_sel = (I - QQ^H) S[:, sel] and a bound mu >= ||M||; memoized
+    on the draw next to the kernel, for the same profile and model.
+
+    For a selection M = I - Q_s Q_s^H with Q_s = Q[rows], and mu = 1.  For a
+    dense S, M = g g^H with g = U^H[sel]; mu = 1 if S is orthonormal
+    (||U_sel|| <= 1), else trace(M).
+    """
+    hit = draw._memo.get("residual")
+    if hit is not None and hit[0] is prof and hit[1] is model:
+        return hit[2]
+    sel = _draw_kernel(prof, draw).sel
+    if model.s_rows is None:
+        g = _residual_adjoint(model, prof.n)[sel]
+        m = g @ g.conj().T
+        mu = 1.0 if model.sampling_is_orthonormal else float(np.trace(m).real)
+    else:
+        qs = _reconstruction_basis(model, prof.n)[model.s_rows[sel]]
+        m, mu = np.eye(sel.size) - qs @ qs.conj().T, 1.0
+    draw._memo["residual"] = (prof, model, (m, mu))
+    return m, mu
+
+
+def _residual_cross(model: FrameModel, prof: LeverageProfile, sel: np.ndarray) -> np.ndarray:
+    """P = U_sel^H C^H, k x n: (U^H C^H)[sel] for a dense S, and
+    C[:, rows]^H - Q_s (CQ)^H for a selection."""
+    b = _cross_products(model, prof)[1]
+    if model.s_rows is None:
+        return b[sel]
+    rows = model.s_rows[sel]
+    return (_cross_term_limit(model, prof)[:, rows].conj().T
+            - _reconstruction_basis(model, prof.n)[rows] @ b)
+
+
 def empirical_gram(prof: LeverageProfile, draw: SampleDraw) -> np.ndarray:
     """Unbiased estimator (1/m) sum_t v_{i_t} v_{i_t}^H / p_{i_t} of the Gram
     section, as a read-only n x n matrix."""
@@ -601,10 +655,10 @@ def empirical_cross_term(
 
 
 def _hermitian_norm(h: np.ndarray) -> float:
-    """Spectral norm of a Hermitian matrix, max(-lambda_min, lambda_max), from
-    its eigenvalues; never negative."""
+    """Spectral norm of a Hermitian matrix, max(|lambda_min|, |lambda_max|),
+    from its eigenvalues; never negative, not even -0.0."""
     eigs = np.linalg.eigvalsh(h)
-    return float(max(-eigs[0], eigs[-1]))
+    return float(max(abs(eigs[0]), abs(eigs[-1])))
 
 
 def _wide_norm(a: np.ndarray) -> float:
@@ -613,21 +667,74 @@ def _wide_norm(a: np.ndarray) -> float:
     return float(np.sqrt(_hermitian_norm(a @ a.conj().T)))
 
 
-def _k_factor(model: FrameModel, prof: LeverageProfile, kern: _DrawKernel) -> float:
+# rho_max of the n-space norms (see _n_space_norm).
+_RHO_MAX = 1e2
+
+
+def _n_space_norm(h: np.ndarray, scale: float, wide) -> float:
+    """||Y|| from lambda_max of h, an n x n form equal to Y Y^H in exact
+    arithmetic, or _wide_norm(wide()) when rounding may have spoiled h.
+
+    ``scale`` bounds the sum of the norms of the terms of h: mu ||a||_F^2 for
+    the K-factor, mu ||vw||_F^2 + 2 ||vw||_F ||P||_F + ||C||_F^2 for the
+    deviation.  Each term is a product of k x k and k x n factors whose
+    rounding error is a modest multiple c u of its size (u the unit
+    round-off); that of P, at most c u ||vw|| ||U_sel|| ||C|| inside X, is
+    below c u (mu ||vw||^2 + ||C||^2) / 2.  So h is off by at most c u scale,
+    which by Weyl's inequality bounds the move of lambda_max: its relative
+    error is at most c u rho with rho = scale / lambda_max, the norm's half
+    that.  Terms that cancel (sampling vectors close to W_n, C_hat close to
+    C) make rho large.  Only lambda_max > 0 with rho <= rho_max = 1e2 takes
+    the n-space value, whose relative error is then below 50 c u, about
+    1e-13 for c = 20 (measured on near-W_n selections: at most rho u).
+    Otherwise Y itself is formed, n x N_amb, and its own Gram, where nothing
+    cancels, gives the norm.  The test multiplies instead of dividing, so
+    lambda_max <= 0 raises no warning.
+    """
+    lam = np.linalg.eigvalsh(h)[-1]
+    if lam > 0.0 and scale <= _RHO_MAX * lam:
+        return float(np.sqrt(lam))
+    return _wide_norm(wide())
+
+
+def _k_factor(model: FrameModel, prof: LeverageProfile, draw: SampleDraw) -> float:
     """||W iota_n G_hat^+ C_hat|| = ||R G_hat^+ C_hat|| with R from the QR of
-    the n reconstruction columns.  C_hat = sum_j vw_j u_j^H is linear in vw,
-    so R G_hat^+ C_hat is formed directly from R G_hat^+ vw."""
+    the n reconstruction columns.  C_hat = vw U_sel^H, so with a = R G_hat^+
+    vw the K-factor squared is lambda_max(a M a^H), M = U_sel^H U_sel; the
+    fallback forms a U_sel^H itself."""
+    kern = _draw_kernel(prof, draw)
     a = _r_factor(model, prof.n) @ kern.gram_pinv() @ kern.vw
-    return _wide_norm(_weighted_cross_term(model, prof.n, a, cols=kern.sel))
+    m, mu = _residual_gram(model, prof, draw)
+    return _n_space_norm(
+        (a @ m) @ a.conj().T, mu * np.linalg.norm(a) ** 2,
+        lambda: _weighted_cross_term(model, prof.n, a, cols=kern.sel),
+    )
 
 
 def cross_term_deviation(model: FrameModel, prof: LeverageProfile, draw: SampleDraw) -> float:
     """||C_hat - C||, the deviation of the empirical cross-term from its
-    limit."""
+    limit.  (C_hat - C)(C_hat - C)^H = vw M vw^H - X - X^H + C C^H with
+    X = vw P, M and P the drawn columns' residual Gram and cross product (see
+    :func:`_residual_gram`, :func:`_residual_cross`); the fallback forms
+    C_hat - C."""
     kern = _draw_kernel(prof, draw)
-    diff = _weighted_cross_term(model, prof.n, kern.vw, cols=kern.sel)
-    diff -= _cross_term_limit(model, prof)
-    return _wide_norm(diff)
+    m, mu = _residual_gram(model, prof, draw)
+    p = _residual_cross(model, prof, kern.sel)
+    cc = _cross_products(model, prof)[0]
+    vw = kern.vw
+    x = vw @ p
+    vw_norm = np.linalg.norm(vw)
+
+    def wide():
+        diff = _weighted_cross_term(model, prof.n, vw, cols=kern.sel)
+        diff -= _cross_term_limit(model, prof)
+        return diff
+
+    return _n_space_norm(
+        (vw @ m) @ vw.conj().T - x - x.conj().T + cc,
+        mu * vw_norm**2 + 2.0 * vw_norm * np.linalg.norm(p) + np.trace(cc).real,
+        wide,
+    )
 
 
 def _check_target(model: FrameModel, f_coef) -> np.ndarray:
@@ -706,7 +813,7 @@ def reconstruct(
     f = _check_target(model, f_coef)
     kern = _draw_kernel(prof, draw)
     design, rhs, x, f_tilde, err_l2 = _solve(model, prof, draw, f)
-    k_factor = _k_factor(model, prof, kern)
+    k_factor = _k_factor(model, prof, draw)
     tail_err = _tail_err(model, prof.n, f)
     return ReconstructionReport(
         x_tilde=_frozen(x),

@@ -89,19 +89,24 @@ def test_01_gram_concentration_at_rate_onb(mc_trials):
     )
 
 
-def test_02_error_bound_validity(mc_trials):
+def test_02_error_bound_validity(fl_model, mc_trials):
+    # The slack is reconstruct's rounding allowance c u ||f|| with c = 1e3,
+    # 2.1e-13 here, far below err_l2 (about 5e-10), so a draw that breaks
+    # the bound by more than rounding counts as a violation.
     _, records = mc_trials
+    f_coef = exp_target(1.0).fourier_coef(frequencies(fl_model.ambient_dim))
+    slack = 1e3 * np.finfo(float).eps / 2 * np.linalg.norm(f_coef)
     full_rank = [rep for _, rep in records if not rep.used_pseudo_inverse]
     violations = sum(
         1
         for rep in full_rank
-        if rep.err_l2 > rep.tail_err * math.sqrt(1 + rep.k_factor**2) + 1e-8
+        if rep.err_l2 > rep.tail_err * math.sqrt(1 + rep.k_factor**2) + slack
     )
     report(
         2,
         len(full_rank) > 0 and violations == 0,
-        f"{violations} violations of err <= tail*sqrt(1+k^2)+1e-8 over "
-        f"{len(full_rank)} full-rank trials",
+        f"{violations} violations of err <= tail*sqrt(1+k^2)+c*u*||f|| "
+        f"(c=1e3, slack {slack:.2e}) over {len(full_rank)} full-rank trials",
     )
 
 

@@ -1,8 +1,14 @@
 """The per-draw kernel (one Gram, one SVD rank decision) and the K-factor and
-cross-term deviation built on it, against the direct n x N_amb formulas; its
-memo, and its per-trial memory at a large ambient dimension."""
+cross-term deviation built on it, against the direct n x N_amb formulas.
+
+Both norms come from n x n forms built from the drawn columns' k x k residual
+Gram; a rounding guard sends a form whose terms cancel (rho = scale /
+lambda_max above rho_max, or lambda_max <= 0) to the n x N_amb fallback.  The
+tests cover both paths, the per-draw and per-n memos, and the per-trial memory
+at a large ambient dimension."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -80,10 +86,21 @@ def direct_cross_dev(model, prof, draw):
     return np.linalg.svd(diff, compute_uv=False)[0]
 
 
-def test_k_factor_and_cross_dev_match_direct_formulas(case):
+def count_wide_calls(monkeypatch) -> list:
+    """Record the shape of every n x N_amb matrix the fallback takes a norm
+    of."""
+    calls = []
+    wide = sampling._wide_norm
+    monkeypatch.setattr(sampling, "_wide_norm", lambda a: calls.append(a.shape) or wide(a))
+    return calls
+
+
+def test_k_factor_and_cross_dev_match_direct_formulas(case, monkeypatch):
     model, prof, ms, f = case
+    calls = count_wide_calls(monkeypatch)
     deficient = 0
     for m in ms:
+        calls.clear()
         for seed in range(8):
             draw = draw_samples(prof, m, seed)
             rep = reconstruct(model, prof, draw, f)
@@ -93,6 +110,13 @@ def test_k_factor_and_cross_dev_match_direct_formulas(case):
             dev_ref = direct_cross_dev(model, prof, draw)
             dev = cross_term_deviation(model, prof, draw)
             assert abs(dev - dev_ref) <= REL * dev_ref, (m, seed)
+        # Below m = 4J both norms keep their n x n forms.  At m = 40 on fl-J8
+        # (J = 8 < n) nearly every draw holds all eight indices, so C_hat is
+        # close to C, rho exceeds rho_max and the deviation falls back.
+        if m < 4 * prof.num_indices:
+            assert not calls, m
+        else:
+            assert len(calls) >= 4
     assert deficient > 0  # the pseudo-inverse path is covered too
 
 
@@ -138,9 +162,9 @@ def near_w_model(spread):
     return build_selection_model(np.arange(40), np.eye(40, 4) + spread * noise)
 
 
-@pytest.mark.parametrize("spread", [1e-2, 1e-4, 1e-6])
-def test_sampling_close_to_reconstruction_space_keeps_accuracy(spread):
-    model = near_w_model(spread)
+def check_near_w(model, spread, calls):
+    """K and the deviation at 1e-12 on four draws; below spread 1e-2 both
+    forms cancel, so each draw takes the fallback twice."""
     prof = leverage_profile(model, 4)
     f = np.linspace(1.0, 2.0, 40).astype(complex)
     for seed in range(4):
@@ -149,6 +173,13 @@ def test_sampling_close_to_reconstruction_space_keeps_accuracy(spread):
         assert abs(reconstruct(model, prof, draw, f).k_factor - k_ref) <= REL * k_ref
         dev_ref = direct_cross_dev(model, prof, draw)
         assert abs(cross_term_deviation(model, prof, draw) - dev_ref) <= REL * dev_ref
+    if spread < 1e-2:
+        assert calls == [(4, 40)] * 8
+
+
+@pytest.mark.parametrize("spread", [1e-2, 1e-4, 1e-6])
+def test_sampling_close_to_reconstruction_space_keeps_accuracy(spread, monkeypatch):
+    check_near_w(near_w_model(spread), spread, count_wide_calls(monkeypatch))
 
 
 def near_w_dense_model(spread):
@@ -162,16 +193,8 @@ def near_w_dense_model(spread):
 
 
 @pytest.mark.parametrize("spread", [1e-2, 1e-4, 1e-6])
-def test_dense_sampling_close_to_reconstruction_space_keeps_accuracy(spread):
-    model = near_w_dense_model(spread)
-    prof = leverage_profile(model, 4)
-    f = np.linspace(1.0, 2.0, 40).astype(complex)
-    for seed in range(4):
-        draw = draw_samples(prof, 200, seed)
-        k_ref = direct_k_factor(model, prof, draw)
-        assert abs(reconstruct(model, prof, draw, f).k_factor - k_ref) <= REL * k_ref
-        dev_ref = direct_cross_dev(model, prof, draw)
-        assert abs(cross_term_deviation(model, prof, draw) - dev_ref) <= REL * dev_ref
+def test_dense_sampling_close_to_reconstruction_space_keeps_accuracy(spread, monkeypatch):
+    check_near_w(near_w_dense_model(spread), spread, count_wide_calls(monkeypatch))
 
 
 def test_reconstruction_error_is_err_l2(case):
@@ -314,11 +337,12 @@ def test_out_of_range_indices_rejected(bad):
         empirical_gram(prof, draw)
 
 
-def test_warm_trial_memory_stays_within_a_few_n_by_ambient_matrices():
+def test_warm_trial_memory_stays_below_one_n_by_ambient_matrix():
     # One Monte Carlo trial at ambient 20001 once the per-n memos are warm.
-    # An n x ambient complex matrix is 3.2 MB; one wide matrix and its
-    # conjugate are live at once, next to a few ambient vectors (measured
-    # 6.1 MB).  A drawn ambient x m sampling matrix alone would be 45 MB.
+    # K and the deviation come from n x n forms, so no n x ambient complex
+    # matrix (3.2 MB) is formed; what is live is a few ambient vectors such as
+    # f, W_n x and f - W_n x (measured 0.70 MB).  A drawn ambient x m
+    # sampling matrix alone would be 45 MB.
     model = build_fl_model(10, 20001, 20001)
     prof = leverage_profile(model, 10)
     f = exp_target(1.0).fourier_coef(frequencies(20001))
@@ -337,22 +361,27 @@ def test_warm_trial_memory_stays_within_a_few_n_by_ambient_matrices():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 3 * 10 * 20001 * 16
+    assert peak < 10 * 20001 * 16
 
 
-def test_sampling_inside_reconstruction_space_gives_zero_k():
+def test_sampling_inside_reconstruction_space_gives_zero_k(monkeypatch):
     # Two sampling vectors inside a rotated W_3, so every residual u_j and
-    # hence C_hat vanish.
+    # hence C_hat vanish: lambda_max of both forms is zero up to rounding,
+    # and both fall back without a warning from the guard.
+    calls = count_wide_calls(monkeypatch)
     rng = np.random.default_rng(5)
     w = np.zeros((6, 3), dtype=complex)
     w[:3] = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))[0]
     model = build_selection_model(np.array([0, 1]), w)
     prof = leverage_profile(model, 3)
     f = np.arange(1.0, 7.0).astype(complex)
-    for seed in range(4):
-        draw = draw_samples(prof, 10, seed)
-        assert reconstruct(model, prof, draw, f).k_factor <= 1e-12
-        assert cross_term_deviation(model, prof, draw) <= 1e-12
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for seed in range(4):
+            draw = draw_samples(prof, 10, seed)
+            assert reconstruct(model, prof, draw, f).k_factor <= 1e-12
+            assert cross_term_deviation(model, prof, draw) <= 1e-12
+    assert calls == [(3, 6)] * 8
 
 
 # -- the dense-frame memos: U^H per n and S^H f per target ----------------------
@@ -447,6 +476,90 @@ def test_sample_memo_follows_a_target_changed_in_place(haar_400):
     assert np.array_equal(after.x_tilde, want.x_tilde)
     assert reconstruction_error(model, prof, draw, f) == want.err_l2
     assert np.array_equal(model._memo["SHf"][1], model.s_matrix.conj().T @ f)
+
+
+# -- the n-space forms: the drawn columns' residual Gram and the per-n products --
+
+@pytest.mark.parametrize("make", [lambda: build_fl_model(10, 301, 301, max_defect=0.05),
+                                  lambda: unitary_frame(ambient=100)], ids=["selection", "dense"])
+def test_cross_products_built_once_per_n_and_rebuilt_for_a_new_profile(make):
+    model = make()
+    f = np.linspace(1.0, 2.0, model.ambient_dim).astype(complex)
+    profs = {n: leverage_profile(model, n) for n in (8, 4)}
+    entries = {}
+    for n in (8, 4, 8):
+        prof = profs[n]
+        for seed in range(3):
+            draw = draw_samples(prof, 20, seed)
+            reconstruct(model, prof, draw, f)
+            cross_term_deviation(model, prof, draw)
+        entry = model._memo[("CC", n)]
+        assert entries.setdefault(n, entry) is entry
+        assert entry[0] is prof.v
+        cc, b = entry[1]
+        c = cross_term_matrix(model, prof)
+        q = sampling._reconstruction_basis(model, n)
+        if model.s_rows is None:
+            u = model.s_matrix - q @ (q.conj().T @ model.s_matrix)
+            want_b = u.conj().T @ c.conj().T
+        else:
+            want_b = (c @ q).conj().T
+        np.testing.assert_allclose(cc, c @ c.conj().T, rtol=0, atol=1e-12 * np.abs(cc).max())
+        np.testing.assert_allclose(b, want_b, rtol=0, atol=1e-12 * max(np.abs(want_b).max(), 1.0))
+        assert not cc.flags.writeable and not b.flags.writeable
+    # A new profile at the same n has new interaction vectors: the products
+    # are rebuilt for it, with the same values.
+    other = leverage_profile(model, 8)
+    cross_term_deviation(model, other, draw_samples(other, 20, 0))
+    rebuilt = model._memo[("CC", 8)]
+    assert rebuilt is not entries[8] and rebuilt[0] is other.v
+    assert all(np.array_equal(x, y) for x, y in zip(rebuilt[1], entries[8][1]))
+
+
+def test_residual_gram_is_memoized_per_model_and_profile():
+    model = build_fl_model(10, 301, 301, max_defect=0.05)
+    prof = leverage_profile(model, 10)
+    f = exp_target(1.0).fourier_coef(frequencies(301))
+    draw = draw_samples(prof, 40, 1)
+    reconstruct(model, prof, draw, f)
+    # The K-factor reads only M, so reconstruct builds no per-n cross products.
+    assert ("CC", 10) not in model._memo
+    first = draw._memo["residual"]
+    cross_term_deviation(model, prof, draw)
+    assert draw._memo["residual"] is first and first[:2] == (prof, model)
+    m, mu = first[2]
+    k = np.unique(draw.indices).size
+    assert m.shape == (k, k) and mu == 1.0
+    # Another profile, or another model of the same frame, recomputes it.
+    other = leverage_profile(model, 10)
+    cross_term_deviation(model, other, draw)
+    assert draw._memo["residual"][0] is other
+    twin = build_fl_model(10, 301, 301, max_defect=0.05)
+    cross_term_deviation(twin, other, draw)
+    assert draw._memo["residual"][1] is twin
+    assert np.array_equal(draw._memo["residual"][2][0], m)
+
+
+def test_non_orthonormal_dense_frame_scales_the_guard_by_trace_m(monkeypatch):
+    # S = 3 x unitary: ||M|| is up to 9, so the guard's scale carries
+    # mu = trace(M).  K keeps the n-space form (rho 19 to 98 on these
+    # draws), the deviation mostly falls back; both match the direct formulas.
+    calls = count_wide_calls(monkeypatch)
+    base = unitary_frame(ambient=100)
+    model = build_frame_model(3.0 * base.s_matrix, base.w_coef)
+    assert not model.sampling_is_orthonormal
+    prof = leverage_profile(model, 32)
+    f = np.linspace(1.0, 2.0, 100).astype(complex)
+    for seed in range(6):
+        draw = draw_samples(prof, 48, seed)
+        rep = reconstruct(model, prof, draw, f)
+        m, mu = sampling._residual_gram(model, prof, draw)
+        assert mu == np.trace(m).real >= np.linalg.eigvalsh(m)[-1]
+        k_ref = direct_k_factor(model, prof, draw)
+        assert abs(rep.k_factor - k_ref) <= REL * k_ref, seed
+        dev_ref = direct_cross_dev(model, prof, draw)
+        assert abs(cross_term_deviation(model, prof, draw) - dev_ref) <= REL * dev_ref
+    assert 0 < len(calls) < 12
 
 
 # -- the error-bound check: a rounding slack c u ||f||, c = 1e3 -----------------

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -122,6 +124,8 @@ class TestCoherenceProfile:
         prof = leverage_profile(model, 4)
         coh = coherence_profile(model, prof)
         assert coh.C_norm <= 1e-9
+        # C is exactly zero here; its norm prints as 0, never as -0.
+        assert math.copysign(1.0, coh.C_norm) == 1.0
 
     def test_identity_full_no_residual(self):
         model = identity_model(5)
