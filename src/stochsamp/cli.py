@@ -116,23 +116,34 @@ def _load_config(args: argparse.Namespace) -> dict:
     if unused:
         raise InputValidationError(f"{args.command} does not use {', '.join(unused)}")
     _check_p_spec(cfg["p_spec"])
+    model = cfg["model"]
+    if model is None:
+        model = FL_KINDS[0] if args.command == "convergence" else DEFAULT_MODEL
+    kind = _spec_fields(model, "model", MODEL_FIELDS)[0]
     if cfg["target"] is not None:
         _build_target(cfg)  # a bad target value is named before the model kind
-        model = cfg["model"]
-        if model is None:
-            model = FL_KINDS[0] if args.command == "convergence" else DEFAULT_MODEL
-        kind = _spec_fields(model, "model", MODEL_FIELDS)[0]
         if kind not in FL_KINDS:
             raise InputValidationError(
                 f"target is for fourier-legendre models only; a {kind} model "
                 "reconstructs the fixed vector with entries proportional to 1/(j+1)"
             )
+    elif kind in FL_KINDS and args.command in ("reconstruct", "mc-gram"):
+        raise InputValidationError("fourier-legendre models need a --target")
     return cfg
 
 
 # Ceiling on the samples per draw: a draw holds m uniforms and m indices,
 # and the solve a few m x n complex arrays of 16 m n bytes each.
 M_MAX = 1_000_000
+
+# Ceilings on the model sizes a spec may ask for, checked with its fields:
+# identity:DIM builds DIM x DIM complex arrays of 16 DIM^2 bytes (144 MB at
+# the ceiling), and fl:n=N,ambient=A builds A x N tables of 16 A N bytes
+# (160 MB at both ceilings, the size of one m x 10 design at M_MAX).
+IDENTITY_DIM_MAX = 3000
+FL_N_MAX = 100
+FL_AMBIENT_MAX = 100_001
+SPEC_CEILINGS = {"dim": IDENTITY_DIM_MAX, "n": FL_N_MAX, "ambient": FL_AMBIENT_MAX}
 
 # Numeric fields: parser, admissible range, and the rule quoted on rejection.
 NUMERIC_RULES = {
@@ -250,8 +261,9 @@ FIELD_RULES = {int: "an integer", float: "a finite real number", str: "a string"
 
 def _spec_fields(spec, name: str, kinds: dict) -> tuple[str, dict]:
     """Kind and fields of a model or target spec, each field parsed or set
-    to its default.  An unknown kind or key, or a value that does not parse
-    (a boolean included), is rejected naming the spec and the key."""
+    to its default.  An unknown kind or key, a value that does not parse (a
+    boolean included) or one above its SPEC_CEILINGS entry is rejected naming
+    the spec and the key."""
     given = _spec_to_dict(spec, name=name)
     kind = given.pop("kind", None)
     if kind not in kinds:
@@ -280,6 +292,10 @@ def _spec_fields(spec, name: str, kinds: dict) -> tuple[str, dict]:
         if not valid:
             raise InputValidationError(
                 f"{name} spec {spec!r}: {key} must be {FIELD_RULES[parse]}, got {val!r}"
+            )
+        if key in SPEC_CEILINGS and out[key] > SPEC_CEILINGS[key]:
+            raise InputValidationError(
+                f"{name} spec {spec!r}: {key} must be at most {SPEC_CEILINGS[key]}, got {val!r}"
             )
     return kind, out
 
@@ -324,14 +340,11 @@ def _build_target(cfg: dict) -> tuple[fl.AnalyticTarget | None, dict | None]:
 
 
 def _target_ambient_coef(model: FrameModel, model_info: dict, target) -> np.ndarray:
-    """Ambient coefficients of the function to reconstruct.
-
-    Fourier-Legendre models require a target; other models default to the
-    fixed unit vector with entries proportional to 1/(j+1).
+    """Ambient coefficients of the function to reconstruct: the target's for
+    a Fourier-Legendre model (the config check requires one), else the fixed
+    unit vector with entries proportional to 1/(j+1).
     """
     if model_info["kind"] == "fourier-legendre":
-        if target is None:
-            raise InputValidationError("fourier-legendre models need a --target")
         return target.fourier_coef(fl.frequencies(model.ambient_dim))
     f = 1.0 / np.arange(1.0, model.ambient_dim + 1.0)
     return (f / np.linalg.norm(f)).astype(complex)

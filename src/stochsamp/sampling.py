@@ -16,6 +16,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -82,13 +83,13 @@ class FrameModel:
     N_amb x K (column k = reconstruction vector w_k).  ``declared_bounds``
     optionally carries the frame/Riesz bounds (A, B, C, D).
 
-    Factorizations of the first n reconstruction columns are memoized per n
-    on the model; the memo takes no part in equality or serialization.  For
-    a dense ``s_matrix`` the memo also holds, per n, the residual adjoint
-    U^H = ((I - QQ^H) S)^H, one J x N_amb array the size of S, and, per
-    target, the J-vector S^H f; a selection builds neither.  Per n it also
-    holds, for the K-factor and cross-term deviation, C C^H (n x n) with
-    U^H C^H (J x n) for a dense S or (CQ)^H (rank Q x n) for a selection.
+    A memo on the model takes no part in equality or serialization.  It
+    holds one record per n (see :class:`_PerN`): the interaction vectors,
+    one SVD of the first n reconstruction columns and what the estimators
+    derive from it, each built on first use; for a dense ``s_matrix`` that
+    includes the residual adjoint, one J x N_amb array the size of S.  Per
+    target it holds the tail ||f - QQ^H f|| per n and, for a dense S, the
+    J-vector S^H f; per model, ||S||^2 for the guard of the n-space norms.
     """
 
     w_coef: np.ndarray
@@ -319,10 +320,86 @@ def _sampling_adjoint(model: FrameModel, x: np.ndarray) -> np.ndarray:
     return model.s_matrix.conj().T @ x
 
 
-def _interaction_vectors(model: FrameModel, n: int) -> np.ndarray:
-    # v_j = iota_n^* U^* e_j with U = S^H w_coef; columns of the result.
-    un = _sampling_adjoint(model, model.w_coef[:, :n])
-    return un.conj().T
+class _PerN:
+    """What the estimators share at reconstruction dimension n, each part
+    built on first use and read-only: the interaction vectors ``v`` (n x J),
+    and from one rank-revealing SVD W_n = U_w diag(s) V^H of the first n
+    reconstruction columns the orthonormal basis ``q`` = U_w[:, :rank] of
+    W_n, ``qh`` = Q^H and ``sv`` = diag(s) V^H, with ||W_n y|| = ||sv y||.
+    Then the residual adjoint ``uh`` = U^H, U = (I - QQ^H) S (J x N_amb,
+    dense S only), the cross-term limit ``c`` = sum_j v_j u_j^H (n x N_amb),
+    ``cc`` = C C^H, and ``b``, U^H C^H (J x n) for a dense S or (CQ)^H
+    (rank Q x n) for a selection."""
+
+    def __init__(self, model: FrameModel, n: int):
+        self.model, self.n = model, n
+
+    @cached_property
+    def _svd(self):
+        return svd_with_rank(self.model.w_coef[:, :self.n])
+
+    @cached_property
+    def q(self) -> np.ndarray:
+        u, _, _, r = self._svd
+        return _frozen(u[:, :r])
+
+    @cached_property
+    def qh(self) -> np.ndarray:
+        return _frozen(self.q.conj().T)
+
+    @cached_property
+    def sv(self) -> np.ndarray:
+        _, s, vh, _ = self._svd
+        return _frozen(s[:, None] * vh)
+
+    @cached_property
+    def v(self) -> np.ndarray:
+        # v_j = iota_n^* U^* e_j with U = S^H w_coef; columns of the result.
+        return _frozen(_sampling_adjoint(self.model, self.model.w_coef[:, :self.n]).conj().T)
+
+    def residuals(self) -> np.ndarray:
+        """(I - QQ^H) S, column j the residual u_j of s_j, N_amb x J."""
+        s = _sampling_columns(self.model)
+        return s - self.q @ (self.qh @ s)
+
+    @cached_property
+    def uh(self) -> np.ndarray:
+        # C-contiguous, so a draw's residuals are a gather of rows.
+        return _frozen(np.conjugate(self.residuals().T, order="C"))
+
+    def cross(self, vw: np.ndarray, cols=None) -> np.ndarray:
+        """sum_j vw_j u_j^H over the selected columns (all if None),
+        n x N_amb.  For a dense S, vw times the selected rows of U^H.  For a
+        selection u_j^H = e_{r_j}^T - Q[r_j, :] Q^H, so the sum is
+        -(vw Q[rows, :]) Q^H plus a scatter-add of vw, with no N_amb x J
+        array formed."""
+        if self.model.s_rows is None:
+            return vw @ (self.uh if cols is None else self.uh[cols])
+        rows = self.model.s_rows if cols is None else self.model.s_rows[cols]
+        out = -(vw @ self.q[rows]) @ self.qh
+        out[:, rows] += vw
+        return out
+
+    @cached_property
+    def c(self) -> np.ndarray:
+        return _frozen(self.cross(self.v))
+
+    @cached_property
+    def cc(self) -> np.ndarray:
+        return _frozen(self.c @ self.c.conj().T)
+
+    @cached_property
+    def b(self) -> np.ndarray:
+        if self.model.s_rows is None:
+            return _frozen(self.uh @ self.c.conj().T)
+        return _frozen(np.conjugate((self.c @ self.q).T, order="C"))
+
+
+def _per_n(model: FrameModel, n: int) -> _PerN:
+    """The per-n record of ``model``, memoized on it under the key n."""
+    if n not in model._memo:
+        model._memo[n] = _PerN(model, n)
+    return model._memo[n]
 
 
 def leverage_profile(model: FrameModel, n: int, p_spec="leverage") -> LeverageProfile:
@@ -337,7 +414,7 @@ def leverage_profile(model: FrameModel, n: int, p_spec="leverage") -> LeveragePr
         raise InputValidationError(
             f"n must lie in [1, {model.num_reconstruction}], got {n}"
         )
-    v = _interaction_vectors(model, n)
+    v = _per_n(model, n).v
     vn2 = np.sum(np.abs(v) ** 2, axis=0).real
     sigma = v @ v.conj().T
     sigma = (sigma + sigma.conj().T) / 2.0
@@ -381,7 +458,7 @@ def leverage_profile(model: FrameModel, n: int, p_spec="leverage") -> LeveragePr
 
     return LeverageProfile(
         n=n,
-        v=_frozen(v),
+        v=v,
         sigma=_frozen(sigma),
         trace_sigma=trace_sigma,
         p=_frozen(p),
@@ -390,117 +467,30 @@ def leverage_profile(model: FrameModel, n: int, p_spec="leverage") -> LeveragePr
     )
 
 
-def _reconstruction_basis(model: FrameModel, n: int) -> np.ndarray:
-    """Orthonormal basis Q (columns) of the span of the first n
-    reconstruction vectors, rank-revealed through the SVD; memoized per n."""
-    key = ("Q", n)
-    if key not in model._memo:
-        u, _, _, r = svd_with_rank(model.w_coef[:, :n])
-        model._memo[key] = _frozen(u[:, :r])
-    return model._memo[key]
-
-
-def _basis_adjoint(model: FrameModel, n: int) -> np.ndarray:
-    """Q^H for the basis of :func:`_reconstruction_basis`; memoized per n so
-    per-trial products with Q^H copy no ambient-sized conjugate."""
-    key = ("QH", n)
-    if key not in model._memo:
-        model._memo[key] = _frozen(_reconstruction_basis(model, n).conj().T)
-    return model._memo[key]
-
-
-def _r_factor(model: FrameModel, n: int) -> np.ndarray:
-    """R of the QR factorization of the first n reconstruction columns;
-    memoized per n."""
-    key = ("R", n)
-    if key not in model._memo:
-        model._memo[key] = _frozen(np.linalg.qr(model.w_coef[:, :n])[1])
-    return model._memo[key]
-
-
-def _residual_columns(model: FrameModel, n: int) -> np.ndarray:
-    """U = (I - QQ^H) S, column j the residual u_j of s_j, N_amb x J."""
-    s = _sampling_columns(model)
-    return s - _reconstruction_basis(model, n) @ (_basis_adjoint(model, n) @ s)
-
-
-def _residual_adjoint(model: FrameModel, n: int) -> np.ndarray:
-    """U^H, J x N_amb and C-contiguous, for a dense S; memoized per n, so a
-    draw's residuals are a gather of rows."""
-    key = ("UH", n)
-    if key not in model._memo:
-        model._memo[key] = _frozen(np.conjugate(_residual_columns(model, n).T, order="C"))
-    return model._memo[key]
-
-
-def _weighted_cross_term(model: FrameModel, n: int, vw: np.ndarray, cols=None):
-    """sum_j vw_j u_j^H over the selected columns (all if None), n x N_amb.
-
-    For a dense S this is vw times the selected rows of the memoized U^H.
-    For a selection u_j^H = e_{r_j}^T - Q[r_j, :] Q^H, so the sum is
-    -(vw Q[rows, :]) Q^H plus a scatter-add of vw; no N_amb x J array is
-    formed.
-    """
-    if model.s_rows is None:
-        uh = _residual_adjoint(model, n)
-        return vw @ (uh if cols is None else uh[cols])
-    q = _reconstruction_basis(model, n)
-    rows = model.s_rows if cols is None else model.s_rows[cols]
-    out = -(vw @ q[rows]) @ _basis_adjoint(model, n)
-    out[:, rows] += vw
-    return out
-
-
-def _cross_term_limit(model: FrameModel, prof: LeverageProfile) -> np.ndarray:
-    """C = sum_j v_j u_j^H, memoized per n for the profile's interaction
-    vectors."""
-    key = ("C", prof.n)
-    hit = model._memo.get(key)
-    if hit is None or hit[0] is not prof.v:
-        hit = model._memo[key] = (prof.v, _frozen(_weighted_cross_term(model, prof.n, prof.v)))
-    return hit[1]
-
-
-def _cross_products(model: FrameModel, prof: LeverageProfile):
-    """(C C^H, B) for the profile's C, memoized per n like C: B = (C Q)^H,
-    r x n, for a selection and B = U^H C^H, J x n, for a dense S."""
-    key = ("CC", prof.n)
-    hit = model._memo.get(key)
-    if hit is None or hit[0] is not prof.v:
-        c = _cross_term_limit(model, prof)
-        if model.s_rows is None:
-            b = _residual_adjoint(model, prof.n) @ c.conj().T
-        else:
-            b = np.conjugate((c @ _reconstruction_basis(model, prof.n)).T, order="C")
-        hit = model._memo[key] = (prof.v, (_frozen(c @ c.conj().T), _frozen(b)))
-    return hit[1]
-
-
 def coherence_profile(model: FrameModel, prof: LeverageProfile) -> CoherenceProfile:
     """Coherence parameters R, R', R'', the limiting scales K and Lambda, and
     the spectral norms of the Gram section and cross-term."""
     p = prof.p
     supp = p > 0.0
     vn2 = np.sum(np.abs(prof.v) ** 2, axis=0).real
-    q = _reconstruction_basis(model, prof.n)
-    if model.s_rows is None or model.num_sampling <= q.shape[1]:
+    rec = _per_n(model, prof.n)
+    if model.s_rows is None or model.num_sampling <= rec.q.shape[1]:
         # Dense S: the rows of the memoized U^H.  A selection of at most
         # rank-Q columns: its residual, at most N_amb x n, formed here.
-        u, axis = ((_residual_adjoint(model, prof.n), 1) if model.s_rows is None
-                   else (_residual_columns(model, prof.n), 0))
+        u, axis = (rec.uh, 1) if model.s_rows is None else (rec.residuals(), 0)
         un2 = np.sum(np.abs(u) ** 2, axis=axis)
         t_norm = float(np.linalg.svd(u, compute_uv=False)[0] ** 2)
     else:
         # ||u_j||^2 = 1 - ||Q[r_j, :]||^2; with more selected columns than
         # rank Q some unit combination of them is orthogonal to W_n, and
         # ||(I - QQ^H) S|| <= 1, so T = 1 exactly.
-        un2 = np.maximum(1.0 - np.sum(np.abs(q[model.s_rows]) ** 2, axis=1), 0.0)
+        un2 = np.maximum(1.0 - np.sum(np.abs(rec.q[model.s_rows]) ** 2, axis=1), 0.0)
         t_norm = 1.0
 
     r_v = float(np.max(vn2[supp] / p[supp])) if np.any(supp) else 0.0
     r_u = float(np.max(un2[supp] / p[supp])) if np.any(supp) else 0.0
     # ||C|| from the memoized n x n Gram C C^H the deviation reads too.
-    c_norm = float(np.sqrt(_hermitian_norm(_cross_products(model, prof)[0])))
+    c_norm = float(np.sqrt(_hermitian_norm(rec.cc)))
     sigma_norm = operator_norm(prof.sigma)
     sigma_inv_norm = 1.0 / prof.lambda0
     return CoherenceProfile(
@@ -519,7 +509,7 @@ def coherence_profile(model: FrameModel, prof: LeverageProfile) -> CoherenceProf
 def cross_term_matrix(model: FrameModel, prof: LeverageProfile) -> np.ndarray:
     """Limiting cross-term C = sum_j v_j u_j^H as a read-only n x N_amb
     matrix."""
-    return _cross_term_limit(model, prof)
+    return _per_n(model, prof.n).c
 
 
 def draw_samples(prof: LeverageProfile, m: int, seed: int) -> SampleDraw:
@@ -609,34 +599,29 @@ def _residual_gram(model: FrameModel, prof: LeverageProfile, draw: SampleDraw):
     residuals U_sel = (I - QQ^H) S[:, sel] and a bound mu >= ||M||; memoized
     on the draw next to the kernel, for the same profile and model.
 
-    For a selection M = I - Q_s Q_s^H with Q_s = Q[rows], and mu = 1.  For a
-    dense S, M = g g^H with g = U^H[sel]; mu = 1 if S is orthonormal
-    (||U_sel|| <= 1), else trace(M).
+    For a selection M = I - Q_s Q_s^H with Q_s = Q[rows].  For a dense S,
+    M = g g^H with g = U^H[sel].  mu = ||S||^2 >= ||(I - QQ^H) S_sel||^2 =
+    ||M|| holds for every draw and n: it is 1 for orthonormal sampling
+    vectors, a selection included, and lambda_max(S^H S) otherwise, computed
+    once per model.
     """
     hit = draw._memo.get("residual")
     if hit is not None and hit[0] is prof and hit[1] is model:
         return hit[2]
     sel = _draw_kernel(prof, draw).sel
+    rec = _per_n(model, prof.n)
     if model.s_rows is None:
-        g = _residual_adjoint(model, prof.n)[sel]
+        g = rec.uh[sel]
         m = g @ g.conj().T
-        mu = 1.0 if model.sampling_is_orthonormal else float(np.trace(m).real)
     else:
-        qs = _reconstruction_basis(model, prof.n)[model.s_rows[sel]]
-        m, mu = np.eye(sel.size) - qs @ qs.conj().T, 1.0
-    draw._memo["residual"] = (prof, model, (m, mu))
-    return m, mu
-
-
-def _residual_cross(model: FrameModel, prof: LeverageProfile, sel: np.ndarray) -> np.ndarray:
-    """P = U_sel^H C^H, k x n: (U^H C^H)[sel] for a dense S, and
-    C[:, rows]^H - Q_s (CQ)^H for a selection."""
-    b = _cross_products(model, prof)[1]
-    if model.s_rows is None:
-        return b[sel]
-    rows = model.s_rows[sel]
-    return (_cross_term_limit(model, prof)[:, rows].conj().T
-            - _reconstruction_basis(model, prof.n)[rows] @ b)
+        qs = rec.q[model.s_rows[sel]]
+        m = np.eye(sel.size) - qs @ qs.conj().T
+    if "s_norm2" not in model._memo:
+        s = model.s_matrix
+        model._memo["s_norm2"] = (1.0 if model.sampling_is_orthonormal
+                                  else float(np.linalg.eigvalsh(s.conj().T @ s)[-1]))
+    draw._memo["residual"] = (prof, model, (m, model._memo["s_norm2"]))
+    return draw._memo["residual"][2]
 
 
 def empirical_gram(prof: LeverageProfile, draw: SampleDraw) -> np.ndarray:
@@ -651,7 +636,7 @@ def empirical_cross_term(
     """Unbiased estimator (1/m) sum_t v_{i_t} u_{i_t}^H / p_{i_t} of the
     cross-term, as a read-only n x N_amb matrix."""
     kern = _draw_kernel(prof, draw)
-    return _frozen(_weighted_cross_term(model, prof.n, kern.vw, cols=kern.sel))
+    return _frozen(_per_n(model, prof.n).cross(kern.vw, cols=kern.sel))
 
 
 def _hermitian_norm(h: np.ndarray) -> float:
@@ -677,9 +662,9 @@ def _n_space_norm(h: np.ndarray, scale: float, wide) -> float:
 
     ``scale`` bounds the sum of the norms of the terms of h: mu ||a||_F^2 for
     the K-factor, mu ||vw||_F^2 + 2 ||vw||_F ||P||_F + ||C||_F^2 for the
-    deviation.  Each term is a product of k x k and k x n factors whose
-    rounding error is a modest multiple c u of its size (u the unit
-    round-off); that of P, at most c u ||vw|| ||U_sel|| ||C|| inside X, is
+    deviation, with mu = ||S||^2 >= ||M|| (see :func:`_residual_gram`).
+    Each term is a product of k x k and k x n factors whose rounding error
+    is a modest multiple c u of its size (u the unit round-off); that of P, at most c u ||vw|| ||U_sel|| ||C|| inside X, is
     below c u (mu ||vw||^2 + ||C||^2) / 2.  So h is off by at most c u scale,
     which by Weyl's inequality bounds the move of lambda_max: its relative
     error is at most c u rho with rho = scale / lambda_max, the norm's half
@@ -698,41 +683,48 @@ def _n_space_norm(h: np.ndarray, scale: float, wide) -> float:
 
 
 def _k_factor(model: FrameModel, prof: LeverageProfile, draw: SampleDraw) -> float:
-    """||W iota_n G_hat^+ C_hat|| = ||R G_hat^+ C_hat|| with R from the QR of
-    the n reconstruction columns.  C_hat = vw U_sel^H, so with a = R G_hat^+
+    """||W iota_n G_hat^+ C_hat|| = ||diag(s) V^H G_hat^+ C_hat|| with
+    W_n = U_w diag(s) V^H the SVD of the n reconstruction columns, since U_w
+    has orthonormal columns.  C_hat = vw U_sel^H, so with a = diag(s) V^H G_hat^+
     vw the K-factor squared is lambda_max(a M a^H), M = U_sel^H U_sel; the
     fallback forms a U_sel^H itself."""
     kern = _draw_kernel(prof, draw)
-    a = _r_factor(model, prof.n) @ kern.gram_pinv() @ kern.vw
+    rec = _per_n(model, prof.n)
+    a = rec.sv @ kern.gram_pinv() @ kern.vw
     m, mu = _residual_gram(model, prof, draw)
     return _n_space_norm(
         (a @ m) @ a.conj().T, mu * np.linalg.norm(a) ** 2,
-        lambda: _weighted_cross_term(model, prof.n, a, cols=kern.sel),
+        lambda: rec.cross(a, cols=kern.sel),
     )
 
 
 def cross_term_deviation(model: FrameModel, prof: LeverageProfile, draw: SampleDraw) -> float:
     """||C_hat - C||, the deviation of the empirical cross-term from its
     limit.  (C_hat - C)(C_hat - C)^H = vw M vw^H - X - X^H + C C^H with
-    X = vw P, M and P the drawn columns' residual Gram and cross product (see
-    :func:`_residual_gram`, :func:`_residual_cross`); the fallback forms
+    X = vw P, M the drawn columns' residual Gram (see :func:`_residual_gram`)
+    and P = U_sel^H C^H, k x n: (U^H C^H)[sel] for a dense S, and
+    C[:, rows]^H - Q_s (CQ)^H for a selection.  The fallback forms
     C_hat - C."""
     kern = _draw_kernel(prof, draw)
+    rec = _per_n(model, prof.n)
     m, mu = _residual_gram(model, prof, draw)
-    p = _residual_cross(model, prof, kern.sel)
-    cc = _cross_products(model, prof)[0]
+    if model.s_rows is None:
+        p = rec.b[kern.sel]
+    else:
+        rows = model.s_rows[kern.sel]
+        p = rec.c[:, rows].conj().T - rec.q[rows] @ rec.b
     vw = kern.vw
     x = vw @ p
     vw_norm = np.linalg.norm(vw)
 
     def wide():
-        diff = _weighted_cross_term(model, prof.n, vw, cols=kern.sel)
-        diff -= _cross_term_limit(model, prof)
+        diff = rec.cross(vw, cols=kern.sel)
+        diff -= rec.c
         return diff
 
     return _n_space_norm(
-        (vw @ m) @ vw.conj().T - x - x.conj().T + cc,
-        mu * vw_norm**2 + 2.0 * vw_norm * np.linalg.norm(p) + np.trace(cc).real,
+        (vw @ m) @ vw.conj().T - x - x.conj().T + rec.cc,
+        mu * vw_norm**2 + 2.0 * vw_norm * np.linalg.norm(p) + np.trace(rec.cc).real,
         wide,
     )
 
@@ -784,8 +776,9 @@ def _per_target(model: FrameModel, key, f: np.ndarray, compute):
 
 def _tail_err(model: FrameModel, n: int, f: np.ndarray) -> float:
     """||f - Q Q^H f||, the best error from W_n; memoized per n and target."""
-    q, qh = _reconstruction_basis(model, n), _basis_adjoint(model, n)
-    return _per_target(model, ("tail", n), f, lambda f: float(np.linalg.norm(f - q @ (qh @ f))))
+    rec = _per_n(model, n)
+    return _per_target(model, ("tail", n), f,
+                       lambda f: float(np.linalg.norm(f - rec.q @ (rec.qh @ f))))
 
 
 def reconstruct(

@@ -219,9 +219,9 @@ class TestUnusedFields:
 
 
 class TestLoadChecks:
-    """The config key command, p_spec, a target's model kind and the ceiling
-    on m are checked at load, naming the field, before any model is built or
-    sample drawn."""
+    """The config key command, p_spec, a target's model kind, the target an
+    FL model needs and the ceilings on m and on model sizes are checked at
+    load, naming the field, before any model is built or sample drawn."""
 
     @pytest.fixture(autouse=True)
     def no_work(self, monkeypatch):
@@ -293,6 +293,45 @@ class TestLoadChecks:
     def test_m_at_the_ceiling_accepted(self):
         args = cli._build_parser().parse_args(["mc-gram", "--m", str(cli.M_MAX)])
         assert cli._load_config(args)["m"] == cli.M_MAX == 1_000_000
+
+    @pytest.fixture
+    def no_builders(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a model was built for a rejected config")
+
+        monkeypatch.setattr(cli.fl, "build_fl_model", refuse)
+        monkeypatch.setattr(cli, "build_selection_model", refuse)
+
+    @pytest.mark.parametrize("command", ["reconstruct", "mc-gram"])
+    @pytest.mark.parametrize("model", ["fl:n=10,ambient=20001", {"kind": "fourier-legendre"}])
+    def test_fl_model_without_target_rejected(self, capsys, tmp_path, no_builders, command, model):
+        err = self.rejected(capsys, tmp_path, command, {"model": model})
+        assert "fourier-legendre models need a --target" in err
+
+    @pytest.mark.parametrize("command", ["leverage", "bounds", "convergence"])
+    def test_fl_model_without_target_accepted_where_none_is_read(self, command):
+        args = cli._build_parser().parse_args([command, "--model", "fl:n=10"])
+        assert cli._load_config(args)["target"] is None
+
+    @pytest.mark.parametrize("spec,key,ceiling", [
+        ("identity:3001", "dim", "3000"),
+        ("identity:dim=1000000000", "dim", "3000"),
+        ({"kind": "identity", "dim": 10**12}, "dim", "3000"),
+        ("fl:n=101", "n", "100"),
+        ("fl:n=10,ambient=100002", "ambient", "100001"),
+        ({"kind": "fl", "n": 4, "ambient": 10**15}, "ambient", "100001"),
+    ])
+    @pytest.mark.parametrize("command", ["leverage", "bounds", "mc-gram"])
+    def test_model_above_its_size_ceiling_rejected(self, capsys, tmp_path, no_builders,
+                                                   command, spec, key, ceiling):
+        err = self.rejected(capsys, tmp_path, command, {"model": spec})
+        assert f"{key} must be at most {ceiling}" in err
+
+    def test_models_at_their_ceilings_accepted(self):
+        for spec in ("identity:3000", "fl:n=100,ambient=100001"):
+            args = cli._build_parser().parse_args(["leverage", "--model", spec])
+            assert cli._load_config(args)["model"] == spec
+        assert (cli.IDENTITY_DIM_MAX, cli.FL_N_MAX, cli.FL_AMBIENT_MAX) == (3000, 100, 100_001)
 
 
 def test_spec_forms_give_the_same_model_info(capsys, tmp_path):
@@ -542,6 +581,19 @@ class TestConvergence:
         assert code == 0
         assert built == ["fl:n=7"]
         assert report["model"]["kind"] == "fourier-legendre"
+
+    def test_default_model_above_the_ceiling_rejected(self, capsys, monkeypatch):
+        # The default model fl:n=MAX of a sweep is checked like a given
+        # spec, before anything is built.
+        def refuse(*args, **kwargs):
+            raise AssertionError("a model was built above its ceiling")
+
+        monkeypatch.setattr(cli.fl, "build_fl_model", refuse)
+        code = main(["convergence", "--n", f"4,5,6,{cli.FL_N_MAX + 1}", "--trials", "1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert f"model spec 'fl:n={cli.FL_N_MAX + 1}': n must be at most 100" in captured.err
 
 
 class TestDeterminism:

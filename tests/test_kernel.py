@@ -7,12 +7,14 @@ lambda_max above rho_max, or lambda_max <= 0) to the n x N_amb fallback.  The
 tests cover both paths, the per-draw and per-n memos, and the per-trial memory
 at a large ambient dimension."""
 
+import json
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+import stochsamp.cli as cli
 import stochsamp.linalg as linalg
 import stochsamp.sampling as sampling
 from stochsamp.fourier_legendre import build_fl_model, exp_target, frequencies, pole_target
@@ -225,6 +227,9 @@ def test_reconstruction_error_builds_no_kernel_or_k_factor(monkeypatch):
     model = build_fl_model(10, 301, 301, max_defect=0.05)
     prof = leverage_profile(model, 10)
     f = exp_target(1.0).fourier_coef(frequencies(301))
+    twin = build_fl_model(10, 301, 301, max_defect=0.05)
+    reconstruction_error(twin, leverage_profile(twin, 10), draw_samples(prof, 40, 3), f)
+    assert "_svd" not in vars(twin._memo[10])  # the solve takes no SVD of W_n
     want = reconstruct(model, prof, draw_samples(prof, 40, 3), f).err_l2
 
     def refuse(*args, **kwargs):
@@ -278,7 +283,7 @@ def test_tail_memo_is_keyed_on_the_target_bytes():
     # Changed values recompute the tail and replace the memo entry.
     changed = f.copy()
     changed[-5:] += 1.0
-    q = sampling._reconstruction_basis(model, 10)
+    q = model._memo[10].q
     want = float(np.linalg.norm(changed - q @ (q.conj().T @ changed)))
     assert reconstruct(model, prof, draw_samples(prof, 40, 2), changed).tail_err == want
     assert model._memo[("tail", 10)] == (changed.tobytes(), want)
@@ -292,7 +297,7 @@ def test_tail_follows_a_writeable_target_changed_in_place():
     before = reconstruct(model, prof, draw, f).tail_err
     f[-5:] += 1.0
     after = reconstruct(model, prof, draw, f).tail_err
-    q = sampling._reconstruction_basis(model, 10)
+    q = model._memo[10].q
     assert after != before
     assert after == float(np.linalg.norm(f - q @ (q.conj().T @ f)))
 
@@ -427,21 +432,25 @@ def test_dense_memo_matches_direct_residuals(haar_400):
 
 
 def test_dense_memo_built_once_per_n(haar_400, monkeypatch):
+    # U^H is built once per n, when that n is first used, and read again
+    # after n switches back.
     model = build_frame_model(haar_400.s_matrix, haar_400.w_coef)
-    resid = sampling._residual_columns
+    resid = sampling._PerN.residuals
     calls = []
-    monkeypatch.setattr(sampling, "_residual_columns",
-                        lambda *a: calls.append(a[1]) or resid(*a))
+    monkeypatch.setattr(sampling._PerN, "residuals",
+                        lambda rec: calls.append(rec.n) or resid(rec))
     f = np.linspace(1.0, 2.0, 400).astype(complex)
     profs = {n: leverage_profile(model, n) for n in (32, 16)}
+    seen = []
     for n in (32, 16, 32):
         prof = profs[n]
         coherence_profile(model, prof)
         for seed in range(3):
             check_dense_estimates(model, prof, draw_samples(prof, 48, seed), f)
-    assert calls == [32, 16]
+        seen.append(list(calls))
+    assert seen == [[32], [32, 16], [32, 16]]
     for n in (32, 16):
-        uh = model._memo[("UH", n)]
+        uh = model._memo[n].uh
         assert uh.shape == (400, 400) and uh.flags.c_contiguous and not uh.flags.writeable
 
 
@@ -456,7 +465,7 @@ def test_selection_builds_no_dense_memo():
             reconstruct(model, prof, draw, f)
             reconstruction_error(model, prof, draw, f)
             cross_term_deviation(model, prof, draw)
-        assert not [key for key in model._memo if key == "SHf" or key[0] == "UH"]
+        assert "SHf" not in model._memo and "uh" not in vars(model._memo[n])
 
 
 def test_sample_memo_follows_a_target_changed_in_place(haar_400):
@@ -482,23 +491,23 @@ def test_sample_memo_follows_a_target_changed_in_place(haar_400):
 
 @pytest.mark.parametrize("make", [lambda: build_fl_model(10, 301, 301, max_defect=0.05),
                                   lambda: unitary_frame(ambient=100)], ids=["selection", "dense"])
-def test_cross_products_built_once_per_n_and_rebuilt_for_a_new_profile(make):
+def test_cross_products_built_once_per_n_and_shared_by_every_profile(make):
     model = make()
     f = np.linspace(1.0, 2.0, model.ambient_dim).astype(complex)
     profs = {n: leverage_profile(model, n) for n in (8, 4)}
-    entries = {}
+    parts = {}
     for n in (8, 4, 8):
         prof = profs[n]
         for seed in range(3):
             draw = draw_samples(prof, 20, seed)
             reconstruct(model, prof, draw, f)
             cross_term_deviation(model, prof, draw)
-        entry = model._memo[("CC", n)]
-        assert entries.setdefault(n, entry) is entry
-        assert entry[0] is prof.v
-        cc, b = entry[1]
-        c = cross_term_matrix(model, prof)
-        q = sampling._reconstruction_basis(model, n)
+        rec = model._memo[n]
+        got = (rec.v, rec.c, rec.cc, rec.b)
+        assert all(x is y for x, y in zip(parts.setdefault(n, got), got))
+        assert prof.v is rec.v
+        c, cc, b, q = rec.c, rec.cc, rec.b, rec.q
+        assert c is cross_term_matrix(model, prof)
         if model.s_rows is None:
             u = model.s_matrix - q @ (q.conj().T @ model.s_matrix)
             want_b = u.conj().T @ c.conj().T
@@ -506,14 +515,15 @@ def test_cross_products_built_once_per_n_and_rebuilt_for_a_new_profile(make):
             want_b = (c @ q).conj().T
         np.testing.assert_allclose(cc, c @ c.conj().T, rtol=0, atol=1e-12 * np.abs(cc).max())
         np.testing.assert_allclose(b, want_b, rtol=0, atol=1e-12 * max(np.abs(want_b).max(), 1.0))
-        assert not cc.flags.writeable and not b.flags.writeable
-    # A new profile at the same n has new interaction vectors: the products
-    # are rebuilt for it, with the same values.
-    other = leverage_profile(model, 8)
-    cross_term_deviation(model, other, draw_samples(other, 20, 0))
-    rebuilt = model._memo[("CC", 8)]
-    assert rebuilt is not entries[8] and rebuilt[0] is other.v
-    assert all(np.array_equal(x, y) for x, y in zip(rebuilt[1], entries[8][1]))
+        assert not any(x.flags.writeable for x in got)
+    # v depends on (model, n) alone: a new profile at the same n, with another
+    # distribution too, shares v, C and both products; nothing is rebuilt.
+    for p_spec in ("leverage", "uniform_on_support"):
+        other = leverage_profile(model, 8, p_spec)
+        cross_term_deviation(model, other, draw_samples(other, 20, 0))
+        rec = model._memo[8]
+        assert other.v is rec.v
+        assert all(x is y for x, y in zip(parts[8], (rec.v, rec.c, rec.cc, rec.b)))
 
 
 def test_residual_gram_is_memoized_per_model_and_profile():
@@ -522,8 +532,8 @@ def test_residual_gram_is_memoized_per_model_and_profile():
     f = exp_target(1.0).fourier_coef(frequencies(301))
     draw = draw_samples(prof, 40, 1)
     reconstruct(model, prof, draw, f)
-    # The K-factor reads only M, so reconstruct builds no per-n cross products.
-    assert ("CC", 10) not in model._memo
+    # The K-factor reads only M, so reconstruct builds no C or its products.
+    assert not {"c", "cc", "b"} & set(vars(model._memo[10]))
     first = draw._memo["residual"]
     cross_term_deviation(model, prof, draw)
     assert draw._memo["residual"] is first and first[:2] == (prof, model)
@@ -540,26 +550,60 @@ def test_residual_gram_is_memoized_per_model_and_profile():
     assert np.array_equal(draw._memo["residual"][2][0], m)
 
 
-def test_non_orthonormal_dense_frame_scales_the_guard_by_trace_m(monkeypatch):
-    # S = 3 x unitary: ||M|| is up to 9, so the guard's scale carries
-    # mu = trace(M).  K keeps the n-space form (rho 19 to 98 on these
-    # draws), the deviation mostly falls back; both match the direct formulas.
+def test_non_orthonormal_dense_frame_scales_the_guard_by_s_norm_squared(monkeypatch):
+    # S = 3 x unitary: ||M|| is up to 9 = ||S||^2, the guard's mu, computed
+    # once per model.  Both norms keep their n-space forms on these draws and
+    # match the direct formulas.
     calls = count_wide_calls(monkeypatch)
     base = unitary_frame(ambient=100)
     model = build_frame_model(3.0 * base.s_matrix, base.w_coef)
     assert not model.sampling_is_orthonormal
     prof = leverage_profile(model, 32)
     f = np.linspace(1.0, 2.0, 100).astype(complex)
+    s_norm2 = np.linalg.norm(model.s_matrix, 2) ** 2
     for seed in range(6):
         draw = draw_samples(prof, 48, seed)
         rep = reconstruct(model, prof, draw, f)
         m, mu = sampling._residual_gram(model, prof, draw)
-        assert mu == np.trace(m).real >= np.linalg.eigvalsh(m)[-1]
+        assert mu is model._memo["s_norm2"]
+        assert abs(mu - s_norm2) <= 1e-12 * s_norm2 and mu >= np.linalg.eigvalsh(m)[-1]
         k_ref = direct_k_factor(model, prof, draw)
         assert abs(rep.k_factor - k_ref) <= REL * k_ref, seed
         dev_ref = direct_cross_dev(model, prof, draw)
         assert abs(cross_term_deviation(model, prof, draw) - dev_ref) <= REL * dev_ref
-    assert 0 < len(calls) < 12
+    assert not calls
+
+
+@pytest.mark.parametrize("command", ["mc-gram", "bounds"])
+def test_one_svd_of_w_n_per_n_and_no_qr(command, monkeypatch, capsys):
+    # Q, the K-factor's diag(s) V^H and C all come from one SVD of W_n per n;
+    # no QR factorization is taken.
+    dense = unitary_frame(ambient=100)  # built with a QR, before the check
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a QR factorization was taken")
+
+    monkeypatch.setattr(np.linalg, "qr", refuse)
+    shapes = []
+    svd = sampling.svd_with_rank
+    monkeypatch.setattr(sampling, "svd_with_rank", lambda a, *r: shapes.append(a.shape) or svd(a, *r))
+    argv = [command, "--model", "fl:n=10,ambient=301,max_defect=0.05", "--n", "8"]
+    if command == "mc-gram":
+        argv += ["--target", "exp_c:1", "--trials", "5"]
+    assert cli.main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["command"] == command
+    assert [shape for shape in shapes if shape[0] == 301] == [(301, 8)]
+    # The same through the API, on a dense frame, for two values of n.
+    f = np.linspace(1.0, 2.0, 100).astype(complex)
+    shapes.clear()
+    for n in (32, 16, 32):
+        prof = leverage_profile(dense, n)
+        coherence_profile(dense, prof)
+        for seed in range(3):
+            draw = draw_samples(prof, 48, seed)
+            reconstruct(dense, prof, draw, f)
+            cross_term_deviation(dense, prof, draw)
+    assert [shape for shape in shapes if shape[0] == 100] == [(100, 32), (100, 16)]
 
 
 # -- the error-bound check: a rounding slack c u ||f||, c = 1e3 -----------------
