@@ -87,8 +87,9 @@ class FrameModel:
     holds one record per n (see :class:`_PerN`): the interaction vectors,
     one SVD of the first n reconstruction columns and what the estimators
     derive from it, each built on first use; for a dense ``s_matrix`` that
-    includes the residual adjoint, one J x N_amb array the size of S.  Per
-    target it holds the tail ||f - QQ^H f|| per n and, for a dense S, the
+    includes the residual adjoint, one J x N_amb array the size of S.  For
+    the last target it holds one record (see :class:`_PerTarget`): its
+    finiteness, ||f||, the tail ||f - QQ^H f|| per n and, for a dense S, the
     J-vector S^H f; per model, ||S||^2 for the guard of the n-space norms.
     """
 
@@ -184,7 +185,10 @@ class SampleDraw:
 class CoherenceProfile:
     """Scalar coherence and spectral quantities feeding the sample-size
     calculators: R = sup ||v_j||^2/p_j, R' the residual analogue, their max
-    R'', the limiting-operator scale K, and Lambda = 1 + ||Sigma^+|| + ||C||."""
+    R'', T = ||(I - QQ^H) S||^2 (exactly 1 for orthonormal sampling vectors
+    with J above the rank of W_n, see :func:`coherence_profile`), the
+    limiting-operator scale K = max(||Sigma||, T), and
+    Lambda = 1 + ||Sigma^+|| + ||C||."""
 
     R: float
     R_prime: float
@@ -291,9 +295,10 @@ def build_selection_model(rows, w_coef) -> FrameModel:
     r = np.asarray(rows)
     if r.ndim != 1 or r.size == 0 or not np.issubdtype(r.dtype, np.integer):
         raise InputValidationError("rows must be a nonempty 1-d integer sequence")
-    if r.min() < 0 or r.max() >= w.shape[0]:
+    srt = np.sort(r)
+    if srt[0] < 0 or srt[-1] >= w.shape[0]:
         raise InputValidationError(f"rows must lie in [0, {w.shape[0] - 1}]")
-    if np.unique(r).size != r.size:
+    if np.any(srt[1:] == srt[:-1]):
         raise InputValidationError("rows must be distinct")
     return FrameModel(
         w_coef=_frozen(w.copy(order="K")),
@@ -469,23 +474,34 @@ def leverage_profile(model: FrameModel, n: int, p_spec="leverage") -> LeveragePr
 
 def coherence_profile(model: FrameModel, prof: LeverageProfile) -> CoherenceProfile:
     """Coherence parameters R, R', R'', the limiting scales K and Lambda, and
-    the spectral norms of the Gram section and cross-term."""
+    the spectral norms of the Gram section and cross-term.
+
+    T = ||(I - QQ^H) S||^2 with Q an orthonormal basis of W_n.  For
+    orthonormal sampling vectors with J > rank Q, a selection or a dense S,
+    T = 1 with no SVD: some unit y has Q^H S y = 0, so T >= ||S y||^2, and
+    T <= ||S||^2.  For a dense S that passes the orthonormality test of
+    :func:`build_frame_model` (||S^H S - I||_F <= 1e-8) both bounds are
+    within ||S^H S - I|| of 1, so T = 1 differs from the computed
+    sigma_max(U)^2 by at most that.  Every other case takes T from the SVD
+    of the residual U = (I - QQ^H) S.
+    """
     p = prof.p
     supp = p > 0.0
     vn2 = np.sum(np.abs(prof.v) ** 2, axis=0).real
     rec = _per_n(model, prof.n)
-    if model.s_rows is None or model.num_sampling <= rec.q.shape[1]:
+    wide = model.num_sampling > rec.q.shape[1]
+    if model.s_rows is not None and wide:
+        # ||u_j||^2 = 1 - ||Q[r_j, :]||^2, with no N_amb x J residual formed.
+        un2 = np.maximum(1.0 - np.sum(np.abs(rec.q[model.s_rows]) ** 2, axis=1), 0.0)
+    else:
         # Dense S: the rows of the memoized U^H.  A selection of at most
         # rank-Q columns: its residual, at most N_amb x n, formed here.
         u, axis = (rec.uh, 1) if model.s_rows is None else (rec.residuals(), 0)
         un2 = np.sum(np.abs(u) ** 2, axis=axis)
-        t_norm = float(np.linalg.svd(u, compute_uv=False)[0] ** 2)
-    else:
-        # ||u_j||^2 = 1 - ||Q[r_j, :]||^2; with more selected columns than
-        # rank Q some unit combination of them is orthogonal to W_n, and
-        # ||(I - QQ^H) S|| <= 1, so T = 1 exactly.
-        un2 = np.maximum(1.0 - np.sum(np.abs(rec.q[model.s_rows]) ** 2, axis=1), 0.0)
+    if model.sampling_is_orthonormal and wide:
         t_norm = 1.0
+    else:
+        t_norm = float(np.linalg.svd(u, compute_uv=False)[0] ** 2)
 
     r_v = float(np.max(vn2[supp] / p[supp])) if np.any(supp) else 0.0
     r_u = float(np.max(un2[supp] / p[supp])) if np.any(supp) else 0.0
@@ -729,20 +745,55 @@ def cross_term_deviation(model: FrameModel, prof: LeverageProfile, draw: SampleD
     )
 
 
-def _check_target(model: FrameModel, f_coef) -> np.ndarray:
-    """``f_coef`` as a complex ambient vector; rejected naming its length or
-    non-finite entries."""
+class _PerTarget:
+    """What the estimators share for one target f, keyed on its bytes
+    ``key``: whether f is finite, checked once, and, each built on first use
+    and read-only, ``norm`` = ||f||, ``shf`` = S^H f (J-vector, dense S
+    only) and the tail ||f - QQ^H f|| per n.  Its f is a read-only view of
+    the key, so a caller's array changed in place cannot reach it."""
+
+    def __init__(self, model: FrameModel, key: bytes):
+        self.model, self.key = model, key
+        self.f = np.frombuffer(key, dtype=complex)
+        self.finite = bool(np.all(np.isfinite(self.f)))
+        self.tails = {}
+
+    @cached_property
+    def norm(self) -> float:
+        return float(np.linalg.norm(self.f))
+
+    @cached_property
+    def shf(self) -> np.ndarray:
+        return _frozen(_sampling_adjoint(self.model, self.f))
+
+    def tail(self, n: int) -> float:
+        """||f - Q Q^H f||, the best error from W_n."""
+        if n not in self.tails:
+            rec = _per_n(self.model, n)
+            self.tails[n] = float(np.linalg.norm(self.f - rec.q @ (rec.qh @ self.f)))
+        return self.tails[n]
+
+
+def _target(model: FrameModel, f_coef) -> _PerTarget:
+    """The record of ``f_coef`` as a complex ambient vector, memoized on the
+    model under "target" with one entry and replaced whenever the bytes
+    change.  A wrong length or non-finite entries are rejected, naming
+    them, on every call."""
     f = np.asarray(f_coef, dtype=complex).reshape(-1)
     if f.shape[0] != model.ambient_dim:
         raise InputValidationError(
             f"f_coef has length {f.shape[0]}, expected ambient dim {model.ambient_dim}"
         )
-    if not np.all(np.isfinite(f.real)) or not np.all(np.isfinite(f.imag)):
+    key = f.tobytes()
+    tgt = model._memo.get("target")
+    if tgt is None or tgt.key != key:
+        tgt = model._memo["target"] = _PerTarget(model, key)
+    if not tgt.finite:
         raise InputValidationError("f_coef contains non-finite entries")
-    return f
+    return tgt
 
 
-def _solve(model: FrameModel, prof: LeverageProfile, draw: SampleDraw, f: np.ndarray):
+def _solve(model: FrameModel, prof: LeverageProfile, draw: SampleDraw, tgt: _PerTarget):
     """The weighted design and right-hand side of ``draw``, the minimal-norm
     solution x, f_tilde = W_n x and ||f - f_tilde||.
 
@@ -755,30 +806,12 @@ def _solve(model: FrameModel, prof: LeverageProfile, draw: SampleDraw, f: np.nda
     design = prof.v[:, idx].conj().T * wts[:, None]
     if model.s_rows is None:
         # S^H f once per target; the draw's samples are a gather of it.
-        shf = _per_target(model, "SHf", f, lambda f: _frozen(_sampling_adjoint(model, f)))
-        rhs = wts * shf[idx]
+        rhs = wts * tgt.shf[idx]
     else:
-        rhs = wts * f[model.s_rows[idx]]
+        rhs = wts * tgt.f[model.s_rows[idx]]
     x = minimal_norm_lsq(design, rhs)
     f_tilde = model.w_coef[:, : prof.n] @ x
-    return design, rhs, x, f_tilde, float(np.linalg.norm(f - f_tilde))
-
-
-def _per_target(model: FrameModel, key, f: np.ndarray, compute):
-    """compute(f), memoized on the model under ``key`` with one entry, keyed
-    on the bytes of ``f`` and recomputed whenever they change."""
-    f_bytes = f.tobytes()
-    hit = model._memo.get(key)
-    if hit is None or hit[0] != f_bytes:
-        hit = model._memo[key] = (f_bytes, compute(f))
-    return hit[1]
-
-
-def _tail_err(model: FrameModel, n: int, f: np.ndarray) -> float:
-    """||f - Q Q^H f||, the best error from W_n; memoized per n and target."""
-    rec = _per_n(model, n)
-    return _per_target(model, ("tail", n), f,
-                       lambda f: float(np.linalg.norm(f - rec.q @ (rec.qh @ f))))
+    return design, rhs, x, f_tilde, float(np.linalg.norm(tgt.f - f_tilde))
 
 
 def reconstruct(
@@ -803,11 +836,11 @@ def reconstruct(
     of zero the check cannot fail: rounding then resolves nothing the bound
     could rule out.
     """
-    f = _check_target(model, f_coef)
+    tgt = _target(model, f_coef)
     kern = _draw_kernel(prof, draw)
-    design, rhs, x, f_tilde, err_l2 = _solve(model, prof, draw, f)
+    design, rhs, x, f_tilde, err_l2 = _solve(model, prof, draw, tgt)
     k_factor = _k_factor(model, prof, draw)
-    tail_err = _tail_err(model, prof.n, f)
+    tail_err = tgt.tail(prof.n)
     return ReconstructionReport(
         x_tilde=_frozen(x),
         f_tilde_coef=_frozen(f_tilde),
@@ -816,7 +849,7 @@ def reconstruct(
         tail_err=tail_err,
         k_factor=k_factor,
         bound_ok=bool(err_l2 <= tail_err * np.sqrt(1.0 + k_factor**2)
-                      + _BOUND_ROUNDING * np.linalg.norm(f)),
+                      + _BOUND_ROUNDING * tgt.norm),
         gram_condition=kern.gram_condition,
         used_pseudo_inverse=not kern.full_rank,
     )
@@ -828,9 +861,9 @@ def reconstruction_error(
     """||f - W_n x_tilde||, the ``err_l2`` of :func:`reconstruct` with the same
     checks and bits, from the solve alone: no per-draw kernel, K-factor, tail
     or weighted residual."""
-    f = _check_target(model, f_coef)
+    tgt = _target(model, f_coef)
     _check_draw(prof, draw)
-    return _solve(model, prof, draw, f)[4]
+    return _solve(model, prof, draw, tgt)[4]
 
 
 def christoffel_profile(prof: LeverageProfile) -> ChristoffelProfile:

@@ -230,12 +230,14 @@ def test_reconstruction_error_builds_no_kernel_or_k_factor(monkeypatch):
     twin = build_fl_model(10, 301, 301, max_defect=0.05)
     reconstruction_error(twin, leverage_profile(twin, 10), draw_samples(prof, 40, 3), f)
     assert "_svd" not in vars(twin._memo[10])  # the solve takes no SVD of W_n
+    tgt = twin._memo["target"]
+    assert not tgt.tails and "norm" not in vars(tgt)  # nor a tail or ||f||
     want = reconstruct(model, prof, draw_samples(prof, 40, 3), f).err_l2
 
     def refuse(*args, **kwargs):
         raise AssertionError("the error-only path did more than the solve")
 
-    for name in ("_draw_kernel", "_k_factor", "_tail_err"):
+    for name in ("_draw_kernel", "_k_factor"):
         monkeypatch.setattr(sampling, name, refuse)
     draw = draw_samples(prof, 40, 3)
     assert reconstruction_error(model, prof, draw, f) == want
@@ -272,21 +274,24 @@ def test_tail_memo_is_keyed_on_the_target_bytes():
     prof = leverage_profile(model, 10)
     f = exp_target(1.0).fourier_coef(frequencies(301))
     first = reconstruct(model, prof, draw_samples(prof, 40, 0), f).tail_err
-    assert model._memo[("tail", 10)] == (f.tobytes(), first)
+    tgt = model._memo["target"]
+    assert tgt.key == f.tobytes() and tgt.tails == {10: first}
     # A planted value shows which calls read the memo: every target with the
     # same values, whatever its flags or form.
-    model._memo[("tail", 10)] = (f.tobytes(), 0.5)
+    tgt.tails[10] = 0.5
     frozen = f.copy()
     frozen.setflags(write=False)
     for same in (frozen, f.copy(), frozen[:], list(f)):
         assert reconstruct(model, prof, draw_samples(prof, 40, 1), same).tail_err == 0.5
-    # Changed values recompute the tail and replace the memo entry.
+        assert model._memo["target"] is tgt
+    # Changed values recompute the tail and replace the record.
     changed = f.copy()
     changed[-5:] += 1.0
     q = model._memo[10].q
     want = float(np.linalg.norm(changed - q @ (q.conj().T @ changed)))
     assert reconstruct(model, prof, draw_samples(prof, 40, 2), changed).tail_err == want
-    assert model._memo[("tail", 10)] == (changed.tobytes(), want)
+    tgt = model._memo["target"]
+    assert tgt.key == changed.tobytes() and tgt.tails == {10: want}
 
 
 def test_tail_follows_a_writeable_target_changed_in_place():
@@ -300,6 +305,39 @@ def test_tail_follows_a_writeable_target_changed_in_place():
     q = model._memo[10].q
     assert after != before
     assert after == float(np.linalg.norm(f - q @ (q.conj().T @ f)))
+
+
+def test_target_record_checks_finiteness_once_per_bytes(monkeypatch):
+    model = build_fl_model(10, 301, 301, max_defect=0.05)
+    prof = leverage_profile(model, 10)
+    f = exp_target(1.0).fourier_coef(frequencies(301))
+    draw = draw_samples(prof, 40, 0)
+    calls = []
+
+    class Counted(sampling._PerTarget):
+        # The finiteness test runs once per record, when it is built.
+        def __init__(self, model, key):
+            calls.append(len(key))
+            super().__init__(model, key)
+
+    monkeypatch.setattr(sampling, "_PerTarget", Counted)
+    for _ in range(3):
+        reconstruct(model, prof, draw, f)
+        reconstruction_error(model, prof, draw, f.copy())
+    assert calls == [16 * 301]
+    # A non-finite target is rejected on every call, its verdict memoized.
+    bad = f.copy()
+    bad[3] = np.nan
+    for _ in range(2):
+        for fn in (reconstruct, reconstruction_error):
+            with pytest.raises(sampling.InputValidationError, match="non-finite"):
+                fn(model, prof, draw, bad)
+    assert calls == [16 * 301] * 2
+    # The length is checked on every call, before the record.
+    for fn in (reconstruct, reconstruction_error):
+        with pytest.raises(sampling.InputValidationError, match="length 300"):
+            fn(model, prof, draw, f[:-1])
+    assert model._memo["target"].key == bad.tobytes()
 
 
 def test_kernel_is_computed_once_per_profile_and_draw(monkeypatch):
@@ -465,7 +503,7 @@ def test_selection_builds_no_dense_memo():
             reconstruct(model, prof, draw, f)
             reconstruction_error(model, prof, draw, f)
             cross_term_deviation(model, prof, draw)
-        assert "SHf" not in model._memo and "uh" not in vars(model._memo[n])
+        assert "shf" not in vars(model._memo["target"]) and "uh" not in vars(model._memo[n])
 
 
 def test_sample_memo_follows_a_target_changed_in_place(haar_400):
@@ -474,7 +512,7 @@ def test_sample_memo_follows_a_target_changed_in_place(haar_400):
     f = np.linspace(1.0, 2.0, 400).astype(complex)
     draw = draw_samples(prof, 48, 0)
     before = reconstruct(model, prof, draw, f)
-    assert model._memo["SHf"][0] == f.tobytes()
+    assert model._memo["target"].key == f.tobytes() and "shf" in vars(model._memo["target"])
     f[:50] += 1j
     after = reconstruct(model, prof, draw, f)
     # A fresh model of the same frame holds no memo to go stale.
@@ -484,7 +522,7 @@ def test_sample_memo_follows_a_target_changed_in_place(haar_400):
     assert after.err_l2 == want.err_l2
     assert np.array_equal(after.x_tilde, want.x_tilde)
     assert reconstruction_error(model, prof, draw, f) == want.err_l2
-    assert np.array_equal(model._memo["SHf"][1], model.s_matrix.conj().T @ f)
+    assert np.array_equal(model._memo["target"].shf, model.s_matrix.conj().T @ f)
 
 
 # -- the n-space forms: the drawn columns' residual Gram and the per-n products --
@@ -620,9 +658,10 @@ def test_planted_bound_violation_below_1e8_reads_false(make):
     rep = reconstruct(model, prof, draw, f)
     slack = 1e3 * np.finfo(float).eps / 2 * np.linalg.norm(f)
     scale = np.sqrt(1.0 + rep.k_factor**2)
-    # A tail planted in the memo sets the bound to err_l2 minus a margin.
+    # A tail planted in the target's record sets the bound to err_l2 minus a
+    # margin.
     for margin, ok in ((1e-10, False), (4 * slack, False), (slack / 4, True)):
-        model._memo[("tail", prof.n)] = (f.tobytes(), (rep.err_l2 - margin) / scale)
+        model._memo["target"].tails[prof.n] = (rep.err_l2 - margin) / scale
         assert reconstruct(model, prof, draw, f).bound_ok is ok, margin
 
 
