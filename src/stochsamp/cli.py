@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -46,10 +47,12 @@ from .serialize import dumps, fmt_real, model_from_dict, read_model_json
 
 __all__ = ["main"]
 
-# An unset model is identity:8, except for convergence sweeps, which default
-# to a Fourier-Legendre model; None marks "not given".
+# None marks "not given".  An unset model is DEFAULT_MODEL; a convergence
+# sweep's unset n, model and target are DEFAULT_SWEEP, fl:n=<largest n> and
+# DEFAULT_SWEEP_TARGET.
 DEFAULT_MODEL = "identity:8"
-FL_KINDS = ("fourier-legendre", "fl")
+DEFAULT_SWEEP = (4, 8, 12, 16, 20)
+DEFAULT_SWEEP_TARGET = "pole_a:1.5"
 
 DEFAULTS = {
     "model": None,
@@ -63,6 +66,8 @@ DEFAULTS = {
     "p_spec": "leverage",
     "out": None,
 }
+# Every field but p_spec has a flag of its name.
+FLAG_FIELDS = [key for key in DEFAULTS if key != "p_spec"]
 
 # The fields each command reads; one given by a flag or config key that its
 # command does not read is rejected.
@@ -78,6 +83,11 @@ COMMAND_FIELDS = {
 # -- config handling ----------------------------------------------------------
 
 def _load_config(args: argparse.Namespace) -> dict:
+    """The config of one command, resolved once: flags override config-file
+    values, the command's defaults are applied and every check that needs no
+    built model runs, naming its field.  ``model`` becomes a (kind, fields)
+    pair, ``target`` None or an (AnalyticTarget, info) pair and ``n`` the
+    count or sweep to run, None only for a custom model's default."""
     cfg = dict(DEFAULTS)
     given = set()
     if args.config is not None:
@@ -98,37 +108,57 @@ def _load_config(args: argparse.Namespace) -> dict:
             )
         cfg.update(loaded)
         given.update(loaded)
-    for key in ("out", "seed", "trials", "n", "m", "delta", "epsilon", "model", "target"):
-        val = getattr(args, key, None)
+    for key in FLAG_FIELDS:
+        val = getattr(args, key)
         if val is not None:
             cfg[key] = val
             given.add(key)
-    _check_numeric_fields(cfg)
-    for key, kinds in (("model", MODEL_FIELDS), ("target", TARGET_FIELDS)):
-        if cfg[key] is not None:
-            _spec_fields(cfg[key], key, kinds)
-    if isinstance(cfg["n"], list) and args.command != "convergence":
+    _check_fields(cfg)
+    sweep = args.command == "convergence"
+    if sweep:
+        cfg["n"] = cfg["n"] or list(DEFAULT_SWEEP)
+        if not isinstance(cfg["n"], list) or len(cfg["n"]) < 4:
+            raise InputValidationError("convergence sweep needs at least 4 n values")
+    elif isinstance(cfg["n"], list):
         raise InputValidationError(
             f"n must be a single integer >= 1 for {args.command}, got {cfg['n']!r}; "
             "sweep lists are for convergence"
         )
+    if cfg["model"] is None:
+        cfg["model"] = f"fl:n={cfg['n'][-1]}" if sweep else DEFAULT_MODEL
+    if cfg["target"] is None and sweep:
+        cfg["target"] = DEFAULT_SWEEP_TARGET
+    kind, fields = cfg["model"] = _spec_fields(cfg["model"], "model", MODEL_FIELDS)
+    target = None if cfg["target"] is None else _spec_fields(cfg["target"], "target", TARGET_FIELDS)
     unused = [key for key in DEFAULTS if key in given - COMMAND_FIELDS[args.command]]
     if unused:
         raise InputValidationError(f"{args.command} does not use {', '.join(unused)}")
     _check_p_spec(cfg["p_spec"])
-    model = cfg["model"]
-    if model is None:
-        model = FL_KINDS[0] if args.command == "convergence" else DEFAULT_MODEL
-    kind = _spec_fields(model, "model", MODEL_FIELDS)[0]
-    if cfg["target"] is not None:
-        _build_target(cfg)  # a bad target value is named before the model kind
-        if kind not in FL_KINDS:
+
+    if sweep and kind != "fourier-legendre":
+        raise InputValidationError("convergence sweeps require a fourier-legendre model")
+    if target is not None:
+        # A bad target value, such as a pole inside [-1, 1], is named first.
+        target_kind, spec = target
+        make = fl.exp_target if target_kind == "exp_c" else fl.pole_target
+        cfg["target"] = make(**spec), {"kind": target_kind, **spec}
+        if kind != "fourier-legendre":
             raise InputValidationError(
                 f"target is for fourier-legendre models only; a {kind} model "
                 "reconstructs the fixed vector with entries proportional to 1/(j+1)"
             )
-    elif kind in FL_KINDS and args.command in ("reconstruct", "mc-gram"):
+    elif kind == "fourier-legendre" and args.command in ("reconstruct", "mc-gram"):
         raise InputValidationError("fourier-legendre models need a --target")
+    # identity's dim or fl's n; a custom model's columns come with its file,
+    # so leverage_profile checks n against them.
+    columns = fields.get("dim", fields.get("n"))
+    if columns is not None:
+        if cfg["n"] is None:
+            cfg["n"] = columns if kind == "fourier-legendre" else min(4, columns)
+        if (cfg["n"][-1] if sweep else cfg["n"]) > columns:
+            raise InputValidationError(
+                f"n must lie in [1, {columns}] for this {kind} model, got {cfg['n']!r}"
+            )
     return cfg
 
 
@@ -146,6 +176,7 @@ FL_AMBIENT_MAX = 100_001
 SPEC_CEILINGS = {"dim": IDENTITY_DIM_MAX, "n": FL_N_MAX, "ambient": FL_AMBIENT_MAX}
 
 # Numeric fields: parser, admissible range, and the rule quoted on rejection.
+# The parsers are those of flag strings and config values alike.
 NUMERIC_RULES = {
     "delta": (float, lambda x: 0.0 < x < 1.0, "a finite real number in (0, 1)"),
     "epsilon": (float, lambda x: x > 0.0, "a finite positive real number"),
@@ -155,11 +186,11 @@ NUMERIC_RULES = {
 }
 
 
-def _check_numeric_fields(cfg: dict) -> None:
-    """Reject bad numeric fields, naming the field, before any work starts;
-    integer fields are normalized to int in place.  Fields whose default is
-    None may stay None.  A JSON boolean is not a number, though Python
-    converts it to one."""
+def _check_fields(cfg: dict) -> None:
+    """Reject bad numeric fields, n and out, naming the field, before any
+    work starts; numeric fields and n are normalized in place.  Fields whose
+    default is None may stay None.  A JSON boolean is not a number, though
+    Python converts it to one."""
     for key, (kind, in_range, rule) in NUMERIC_RULES.items():
         val = cfg[key]
         if val is None and DEFAULTS[key] is None:
@@ -175,6 +206,13 @@ def _check_numeric_fields(cfg: dict) -> None:
         cfg[key] = num
     if cfg["n"] is not None:
         cfg["n"] = _parse_counts(cfg["n"])
+    out = cfg["out"]
+    if out is not None and not (
+        isinstance(out, str) and out and os.path.isdir(os.path.dirname(out) or ".")
+    ):
+        raise InputValidationError(
+            f"out must be null or a nonempty path prefix whose directory exists, got {out!r}"
+        )
 
 
 P_SPECS = ("leverage", "uniform_on_support")
@@ -245,7 +283,7 @@ def _spec_to_dict(spec, *, name: str) -> dict:
 
 
 # Fields of each model and target kind: parser and default.  The bare form
-# 'kind:VALUE' sets the first field.
+# 'kind:VALUE' sets the first field.  KIND_NAMES maps other names of a kind.
 FL_FIELDS = {
     "n": (int, 10), "ambient": (int, 2001), "J": (int, None), "max_defect": (float, 1e-2),
 }
@@ -255,18 +293,19 @@ MODEL_FIELDS = {
     "fl": FL_FIELDS,
     "custom": {"path": (str, None)},
 }
+KIND_NAMES = {"fl": "fourier-legendre"}
 TARGET_FIELDS = {"exp_c": {"c": (float, 1.0)}, "pole_a": {"a": (float, 1.5)}}
 FIELD_RULES = {int: "an integer", float: "a finite real number", str: "a string"}
 
 
 def _spec_fields(spec, name: str, kinds: dict) -> tuple[str, dict]:
-    """Kind and fields of a model or target spec, each field parsed or set
-    to its default.  An unknown kind or key, a value that does not parse (a
-    boolean included) or one above its SPEC_CEILINGS entry is rejected naming
-    the spec and the key."""
+    """Kind, under its KIND_NAMES name, and fields of a model or target spec,
+    each field parsed or set to its default.  An unknown kind or key, a value
+    that does not parse (a boolean included), an integer below 1 or one above
+    its SPEC_CEILINGS entry is rejected naming the spec and the key."""
     given = _spec_to_dict(spec, name=name)
     kind = given.pop("kind", None)
-    if kind not in kinds:
+    if not isinstance(kind, str) or kind not in kinds:
         raise InputValidationError(f"unknown {name} kind {kind!r}")
     fields = kinds[kind]
     if "value" in given:
@@ -293,71 +332,49 @@ def _spec_fields(spec, name: str, kinds: dict) -> tuple[str, dict]:
             raise InputValidationError(
                 f"{name} spec {spec!r}: {key} must be {FIELD_RULES[parse]}, got {val!r}"
             )
+        if parse is int and out[key] < 1:
+            raise InputValidationError(f"{name} spec {spec!r}: {key} must be >= 1, got {val!r}")
         if key in SPEC_CEILINGS and out[key] > SPEC_CEILINGS[key]:
             raise InputValidationError(
                 f"{name} spec {spec!r}: {key} must be at most {SPEC_CEILINGS[key]}, got {val!r}"
             )
-    return kind, out
+    if kind == "custom" and not out["path"]:
+        raise InputValidationError(f"{name} spec {spec!r} needs a file path")
+    return KIND_NAMES.get(kind, kind), out
 
 
 def _build_model(cfg: dict) -> tuple[FrameModel, dict]:
-    given = cfg["model"]
-    kind, spec = _spec_fields(DEFAULT_MODEL if given is None else given, "model", MODEL_FIELDS)
+    """The model of the resolved spec cfg["model"] and its report entry."""
+    kind, spec = cfg["model"]
     if kind == "identity":
         dim = spec["dim"]
-        if dim < 1:
-            raise InputValidationError(f"identity model needs dim >= 1, got {dim}")
-        model = build_selection_model(np.arange(dim), np.eye(dim))
-        return model, {"kind": "identity", "dim": dim}
-    if kind in FL_KINDS:
-        n = spec["n"]
-        ambient = spec["ambient"]
-        j_count = ambient if spec["J"] is None else spec["J"]
+        return build_selection_model(np.arange(dim), np.eye(dim)), {"kind": kind, **spec}
+    if kind == "fourier-legendre":
+        n, ambient = spec["n"], spec["ambient"]
+        j_count = spec["J"] or ambient
         model = fl.build_fl_model(n, j_count, ambient, max_defect=spec["max_defect"])
-        return model, {
-            "kind": "fourier-legendre",
-            "n": n,
-            "J": j_count,
-            "ambient": ambient,
-        }
-    path = spec["path"]
-    if not path:
-        raise InputValidationError("custom model spec needs a file path")
+        return model, {"kind": kind, "n": n, "J": j_count, "ambient": ambient}
     try:
-        data = read_model_json(path)
+        data = read_model_json(spec["path"])
     except (OSError, json.JSONDecodeError) as exc:
-        raise InputValidationError(f"cannot read model file {path}: {exc}")
-    return model_from_dict(data), {"kind": "custom", "path": path}
+        raise InputValidationError(f"cannot read model file {spec['path']}: {exc}")
+    return model_from_dict(data), {"kind": kind, **spec}
 
 
-def _build_target(cfg: dict) -> tuple[fl.AnalyticTarget | None, dict | None]:
-    if cfg["target"] is None:
-        return None, None
-    kind, spec = _spec_fields(cfg["target"], "target", TARGET_FIELDS)
-    if kind == "exp_c":
-        return fl.exp_target(spec["c"]), {"kind": "exp_c", "c": spec["c"]}
-    return fl.pole_target(spec["a"]), {"kind": "pole_a", "a": spec["a"]}
-
-
-def _target_ambient_coef(model: FrameModel, model_info: dict, target) -> np.ndarray:
-    """Ambient coefficients of the function to reconstruct: the target's for
-    a Fourier-Legendre model (the config check requires one), else the fixed
-    unit vector with entries proportional to 1/(j+1).
+def _target_ambient_coef(model: FrameModel, target: fl.AnalyticTarget | None) -> np.ndarray:
+    """Ambient coefficients of the function to reconstruct: the target's (a
+    Fourier-Legendre model has one, and only it, by the config checks), else
+    the fixed unit vector with entries proportional to 1/(j+1).
     """
-    if model_info["kind"] == "fourier-legendre":
+    if target is not None:
         return target.fourier_coef(fl.frequencies(model.ambient_dim))
     f = 1.0 / np.arange(1.0, model.ambient_dim + 1.0)
     return (f / np.linalg.norm(f)).astype(complex)
 
 
-def _pick_n(cfg: dict, model: FrameModel, model_info: dict) -> int:
-    if cfg["n"] is not None:
-        n = cfg["n"]
-    elif model_info["kind"] == "fourier-legendre":
-        n = model.num_reconstruction
-    else:
-        n = min(4, model.num_reconstruction)
-    return n
+def _pick_n(cfg: dict, model: FrameModel) -> int:
+    """The resolved n, or for a custom model without one min(4, its columns)."""
+    return min(4, model.num_reconstruction) if cfg["n"] is None else cfg["n"]
 
 
 def _pick_m(cfg: dict, n: int) -> int:
@@ -399,7 +416,7 @@ def _emit(report: dict, cfg: dict, csv_payload: tuple[list, list] | None = None)
     text = dumps(report)
     sys.stdout.write(text)
     out = cfg["out"]
-    if out:
+    if out is not None:
         _write_text(f"{out}.json", text)
         if csv_payload is not None:
             header, rows = csv_payload
@@ -430,12 +447,12 @@ def _prob_entry(successes: int, trials: int) -> dict:
 # -- subcommand runners ----------------------------------------------------------
 
 def run_reconstruct(cfg: dict) -> None:
-    target, target_info = _build_target(cfg)
+    target, target_info = cfg["target"] or (None, None)
     model, model_info = _build_model(cfg)
-    n = _pick_n(cfg, model, model_info)
+    n = _pick_n(cfg, model)
     prof = leverage_profile(model, n, cfg["p_spec"])
     m = _pick_m(cfg, n)
-    f_coef = _target_ambient_coef(model, model_info, target)
+    f_coef = _target_ambient_coef(model, target)
     draw = draw_samples(prof, m, cfg["seed"])
     rep = reconstruct(model, prof, draw, f_coef)
     stability = range_stability_check(prof, draw)
@@ -468,9 +485,9 @@ def run_reconstruct(cfg: dict) -> None:
 
 
 def run_montecarlo(cfg: dict) -> None:
-    target, target_info = _build_target(cfg)
+    target, target_info = cfg["target"] or (None, None)
     model, model_info = _build_model(cfg)
-    n = _pick_n(cfg, model, model_info)
+    n = _pick_n(cfg, model)
     delta = cfg["delta"]
     trials = cfg["trials"]
     base_seed = cfg["seed"]
@@ -478,7 +495,7 @@ def run_montecarlo(cfg: dict) -> None:
     coh = coherence_profile(model, prof)
     m = _pick_m(cfg, n)
     eps = _pick_eps(cfg, prof)
-    f_coef = _target_ambient_coef(model, model_info, target)
+    f_coef = _target_ambient_coef(model, target)
 
     rows = []
     gram_exceed = cross_exceed = full_rank_count = stable_count = bound_fail = 0
@@ -546,25 +563,13 @@ def _median(values) -> float:
 
 
 def run_convergence(cfg: dict) -> None:
-    n_list = [4, 8, 12, 16, 20] if cfg["n"] is None else cfg["n"]
-    if not isinstance(n_list, list) or len(n_list) < 4:
-        raise InputValidationError("convergence sweep needs at least 4 n values")
+    n_list = cfg["n"]
     delta = cfg["delta"]
     trials = cfg["trials"]
     base_seed = cfg["seed"]
-    if cfg["target"] is None:
-        cfg = dict(cfg, target="pole_a:1.5")
-    target, target_info = _build_target(cfg)
-    if cfg["model"] is None:
-        cfg = dict(cfg, model=f"fl:n={max(n_list)}")
-    elif _spec_fields(cfg["model"], "model", MODEL_FIELDS)[0] not in FL_KINDS:
-        raise InputValidationError("convergence sweeps require a fourier-legendre model")
+    target, target_info = cfg["target"]
     model, model_info = _build_model(cfg)
-    if max(n_list) > model.num_reconstruction:
-        raise InputValidationError(
-            f"sweep max n={max(n_list)} exceeds model degrees {model.num_reconstruction}"
-        )
-    f_coef = _target_ambient_coef(model, model_info, target)
+    f_coef = _target_ambient_coef(model, target)
 
     rows = []
     medians = []
@@ -599,7 +604,7 @@ def run_convergence(cfg: dict) -> None:
 
 def run_leverage(cfg: dict) -> None:
     model, model_info = _build_model(cfg)
-    n = _pick_n(cfg, model, model_info)
+    n = _pick_n(cfg, model)
     prof = leverage_profile(model, n, cfg["p_spec"])
     vn2 = np.sum(np.abs(prof.v) ** 2, axis=0).real
     cum = np.cumsum(prof.p)
@@ -625,7 +630,7 @@ def run_leverage(cfg: dict) -> None:
 
 def run_bounds(cfg: dict) -> None:
     model, model_info = _build_model(cfg)
-    n = _pick_n(cfg, model, model_info)
+    n = _pick_n(cfg, model)
     delta = cfg["delta"]
     prof = leverage_profile(model, n, cfg["p_spec"])
     coh = coherence_profile(model, prof)
@@ -698,16 +703,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name in RUNNERS:
         cmd = sub.add_parser(name)
-        cmd.add_argument("--config", default=None)
-        cmd.add_argument("--out", default=None)
-        cmd.add_argument("--seed", type=int, default=None)
-        cmd.add_argument("--trials", type=int, default=None)
-        cmd.add_argument("--n", default=None)
-        cmd.add_argument("--m", type=int, default=None)
-        cmd.add_argument("--delta", type=float, default=None)
-        cmd.add_argument("--epsilon", type=float, default=None)
-        cmd.add_argument("--model", default=None)
-        cmd.add_argument("--target", default=None)
+        # Values stay strings here; _load_config checks them like config values.
+        for key in ["config", *FLAG_FIELDS]:
+            cmd.add_argument(f"--{key}")
     return parser
 
 

@@ -96,7 +96,6 @@ class FrameModel:
     w_coef: np.ndarray
     declared_bounds: tuple[float, float, float, float] | None
     sampling_is_orthonormal: bool
-    reconstruction_is_riesz: bool
     s_matrix: np.ndarray | None = None
     s_rows: np.ndarray | None = None
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -122,6 +121,13 @@ class FrameModel:
     @property
     def num_reconstruction(self) -> int:
         return self.w_coef.shape[1]
+
+    @cached_property
+    def reconstruction_is_riesz(self) -> bool:
+        """Whether the reconstruction columns have full column rank, from one
+        SVD of ``w_coef`` taken on first read."""
+        sv_w = np.linalg.svd(self.w_coef, compute_uv=False)
+        return bool(sv_w[0] > 0 and sv_w[-1] > default_rel_tol(self.w_coef) * sv_w[0])
 
 
 @dataclass(frozen=True)
@@ -236,11 +242,6 @@ def _distribution_digest(p: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(p, dtype=np.float64).tobytes()).hexdigest()[:16]
 
 
-def _is_riesz(w: np.ndarray) -> bool:
-    sv_w = np.linalg.svd(w, compute_uv=False)
-    return bool(sv_w[0] > 0 and sv_w[-1] > default_rel_tol(w) * sv_w[0])
-
-
 def _check_bounds(raw) -> tuple[float, float, float, float]:
     """(A, B, C, D) from four finite numbers or numeric strings with
     0 < A <= B and 0 < C <= D; anything else, a string too, is rejected
@@ -282,7 +283,6 @@ def build_frame_model(s_coef, w_coef, declared_bounds=None) -> FrameModel:
         w_coef=_frozen(w),
         declared_bounds=declared_bounds,
         sampling_is_orthonormal=orthonormal,
-        reconstruction_is_riesz=_is_riesz(w),
         s_matrix=_frozen(s),
     )
 
@@ -304,7 +304,6 @@ def build_selection_model(rows, w_coef) -> FrameModel:
         w_coef=_frozen(w.copy(order="K")),
         declared_bounds=None,
         sampling_is_orthonormal=True,
-        reconstruction_is_riesz=_is_riesz(w),
         s_rows=_frozen(r.astype(np.int64)),
     )
 

@@ -16,6 +16,10 @@ from stochsamp.sampling import build_frame_model
 from stochsamp.serialize import model_to_dict
 
 
+# fl:n=4,ambient=301,max_defect=0.05 as the config resolves it.
+FL_4_RESOLVED = ("fourier-legendre", {"n": 4, "ambient": 301, "J": None, "max_defect": 0.05})
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
@@ -139,6 +143,17 @@ class TestSpecKeys:
         assert captured.out == ""
         assert f"{key} must be" in captured.err
 
+    @pytest.mark.parametrize("name", ["model", "target"])
+    @pytest.mark.parametrize("kind", [[1], {"a": 1}, 5])
+    def test_config_spec_kind_must_be_a_name(self, capsys, tmp_path, name, kind):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({name: {"kind": kind}}))
+        code = main(["mc-gram", "--config", str(cfg)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert f"unknown {name} kind {kind!r}" in captured.err
+
     @pytest.mark.parametrize("command", ["reconstruct", "mc-gram"])
     def test_target_built_before_model(self, capsys, command):
         # The spec parses; the target itself is invalid (pole inside [-1, 1]).
@@ -215,7 +230,11 @@ class TestUnusedFields:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(wrote))
         loaded = cli._load_config(cli._build_parser().parse_args([command, "--config", str(cfg)]))
-        assert {key: loaded[key] for key in wrote} == wrote
+        # The specs are kept in their resolved forms.
+        resolved = dict(wrote, model=FL_4_RESOLVED)
+        if "target" in wrote:
+            resolved["target"] = (cli.fl.exp_target(1.0), {"kind": "exp_c", "c": 1.0})
+        assert {key: loaded[key] for key in wrote} == resolved
 
 
 class TestLoadChecks:
@@ -280,7 +299,14 @@ class TestLoadChecks:
 
     def test_target_on_a_convergence_sweep_accepted(self):
         args = cli._build_parser().parse_args(["convergence", "--target", "exp_c:2"])
-        assert cli._load_config(args)["target"] == "exp_c:2"
+        assert cli._load_config(args)["target"] == (cli.fl.exp_target(2.0), {"kind": "exp_c", "c": 2.0})
+
+    def test_sweep_defaults_resolved_at_load(self):
+        cfg = cli._load_config(cli._build_parser().parse_args(["convergence"]))
+        assert cfg["n"] == [4, 8, 12, 16, 20]
+        assert cfg["model"] == ("fourier-legendre", {"n": 20, "ambient": 2001, "J": None,
+                                                     "max_defect": 1e-2})
+        assert cfg["target"] == (cli.fl.pole_target(1.5), {"kind": "pole_a", "a": 1.5})
 
     @pytest.mark.parametrize("command", ["reconstruct", "mc-gram", "convergence"])
     def test_m_above_the_ceiling_rejected(self, capsys, command):
@@ -310,8 +336,13 @@ class TestLoadChecks:
 
     @pytest.mark.parametrize("command", ["leverage", "bounds", "convergence"])
     def test_fl_model_without_target_accepted_where_none_is_read(self, command):
-        args = cli._build_parser().parse_args([command, "--model", "fl:n=10"])
-        assert cli._load_config(args)["target"] is None
+        # The default sweep reaches n = 20, and its default target is pole_a:1.5.
+        args = cli._build_parser().parse_args([command, "--model", "fl:n=20"])
+        target = cli._load_config(args)["target"]
+        if command == "convergence":
+            assert target == (cli.fl.pole_target(1.5), {"kind": "pole_a", "a": 1.5})
+        else:
+            assert target is None
 
     @pytest.mark.parametrize("spec,key,ceiling", [
         ("identity:3001", "dim", "3000"),
@@ -327,10 +358,41 @@ class TestLoadChecks:
         err = self.rejected(capsys, tmp_path, command, {"model": spec})
         assert f"{key} must be at most {ceiling}" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["leverage", "--model", "identity:8", "--n", "9"],
+        ["leverage", "--model", "fl:n=10", "--n", "11"],
+        ["convergence", "--model", "fl:n=10", "--n", "4,8,12,16"],
+        ["convergence", "--model", "fl:n=10"],  # the default sweep reaches 20
+    ])
+    def test_n_above_the_model_columns_rejected(self, capsys, no_builders, argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "n must lie in [1, " in captured.err
+
+    @pytest.mark.parametrize("out", [5, True, ""])
+    def test_out_must_be_a_nonempty_string(self, capsys, tmp_path, monkeypatch, out):
+        monkeypatch.chdir(tmp_path)
+        err = self.rejected(capsys, tmp_path, "mc-gram",
+                            {"model": "identity:8", "trials": 50, "out": out})
+        assert "out must be null or a nonempty path prefix" in err
+        assert os.listdir(tmp_path) == ["cfg.json"]
+
+    def test_out_in_a_missing_directory_rejected(self, capsys, tmp_path):
+        err = self.rejected(capsys, tmp_path, "mc-gram", {"model": "identity:8", "trials": 50},
+                            "--out", str(tmp_path / "missing" / "run"))
+        assert "out must be null or a nonempty path prefix whose directory exists" in err
+        assert os.listdir(tmp_path) == ["cfg.json"]
+
     def test_models_at_their_ceilings_accepted(self):
-        for spec in ("identity:3000", "fl:n=100,ambient=100001"):
+        for spec, resolved in (
+            ("identity:3000", ("identity", {"dim": 3000})),
+            ("fl:n=100,ambient=100001",
+             ("fourier-legendre", {"n": 100, "ambient": 100_001, "J": None, "max_defect": 1e-2})),
+        ):
             args = cli._build_parser().parse_args(["leverage", "--model", spec])
-            assert cli._load_config(args)["model"] == spec
+            assert cli._load_config(args)["model"] == resolved
         assert (cli.IDENTITY_DIM_MAX, cli.FL_N_MAX, cli.FL_AMBIENT_MAX) == (3000, 100, 100_001)
 
 
@@ -350,11 +412,49 @@ def test_spec_forms_give_the_same_model_info(capsys, tmp_path):
 
 
 def test_identity_model_is_a_selection():
-    model, info = cli._build_model({"model": "identity:5"})
+    args = cli._build_parser().parse_args(["leverage", "--model", "identity:5"])
+    model, info = cli._build_model(cli._load_config(args))
     assert info == {"kind": "identity", "dim": 5}
     assert model.s_matrix is None
     assert np.array_equal(model.s_rows, np.arange(5))
     assert np.array_equal(model.s_coef, np.eye(5)) and np.array_equal(model.w_coef, np.eye(5))
+
+
+SMALL_FL = "fl:n=7,ambient=301,max_defect=0.05"
+
+
+@pytest.mark.parametrize("argv", [
+    ["mc-gram", "--model", SMALL_FL, "--target", "exp_c:1", "--trials", "2"],
+    ["reconstruct", "--model", SMALL_FL, "--target", "pole_a:2"],
+    ["convergence", "--model", SMALL_FL, "--n", "4,5,6,7", "--trials", "2"],
+    ["convergence", "--n", "4,5,6,7", "--trials", "1"],
+    ["leverage", "--model", SMALL_FL],
+    ["bounds"],
+    ["mc-gram", "--model", "identity:4", "--trials", "2"],
+])
+def test_each_spec_parsed_and_target_built_once(capsys, monkeypatch, argv):
+    parsed = []
+    spec_fields = cli._spec_fields
+    monkeypatch.setattr(cli, "_spec_fields",
+                        lambda spec, name, kinds: parsed.append(name) or spec_fields(spec, name, kinds))
+    built = []
+    target_type = cli.fl.AnalyticTarget
+    monkeypatch.setattr(cli.fl, "AnalyticTarget", lambda **kw: built.append(kw) or target_type(**kw))
+    assert main(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert parsed.count("model") == 1
+    reads_target = report.get("target") is not None
+    assert parsed.count("target") == len(built) == reads_target
+
+
+def test_custom_model_n_checked_against_its_columns(capsys, tmp_path):
+    path = tmp_path / "frame.json"
+    path.write_text(json.dumps(model_to_dict(build_frame_model(np.eye(3), np.eye(3)[:, :2]))))
+    code = main(["leverage", "--model", f"custom:{path}", "--n", "3"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "n must lie in [1, 2], got 3" in captured.err
 
 
 class TestDeclaredBounds:
@@ -579,7 +679,8 @@ class TestConvergence:
                             lambda n, j, amb, max_defect: small(n, 301, 301, max_defect=0.05))
         code, report = run(capsys, "convergence", "--n", "4,5,6,7", "--trials", "2")
         assert code == 0
-        assert built == ["fl:n=7"]
+        assert built == [("fourier-legendre",
+                          {"n": 7, "ambient": 2001, "J": None, "max_defect": 1e-2})]
         assert report["model"]["kind"] == "fourier-legendre"
 
     def test_default_model_above_the_ceiling_rejected(self, capsys, monkeypatch):
@@ -633,6 +734,9 @@ class TestInputValidation:
         ("--seed", "-1", "seed"),
         ("--trials", "0", "trials"),
         ("--m", "0", "m"),
+        ("--m", "1.5", "m"),
+        ("--seed", "x", "seed"),
+        ("--delta", "abc", "delta"),
     ])
     def test_flag_rejected(self, capsys, command, flag, value, field):
         code = main([command, "--model", "fl:n=10,ambient=301,max_defect=0.05",

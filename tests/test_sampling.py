@@ -11,6 +11,7 @@ from stochsamp.errors import (
 from stochsamp.linalg import operator_norm
 from stochsamp.sampling import (
     build_frame_model,
+    build_selection_model,
     christoffel_profile,
     coherence_profile,
     cross_term_matrix,
@@ -52,6 +53,19 @@ class TestBuildFrameModel:
         w[:, 2] = w[:, 0]
         model = build_frame_model(np.eye(5), w)
         assert not model.reconstruction_is_riesz
+
+    def test_riesz_flag_taken_on_first_read(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an SVD was taken at build")
+
+        monkeypatch.setattr(np.linalg, "svd", refuse)
+        w = np.eye(5)[:, :3]
+        w[:, 2] = w[:, 0]
+        selection = build_selection_model(np.arange(4), np.eye(4))
+        dense = build_frame_model(np.eye(5), w)
+        monkeypatch.undo()
+        assert selection.reconstruction_is_riesz
+        assert not dense.reconstruction_is_riesz
 
     def test_row_count_mismatch(self):
         with pytest.raises(InputValidationError):
