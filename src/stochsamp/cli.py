@@ -33,7 +33,7 @@ from .errors import InputValidationError, NumericalAccuracyError
 from .linalg import operator_norm
 from .sampling import (
     FrameModel,
-    build_selection_model,
+    _selection_model,
     coherence_profile,
     cross_term_deviation,
     draw_samples,
@@ -167,9 +167,10 @@ def _load_config(args: argparse.Namespace) -> dict:
 M_MAX = 1_000_000
 
 # Ceilings on the model sizes a spec may ask for, checked with its fields:
-# identity:DIM builds DIM x DIM complex arrays of 16 DIM^2 bytes (144 MB at
-# the ceiling), and fl:n=N,ambient=A builds A x N tables of 16 A N bytes
-# (160 MB at both ceilings, the size of one m x 10 design at M_MAX).
+# identity:DIM builds one DIM x DIM complex array of 16 DIM^2 bytes (144 MB
+# at the ceiling; leverage on identity:3000 peaks at 181 MB resident), and
+# fl:n=N,ambient=A builds A x N tables of 16 A N bytes (160 MB at both
+# ceilings, the size of one m x 10 design at M_MAX).
 IDENTITY_DIM_MAX = 3000
 FL_N_MAX = 100
 FL_AMBIENT_MAX = 100_001
@@ -348,7 +349,8 @@ def _build_model(cfg: dict) -> tuple[FrameModel, dict]:
     kind, spec = cfg["model"]
     if kind == "identity":
         dim = spec["dim"]
-        return build_selection_model(np.arange(dim), np.eye(dim)), {"kind": kind, **spec}
+        model = _selection_model(np.arange(dim), np.eye(dim, dtype=complex))
+        return model, {"kind": kind, **spec}
     if kind == "fourier-legendre":
         n, ambient = spec["n"], spec["ambient"]
         j_count = spec["J"] or ambient

@@ -19,7 +19,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InputValidationError, NumericalAccuracyError, TruncationError
-from .sampling import FrameModel, build_selection_model
+from .sampling import FrameModel, _selection_model
 
 __all__ = [
     "frequencies",
@@ -311,4 +311,4 @@ def build_fl_model(
             f"ambient={ambient} leaves a column defect of {worst:.3e} "
             f"(> {max_defect:.1e}); increase ambient"
         )
-    return build_selection_model(np.arange(J), w_coef)
+    return _selection_model(np.arange(J), w_coef)

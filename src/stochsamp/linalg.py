@@ -2,8 +2,10 @@
 
 Everything here runs through one SVD backbone (``numpy.linalg.svd``) so that
 operator norms, pseudo-inverses, projectors and least-squares solves all share
-a single rank decision.  Matrices are plain ``numpy.ndarray`` with complex
-entries; all functions are pure and never mutate their inputs.
+a single rank decision.  The norm of an exactly Hermitian matrix comes from
+its eigenvalues (``numpy.linalg.eigvalsh``) instead, which decide no rank.
+Matrices are plain ``numpy.ndarray`` with complex entries; all functions are
+pure and never mutate their inputs.
 """
 
 from __future__ import annotations
@@ -46,9 +48,20 @@ def as_matrix(a, *, name: str = "matrix") -> np.ndarray:
 
 
 def operator_norm(a) -> float:
-    """Largest singular value of ``a`` (the spectral norm)."""
+    """Largest singular value of ``a`` (the spectral norm).  A square ``a``
+    equal to its conjugate transpose, entry for entry, takes
+    :func:`_hermitian_norm`; every other input the SVD."""
     m = as_matrix(a)
+    if m.shape[0] == m.shape[1] and np.array_equal(m, m.conj().T):
+        return _hermitian_norm(m)
     return float(np.linalg.svd(m, compute_uv=False)[0])
+
+
+def _hermitian_norm(h: np.ndarray) -> float:
+    """Spectral norm of a Hermitian matrix, max(|lambda_min|, |lambda_max|),
+    from its eigenvalues; never negative, not even -0.0."""
+    eigs = np.linalg.eigvalsh(h)
+    return float(max(abs(eigs[0]), abs(eigs[-1])))
 
 
 def svd_with_rank(m: np.ndarray, rel_tol: float | None = None):
@@ -97,9 +110,15 @@ def minimal_norm_lsq(design, rhs, rel_tol: float | None = None) -> np.ndarray:
         )
     if not np.all(np.isfinite(b.real)) or not np.all(np.isfinite(b.imag)):
         raise InputValidationError("rhs contains non-finite entries")
-    u, s, vh, r = svd_with_rank(m, rel_tol)
+    return _lsq_from_svd(*svd_with_rank(m, rel_tol), b)
+
+
+def _lsq_from_svd(u: np.ndarray, s: np.ndarray, vh: np.ndarray, r: int,
+                  b: np.ndarray) -> np.ndarray:
+    """Minimal-norm least-squares solution for right-hand side ``b`` from the
+    output of :func:`svd_with_rank` (the zero vector when r = 0)."""
     if r == 0:
-        return np.zeros(m.shape[1], dtype=complex)
+        return np.zeros(vh.shape[1], dtype=complex)
     return vh[:r].conj().T @ ((u[:, :r].conj().T @ b) / s[:r])
 
 

@@ -22,12 +22,12 @@ import numpy as np
 
 from .errors import DegenerateModelError, InputValidationError, SupportViolationError
 from .linalg import (
+    _hermitian_norm,
+    _lsq_from_svd,
     as_matrix,
     default_rel_tol,
-    minimal_norm_lsq,
     operator_norm,
     pinv_from_svd,
-    projector_from_columns,
     projector_from_svd,
     pseudo_inverse,
     svd_with_rank,
@@ -147,8 +147,9 @@ class LeverageProfile:
     For columns that are not unit-norm it is only that formula: it measures
     how far trace(sigma) is from n and can be negative.
 
-    The digest, the sampling CDF and the projector onto the range of sigma
-    are memoized on the profile; the memo takes no part in equality.
+    The digest, the sampling CDF and the rank of sigma with the projector
+    onto its range are memoized on the profile; the memo takes no part in
+    equality.
     """
 
     n: int
@@ -274,11 +275,11 @@ def build_frame_model(s_coef, w_coef, declared_bounds=None) -> FrameModel:
     if declared_bounds is not None:
         declared_bounds = _check_bounds(declared_bounds)
 
-    gram_s = s.conj().T @ s
-    # Frobenius dominates the spectral norm, so this is a conservative test.
-    orthonormal = bool(
-        np.linalg.norm(gram_s - np.eye(s.shape[1])) <= 1e-8
-    )
+    # S^H S - I, with I subtracted in place.  Frobenius dominates the
+    # spectral norm, so this is a conservative test.
+    defect = s.conj().T @ s
+    defect.flat[:: s.shape[1] + 1] -= 1.0
+    orthonormal = bool(np.linalg.norm(defect) <= 1e-8)
     return FrameModel(
         w_coef=_frozen(w),
         declared_bounds=declared_bounds,
@@ -290,7 +291,15 @@ def build_frame_model(s_coef, w_coef, declared_bounds=None) -> FrameModel:
 def build_selection_model(rows, w_coef) -> FrameModel:
     """Frame model whose sampling vectors are ambient basis vectors,
     s_j = e_{rows[j]} (0-based, distinct), so they are orthonormal by
-    construction and no dense sampling matrix is ever formed."""
+    construction and no dense sampling matrix is ever formed.  The model
+    keeps a copy of the caller's w_coef."""
+    return _selection_model(rows, np.array(w_coef, dtype=complex))
+
+
+def _selection_model(rows, w_coef: np.ndarray) -> FrameModel:
+    """:func:`build_selection_model` on a complex w_coef the caller hands
+    over: it is checked and frozen, not copied, so the caller must not keep
+    it."""
     w = as_matrix(w_coef, name="w_coef")
     r = np.asarray(rows)
     if r.ndim != 1 or r.size == 0 or not np.issubdtype(r.dtype, np.integer):
@@ -301,7 +310,7 @@ def build_selection_model(rows, w_coef) -> FrameModel:
     if np.any(srt[1:] == srt[:-1]):
         raise InputValidationError("rows must be distinct")
     return FrameModel(
-        w_coef=_frozen(w.copy(order="K")),
+        w_coef=_frozen(w),
         declared_bounds=None,
         sampling_is_orthonormal=True,
         s_rows=_frozen(r.astype(np.int64)),
@@ -654,13 +663,6 @@ def empirical_cross_term(
     return _frozen(_per_n(model, prof.n).cross(kern.vw, cols=kern.sel))
 
 
-def _hermitian_norm(h: np.ndarray) -> float:
-    """Spectral norm of a Hermitian matrix, max(|lambda_min|, |lambda_max|),
-    from its eigenvalues; never negative, not even -0.0."""
-    eigs = np.linalg.eigvalsh(h)
-    return float(max(abs(eigs[0]), abs(eigs[-1])))
-
-
 def _wide_norm(a: np.ndarray) -> float:
     """Spectral norm of an n x N matrix from the top eigenvalue of its n x n
     Gram a a^H; the Gram is of ``a`` itself, so nothing cancels."""
@@ -798,7 +800,8 @@ def _solve(model: FrameModel, prof: LeverageProfile, draw: SampleDraw, tgt: _Per
 
     Row t of the design is (m p_{i_t})^{-1/2} v_{i_t}^H with matching weighted
     right-hand side; the minimal-norm solve covers both the invertible and the
-    rank-deficient (pseudo-inverse) path.
+    rank-deficient (pseudo-inverse) path.  Both are built from the profile's
+    v and p and the target's checked f, so neither is scanned again.
     """
     idx = draw.indices
     wts = 1.0 / np.sqrt(draw.m * prof.p[idx])
@@ -808,7 +811,7 @@ def _solve(model: FrameModel, prof: LeverageProfile, draw: SampleDraw, tgt: _Per
         rhs = wts * tgt.shf[idx]
     else:
         rhs = wts * tgt.f[model.s_rows[idx]]
-    x = minimal_norm_lsq(design, rhs)
+    x = _lsq_from_svd(*svd_with_rank(design), rhs)
     f_tilde = model.w_coef[:, : prof.n] @ x
     return design, rhs, x, f_tilde, float(np.linalg.norm(tgt.f - f_tilde))
 
@@ -882,14 +885,25 @@ def christoffel_profile(prof: LeverageProfile) -> ChristoffelProfile:
 
 def range_stability_check(prof: LeverageProfile, draw: SampleDraw) -> RangeStability:
     """Compare the ranges of the empirical and limiting Gram sections through
-    their orthogonal projectors."""
+    their orthogonal projectors P_hat and P, of ranks r_hat and r.
+
+    Orthogonal projectors of different ranks are at distance exactly 1, and
+    two of rank n are both the identity, so those draws take no eigensolve.
+    Only equal ranks below n form P_hat - P, whose norm comes from the
+    extreme eigenvalues of the Hermitian difference.  The rank and projector
+    of sigma come from one rank-revealing SVD, memoized on the profile.
+    """
     kern = _draw_kernel(prof, draw)
-    p_hat = projector_from_svd(kern.u, kern.rank)
-    if "range_projector" not in prof._memo:
-        prof._memo["range_projector"] = _frozen(projector_from_columns(prof.sigma))
-    # Both projectors are exact by construction (the kernel's SVD and a
-    # memoized rank-revealing SVD), so the checks of linalg.range_distance,
-    # three SVDs per projector, are not repeated for every draw; their
-    # difference is Hermitian.
-    dist = _hermitian_norm(p_hat - prof._memo["range_projector"])
+    if "range" not in prof._memo:
+        u, _, _, r = svd_with_rank(prof.sigma)
+        prof._memo["range"] = (r, _frozen(projector_from_svd(u, r)))
+    rank, proj = prof._memo["range"]
+    if kern.rank != rank:
+        return RangeStability(equal=False, distance=1.0)
+    if rank == prof.n:
+        return RangeStability(equal=True, distance=0.0)
+    # Both projectors are exact by construction (the kernel's SVD and the
+    # memoized one), so the checks of linalg.range_distance, three SVDs per
+    # projector, are not repeated for every draw.
+    dist = _hermitian_norm(projector_from_svd(kern.u, kern.rank) - proj)
     return RangeStability(equal=bool(dist < 1e-6), distance=dist)

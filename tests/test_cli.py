@@ -326,7 +326,7 @@ class TestLoadChecks:
             raise AssertionError("a model was built for a rejected config")
 
         monkeypatch.setattr(cli.fl, "build_fl_model", refuse)
-        monkeypatch.setattr(cli, "build_selection_model", refuse)
+        monkeypatch.setattr(cli, "_selection_model", refuse)
 
     @pytest.mark.parametrize("command", ["reconstruct", "mc-gram"])
     @pytest.mark.parametrize("model", ["fl:n=10,ambient=20001", {"kind": "fourier-legendre"}])
@@ -394,6 +394,25 @@ class TestLoadChecks:
             args = cli._build_parser().parse_args(["leverage", "--model", spec])
             assert cli._load_config(args)["model"] == resolved
         assert (cli.IDENTITY_DIM_MAX, cli.FL_N_MAX, cli.FL_AMBIENT_MAX) == (3000, 100, 100_001)
+
+
+def test_identity_at_its_ceiling_builds_one_dense_array():
+    # One 144 MB complex identity, kept by the model as built: the process
+    # peaks below 250 MB (three such arrays were once alive at a time).  The
+    # peak is VmHWM, which starts afresh at exec; ru_maxrss would carry the
+    # size of the test process the child was forked from (Linux only).
+    src = os.path.dirname(os.path.dirname(os.path.abspath(stochsamp.__file__)))
+    code = ("import io, contextlib, re\n"
+            "from stochsamp.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = main(['leverage', '--model', 'identity:3000', '--n', '4'])\n"
+            "status = open('/proc/self/status').read()\n"
+            "print(code, int(re.search(r'VmHWM:\\s*(\\d+) kB', status).group(1)) / 1024)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    code, peak_mb = proc.stdout.split()
+    assert code == "0" and float(peak_mb) < 250.0
 
 
 def test_spec_forms_give_the_same_model_info(capsys, tmp_path):

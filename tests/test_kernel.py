@@ -40,6 +40,7 @@ from stochsamp.sampling import (
     reconstruct,
     reconstruction_error,
 )
+from stochsamp.serialize import model_to_dict
 
 REL = 1e-12
 
@@ -153,6 +154,64 @@ def test_range_distance_without_projector_checks(case, monkeypatch):
     monkeypatch.setattr(sampling, "operator_norm", refuse)
     for draw, ref in zip(draws, want):
         assert abs(range_stability_check(prof, draw).distance - ref) <= 1e-14
+
+
+def random_selection(repeat: bool):
+    """Selection on 12 coordinates with a random W_4; with ``repeat`` its
+    last column repeats the first, so sigma has rank 3 < n = 4."""
+    rng = np.random.default_rng(4)
+    w = rng.standard_normal((12, 4)) + 1j * rng.standard_normal((12, 4))
+    if repeat:
+        w[:, 3] = w[:, 0]
+    return build_selection_model(np.arange(12), w)
+
+
+@pytest.mark.parametrize("rule, repeat, m", [
+    ("ranks differ", True, 2),
+    ("both full", False, 40),
+    ("equal below n", True, 40),
+])
+def test_range_check_decides_from_the_ranks(rule, repeat, m, monkeypatch):
+    # Agrees with linalg.range_distance of the explicit projectors; only
+    # equal ranks below n take an eigensolve.
+    prof = leverage_profile(random_selection(repeat), 4)
+    limit = projector_from_columns(prof.sigma)
+    rank = np.linalg.matrix_rank(limit)
+    eigvalsh, calls = np.linalg.eigvalsh, []
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda *a: calls.append(1) or eigvalsh(*a))
+    for seed in range(6):
+        draw = draw_samples(prof, m, seed)
+        kern = sampling._draw_kernel(prof, draw)
+        assert {"ranks differ": kern.rank != rank, "both full": kern.rank == rank == 4,
+                "equal below n": kern.rank == rank == 3}[rule]
+        ref = range_distance(projector_from_svd(kern.u, kern.rank), limit)
+        calls.clear()
+        got = range_stability_check(prof, draw)
+        assert got.equal == (ref < 1e-6)
+        assert abs(got.distance - ref) <= 1e-14
+        assert len(calls) == (rule == "equal below n")
+
+
+@pytest.mark.parametrize("model", ["identity:12", "fl:n=6,ambient=301,max_defect=0.05", "custom"])
+def test_a_trial_takes_two_svds(model, tmp_path, monkeypatch, capsys):
+    # One SVD of G_hat and one of the weighted design per trial: the
+    # difference between runs of 9 and 4 trials is 10 SVDs.
+    args = ["--n", "4", "--m", "6"]
+    if model == "custom":
+        frame = tmp_path / "frame.json"
+        frame.write_text(json.dumps(model_to_dict(unitary_frame(ambient=64, n=8))))
+        model = f"custom:{frame}"
+    elif model.startswith("fl"):
+        args = ["--target", "exp_c:1", "--m", "12"]
+    svd, calls = np.linalg.svd, []
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+    counts = []
+    for trials in (4, 9):
+        calls.clear()
+        assert cli.main(["mc-gram", "--model", model, *args, "--trials", str(trials)]) == 0
+        counts.append(len(calls))
+    capsys.readouterr()
+    assert counts[1] - counts[0] == 2 * 5
 
 
 def near_w_model(spread):
@@ -344,9 +403,9 @@ def test_kernel_is_computed_once_per_profile_and_draw(monkeypatch):
     model = build_fl_model(10, 301, 301, max_defect=0.05)
     prof = leverage_profile(model, 10)
     draw = draw_samples(prof, 40, 1)
-    unique = np.unique
+    kernel = sampling._DrawKernel
     calls = []
-    monkeypatch.setattr(sampling.np, "unique", lambda *a, **k: calls.append(1) or unique(*a, **k))
+    monkeypatch.setattr(sampling, "_DrawKernel", lambda **k: calls.append(1) or kernel(**k))
     f = exp_target(1.0).fourier_coef(frequencies(301))
     reconstruct(model, prof, draw, f)
     cross_term_deviation(model, prof, draw)

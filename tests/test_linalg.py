@@ -38,6 +38,57 @@ class TestOperatorNorm:
             operator_norm(np.zeros((0, 3)))
 
 
+def hermitian(rng, kind, size):
+    """An exactly Hermitian matrix: (h + h^H) / 2 is, in floating point."""
+    a = random_complex(rng, size, size)
+    if kind == "psd":
+        h = a @ a.conj().T
+    elif kind == "indefinite":
+        h = a + a.conj().T
+    elif kind == "real":
+        h = a.real + a.real.T
+    else:
+        h = np.zeros((size, size), dtype=complex)
+    return (h + h.conj().T) / 2.0
+
+
+def counting_svd(monkeypatch):
+    """Patch np.linalg.svd to record its calls; returns the call list."""
+    svd, calls = np.linalg.svd, []
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+    return calls
+
+
+class TestOperatorNormHermitianPath:
+    @pytest.mark.parametrize("kind", ["psd", "indefinite", "real", "zero"])
+    @pytest.mark.parametrize("size", [1, 2, 7, 40])
+    def test_agrees_with_the_svd_and_takes_none(self, kind, size, monkeypatch):
+        h = hermitian(np.random.default_rng(size), kind, size)
+        want = float(np.linalg.svd(h, compute_uv=False)[0])
+        calls = counting_svd(monkeypatch)
+        got = operator_norm(h)
+        assert not calls
+        assert abs(got - want) <= 1e-14 * want
+        assert got >= 0.0 and np.copysign(1.0, got) == 1.0
+
+    @pytest.mark.parametrize("value", [3.0, -2.5, 0.0, -0.0])
+    def test_one_by_one(self, value):
+        assert operator_norm([[value]]) == abs(value)
+
+    @pytest.mark.parametrize("a", [
+        np.array([[1j]]),                       # 1 x 1, not self-adjoint
+        np.array([[0.0, 2.0], [0.0, 0.0]]),     # nilpotent
+        np.array([[1.0, 2.0], [2.0 + 1e-16j, 1.0]]),
+        np.arange(6.0).reshape(2, 3),           # rectangular
+        np.arange(6.0).reshape(3, 2) * 1j,
+    ])
+    def test_other_inputs_take_the_svd(self, a, monkeypatch):
+        want = float(np.linalg.svd(a, compute_uv=False)[0])
+        calls = counting_svd(monkeypatch)
+        assert operator_norm(a) == want
+        assert len(calls) == 1
+
+
 class TestPseudoInverse:
     def test_identity(self):
         assert np.allclose(pseudo_inverse(np.eye(4)), np.eye(4))
