@@ -3,6 +3,7 @@ arrays against ``json.load`` + ``model_from_dict``, its fallback on every
 other input, CLI errors identical to those with json.load, and its memory
 ceiling."""
 
+import decimal
 import json
 import os
 import threading
@@ -158,6 +159,8 @@ def test_key_order_and_nesting(tmp_path):
     '{"type": "FrameModel", "s_coef": [[["1","0"]]], "w_coef": [[["1","0"]]]}\n{}',
     # The only "s_coef" is not a top-level key.
     '{"type": "FrameModel", "x": {"s_coef": [[["1","0"]]]}, "w_coef": [[["1","0"]]]}',
+    # json.load keeps the last of two equal keys.
+    '{"type": "FrameModel", "s_coef": [[["1","0"]]], "w_coef": [[["1","0"]]], "s_coef": null}',
     # The top-level key is spelled with an escape; json.load reads it as s_coef.
     '{"type": "FrameModel", "s\\u005fcoef": null, "x": {"s_coef": [[["1","0"]]]},'
     ' "w_coef": [[["1","0"]]]}',
@@ -186,16 +189,19 @@ def test_entries_outside_the_fast_form_fall_back(tmp_path, entry):
 def test_partial_parse_falls_back(tmp_path, monkeypatch, warn):
     # numpy 1.x: on text it cannot read to the end, np.fromstring warns (a
     # DeprecationWarning) and returns the values read so far.
-    def fromstring(text, sep):
+    def fromstring(text, dtype=float, sep=""):
+        calls.append(dtype)
         if warn:
             warnings.warn("string or file could not be read to its end", DeprecationWarning)
-        return np.ones(3)
+        return np.ones(3, dtype)
 
+    calls = []
     path = tmp_path / "frame.json"
     path.write_text('{"type": "FrameModel", "s_coef": [[["1", "0"], ["1", "0"]]],'
                     ' "w_coef": [[["1", "0"]]]}')
     monkeypatch.setattr(np, "fromstring", fromstring)
     assert read_fast(path) is None
+    assert calls
 
 
 @pytest.mark.parametrize("entry", ['"1."', '".5"', '"+1"', '"-0"', '"00012"', '"1E+3"',
@@ -209,6 +215,138 @@ def test_float_syntax_beyond_json_numbers(tmp_path, entry):
     assert isinstance(data["s_coef"], np.ndarray)
     ref = np.asarray(json_load(path)["s_coef"], dtype=float)
     assert data["s_coef"].tobytes() == ref.tobytes()
+
+
+def float_corpus(count=100_000, seed=11):
+    """Decimal number tokens that stress correct rounding, grouped by kind:
+    ``.17g`` and ``repr`` of random bit patterns, exact midpoints between
+    adjacent doubles written in full, decimals 1e-20 to 1e-40 (relative) from
+    such a midpoint, subnormals and their midpoints, overflow, underflow and
+    short forms."""
+    rng = np.random.default_rng(seed)
+    exact = decimal.Context(prec=2000)
+    k = count // 8 + 100
+
+    def random_doubles(subnormal=False):
+        bits = rng.integers(0, 2**63, size=k, dtype=np.uint64) << np.uint64(1)
+        bits |= rng.integers(0, 2, size=k, dtype=np.uint64)
+        if subnormal:
+            bits &= np.uint64(0x800FFFFFFFFFFFFF)
+        x = bits.view(np.float64)
+        return x[np.isfinite(x)].tolist()
+
+    def moderate():
+        return (rng.standard_normal(k) * 2.0 ** rng.integers(-60, 61, k)).tolist()
+
+    def midpoint(x):
+        return exact.divide(exact.add(decimal.Decimal(x), decimal.Decimal(np.nextafter(x, 1e300))), 2)
+
+    near = [
+        decimal.Context(prec=70).fma(m, decimal.Decimal(sign).scaleb(-offset), m)
+        for m, offset, sign in zip(map(midpoint, moderate()), rng.integers(20, 41, k).tolist(),
+                                   rng.choice([-1, 1], k).tolist())
+    ]
+    edge = ["1e309", "-1.8e308", "1.7976931348623158e308", "1.7976931348623159e308", "1e999",
+            "-1e5000", "1e-400", "-1e-5000", "2.4703282292062327e-324", "2.4703282292062328e-324",
+            "8.98846567431158e307", "0", "-0", "1", "+1", ".5", "1.", "00012", "1E+3", "-1e-3",
+            "123456789012345678901234567890", "0.1", "9007199254740993"]
+    kinds = [
+        [format(x, ".17g") for x in random_doubles()],
+        [repr(x) for x in random_doubles()],
+        [str(midpoint(x)) for x in moderate()],
+        [format(x, "e") for x in near],
+        [format(x, ".17g") if i % 2 else repr(x)
+         for i, x in enumerate(random_doubles(subnormal=True))],
+        # Subnormal midpoints run to 770 digits; an eighth of these are.
+        [str(midpoint(x)) if i % 8 == 0 else format(x, ".17g")
+         for i, x in enumerate(random_doubles(subnormal=True))],
+        [edge[i % len(edge)] for i in range(k)],
+        [str(i) for i in rng.integers(-10**12, 10**12, k).tolist()],
+    ]
+    return [t for kind in kinds for t in kind[:count // len(kinds)]]
+
+
+@pytest.fixture(scope="module")
+def corpus():
+    tokens = float_corpus()
+    return tokens, np.array([float(t) for t in tokens])
+
+
+def write_tokens(path, tokens, cols=200):
+    pairs = [f'["{re}","{im}"]' for re, im in zip(tokens[0::2], tokens[1::2])]
+    rows = ["[" + ",".join(pairs[i:i + cols]) + "]" for i in range(0, len(pairs), cols)]
+    path.write_text('{"type": "FrameModel", "s_coef": [%s],\n"w_coef": [[["1", "0"]]]}'
+                    % ",\n".join(rows))
+
+
+@pytest.mark.parametrize("route, chunk, step", [
+    ("platform", 1 << 18, 1), ("float64", 1 << 18, 1),
+    # Chunks of a number or two: at the default size nearly every chunk holds
+    # some number that sends it all to the float64 re-read.
+    ("platform", 64, 1),
+    # One cut between every two tokens, and cuts inside tokens.
+    ("platform", 1, 50), ("platform", 7, 50),
+])
+def test_corpus_read_bit_for_bit_as_float(tmp_path, monkeypatch, corpus, route, chunk, step):
+    tokens, ref = corpus
+    tokens, ref = tokens[::step], ref[::step]
+    monkeypatch.setattr(serialize, "_CHUNK", chunk)
+    if route == "float64":
+        monkeypatch.setattr(serialize, "_X87_LONG_DOUBLE", False)
+    path = tmp_path / "frame.json"
+    write_tokens(path, tokens, cols=200 if step == 1 else 10)
+    data = read_fast(path)
+    assert data is not None
+    assert data["s_coef"].tobytes() == ref.tobytes()
+
+
+def spy_fromstring(monkeypatch):
+    """The dtype of each np.fromstring call, in order."""
+    calls, fromstring = [], np.fromstring
+
+    def spy(text, dtype=float, sep=""):
+        calls.append(np.dtype(dtype))
+        return fromstring(text, dtype=dtype, sep=sep)
+
+    monkeypatch.setattr(np, "fromstring", spy)
+    return calls
+
+
+@pytest.mark.skipif(not serialize._X87_LONG_DOUBLE, reason="long double is not x87")
+def test_frame_takes_the_long_double_route(tmp_path, monkeypatch):
+    # A 17-digit frame, as the benchmark writes it, with signed zeros: no
+    # chunk is read again as float64.
+    rng = np.random.default_rng(9)
+    s = rng.standard_normal((80, 80)) + 1j * rng.standard_normal((80, 80))
+    w = rng.standard_normal((80, 8)) + 1j * rng.standard_normal((80, 8))
+    s[0, :2] = [complex(-0.0, 0.0), complex(0.0, -0.0)]
+    path = tmp_path / "frame.json"
+    write_rows(path, s, w)
+    monkeypatch.setattr(serialize, "_CHUNK", 4096)
+    calls = spy_fromstring(monkeypatch)
+    model = model_from_dict(read_model_json(path))
+    assert model.s_coef.tobytes() == s.tobytes() and model.w_coef.tobytes() == w.tobytes()
+    assert len(calls) > 2 and set(calls) == {np.dtype(np.longdouble)}
+
+
+@pytest.mark.skipif(not serialize._X87_LONG_DOUBLE, reason="long double is not x87")
+def test_midpoints_and_overflow_are_read_again(tmp_path, monkeypatch):
+    # 1 + 2**-53 lies halfway between 1 and the next double; the second
+    # token lies just above it, so strtold rounds it to the midpoint and the
+    # cast would round that to 1 instead of 1 + 2**-52.
+    half = "1.00000000000000011102230246251565404236316680908203125"
+    tokens = [half, half + "0001", "1e999", "-1e-400"]
+    path = tmp_path / "frame.json"
+    write_tokens(path, tokens)
+    monkeypatch.setattr(serialize, "_CHUNK", 1)
+    calls = spy_fromstring(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        data = read_fast(path)
+    assert data["s_coef"].tobytes() == np.array([float(t) for t in tokens]).tobytes()
+    assert data["s_coef"][0, 0, 1] == 1 + 2**-52
+    # Each of the four is read again on its own, from a chunk of one number.
+    assert calls.count(np.dtype(np.float64)) == 4
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
@@ -264,8 +402,31 @@ def test_malformed_files_exit_2_as_with_json_load(tmp_path, capsys, monkeypatch,
         assert "serialized FrameModel has no 'w_coef' array" in err
     if name == "null array":
         assert "serialized FrameModel has no 's_coef' array" in err
-    if name == "object array":
-        assert "complex array data must hold numbers" in err
+    if name in ("ragged row", "three-element pair", "non-numeric string", "empty string",
+                "object array"):
+        assert err.startswith("config error: s_coef must be rows of [re, im] pairs of numbers")
+    if name == "nan":
+        assert "s_coef contains non-finite entries" in err
+
+
+@pytest.mark.parametrize("key, array, message", [
+    ("s_coef", '[[[true,"0"]],[["0","1"]]]', "has an entry that is not a number: true"),
+    ("s_coef", '[[["1",false]],[["0","1"]]]', "has an entry that is not a number: false"),
+    ("w_coef", '[[["1","0"]],[[null,"0"]]]', "has an entry that is not a number: null"),
+    ("w_coef", '[[["a","0"]],[["0","0"]]]',
+     "must be rows of [re, im] pairs of numbers: could not convert string to float: 'a'"),
+    ("w_coef", '[[["1","0"]],[["0","0"],["0","0"]]]',
+     "must be rows of [re, im] pairs of numbers: setting an array element"),
+])
+def test_bad_entries_exit_2_naming_the_field(tmp_path, capsys, key, array, message):
+    # float() reads true as 1 and numpy reads null as NaN; neither is a number.
+    arrays = {"s_coef": '[[["1","0"]],[["0","1"]]]', "w_coef": '[[["1","0"]],[["0","0"]]]'}
+    arrays[key] = array
+    path = tmp_path / "frame.json"
+    path.write_text('{"type": "FrameModel", "s_coef": %(s_coef)s, "w_coef": %(w_coef)s}' % arrays)
+    code, out, err = _cli_error(capsys, path)
+    assert code == 2 and out == ""
+    assert err.startswith(f"config error: {key} {message}")
 
 
 def test_unreadable_file_message(tmp_path, capsys):
@@ -296,9 +457,10 @@ def test_signed_zeros_round_trip(tmp_path):
 
 def test_memory_of_reading_a_400_frame(tmp_path):
     # The benchmark's frame size: 400 x 400 S and 400 x 32 W, 7.6 MiB of text
-    # here.  Measured peaks (numpy 2.4): 11.5 MiB, 1.50 times the file, for
-    # the byte-level reader, which holds the file, one chunk of checks and
-    # the growing float64 values; 46 MiB, 6.0 times the file, for json.load.
+    # here.  Measured peaks (numpy 2.4, x87 long double): 11.9 MiB, 1.56
+    # times the file, for the byte-level reader, which holds the file, the
+    # float64 values and one chunk of checks or of long double numbers;
+    # 46 MiB, 6.0 times the file, for json.load.
     s, w = random_frame(ambient=400, n=32, seed=5)
     path = tmp_path / "frame.json"
     write_rows(path, s, w)
