@@ -48,44 +48,43 @@ def frequencies(count: int) -> np.ndarray:
 
 # -- spherical Bessel functions ----------------------------------------------
 
-def _bessel_scalar_abs(ax: float, k_max: int) -> np.ndarray:
-    k_up = min(k_max, int(math.floor(ax)))
-    up = np.empty(max(k_up + 1, 2))
-    up[0] = math.sin(ax) / ax
-    up[1] = math.sin(ax) / ax**2 - math.cos(ax) / ax
-    for k in range(1, k_up):
-        up[k + 1] = (2 * k + 1) / ax * up[k] - up[k - 1]
-    if k_max <= ax:
-        return up[: k_max + 1].copy()
+def _miller_table(a: np.ndarray, k_max: int) -> np.ndarray:
+    """Unnormalized downward recurrence for j_0..j_k_max at each point of
+    ``a`` (all 0 < a < k_max), shape (k_max + 1, a.size).
 
+    ``buf[k + 1]`` holds j_k for k = -1 .. k_start + 1.  Each point is
+    rescaled by 1e-250 on its own, when its latest value passes 1e250.
+    ``bound`` and ``prev`` bound |j_{k-1}| and |j_k| over the points (rounding
+    is monotone, so the bound holds in floating point too); the points are
+    looked at only once it passes 1e250.
+    """
     k_start = k_max + 16 + math.ceil(1.5 * math.sqrt(k_max))
-    vals = np.zeros(k_max + 1)
-    jp, jc = 0.0, 1e-150
+    odd = np.arange(1, 2 * k_start + 2, 2)
+    coef = odd[:, None] / a
+    growth = (odd / a.min()).tolist()
+    buf = np.zeros((k_start + 3, a.size))
+    buf[k_start + 1] = 1e-150
+    bound, prev = 1e-150, 0.0
     for k in range(k_start, -1, -1):
-        if k <= k_max:
-            vals[k] = jc
-        jm = (2 * k + 1) / ax * jc - jp
-        jp, jc = jc, jm
-        if abs(jc) > 1e250:
-            jp *= 1e-250
-            jc *= 1e-250
-            vals *= 1e-250
-    if k_up >= 1:
-        anchor = int(np.argmax(np.abs(up[: k_up + 1])))
-        scale = up[anchor] / vals[anchor]
-    else:
-        scale = (math.sin(ax) / ax) / vals[0]
-    return vals * scale
+        jm = np.multiply(coef[k], buf[k + 1], out=buf[k])
+        jm -= buf[k + 2]
+        bound, prev = growth[k] * bound + prev, bound
+        if not bound <= 1e250:  # NaN included
+            big = np.abs(jm) > 1e250
+            buf[k:, big] *= 1e-250
+            bound, prev = float(np.abs(jm).max()), float(np.abs(buf[k + 1]).max())
+    return buf[1 : k_max + 2]
 
 
 def spherical_bessel_table(xs, k_max: int) -> np.ndarray:
     """j_k(x) for every x in ``xs`` and k = 0..k_max, shape (len(xs), k_max+1).
 
-    Vectorized upward recurrence where |x| > k_max + 1 (the stable region).
-    Elsewhere a normalized downward (Miller-type) recurrence, anchored at the
-    most reliable upward value (or at the closed-form j_0 when |x| < 1),
-    since j_0 itself vanishes at the integer multiples of pi where this module
-    evaluates.
+    One upward recurrence runs across all points; a point with |x| <= k_max + 1
+    takes it only up to k_up = min(k_max, floor|x|), where it is still stable.
+    Where |x| < k_max a normalized downward (Miller-type) recurrence takes
+    over, anchored at the largest upward value (the closed-form j_0 when
+    |x| < 1), since j_0 itself vanishes at the integer multiples of pi where
+    this module evaluates.
     """
     if k_max < 0:
         raise InputValidationError(f"k_max must be >= 0, got {k_max}")
@@ -94,29 +93,47 @@ def spherical_bessel_table(xs, k_max: int) -> np.ndarray:
         raise InputValidationError("spherical Bessel arguments must be finite")
     out = np.empty((xs.size, k_max + 1))
     ax = np.abs(xs)
-    fast = ax > k_max + 1.0
-    if np.any(fast):
-        a = ax[fast]
-        block = np.empty((a.size, k_max + 1))
-        jm = np.sin(a) / a
-        block[:, 0] = jm
-        if k_max >= 1:
-            jc = np.sin(a) / a**2 - np.cos(a) / a
-            block[:, 1] = jc
-            for k in range(1, k_max):
-                jn = (2 * k + 1) / a * jc - jm
-                jm, jc = jc, jn
-                block[:, k + 1] = jc
-        out[fast] = block
-    for i in np.flatnonzero(~fast):
-        if ax[i] == 0.0:
-            out[i] = 0.0
-            out[i, 0] = 1.0
-        else:
-            out[i] = _bessel_scalar_abs(ax[i], k_max)
-    neg = xs < 0.0
-    if np.any(neg):
-        out[neg] *= np.where(np.arange(k_max + 1) % 2 == 0, 1.0, -1.0)
+    # Near points in ascending order, then the far ones (|x| > k_max + 1):
+    # the points that continue the recurrence past row r form a suffix.
+    near = np.flatnonzero((ax > 0.0) & (ax <= k_max + 1.0))
+    near = near[np.argsort(ax[near], kind="stable")]
+    far = np.flatnonzero(ax > k_max + 1.0)
+    lanes = np.concatenate([near, far])
+    a = ax[lanes]
+    # Near points take math.sin, math.cos and scalar squares, as when they
+    # were computed one at a time; numpy does not promise np.sin rounds alike.
+    near_a = a[: near.size].tolist()
+    sin = np.concatenate([[math.sin(v) for v in near_a], np.sin(a[near.size :])])
+    # Rows r >= 1 start at the first lane with |x| >= r; far lanes take all.
+    starts = np.searchsorted(a[: near.size], np.arange(k_max + 1)).tolist()
+    up = np.zeros((k_max + 1, a.size))
+    up[0] = sin / a
+    if k_max >= 1:
+        s = starts[1]
+        cos = np.concatenate([[math.cos(v) for v in near_a[s:]], np.cos(a[near.size :])])
+        sq = np.concatenate([[v**2 for v in a[s : near.size]], a[near.size :] ** 2])
+        up[1, s:] = sin[s:] / sq - cos / a[s:]
+    for k in range(1, k_max):
+        s = starts[k + 1]
+        if s == a.size:
+            break
+        row = np.divide(2 * k + 1, a[s:], out=up[k + 1, s:])
+        row *= up[k, s:]
+        row -= up[k - 1, s:]
+    # Lanes below |x| = k_max take the downward recurrence.
+    top = starts[k_max]
+    if top:
+        # Rows past a lane's k_up are still zero, so its argmax stays in 0..k_up.
+        anchor = np.argmax(np.abs(up[:, :top]), axis=0)
+        vals = _miller_table(a[:top], k_max)
+        cols = np.arange(top)
+        up[:, :top] = vals * (up[anchor, cols] / vals[anchor, cols])
+    # j_k(-x) = (-1)^k j_k(x)
+    up[1::2] *= np.where(xs[lanes] < 0.0, -1.0, 1.0)
+    out[lanes] = up.T
+    zero = ax == 0.0
+    out[zero] = 0.0
+    out[zero, 0] = 1.0
     return out
 
 
@@ -185,9 +202,42 @@ def legendre_table(k_max: int, xs: np.ndarray) -> np.ndarray:
     return p * norms[:, None]
 
 
+def _legval(x: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """The Legendre series c at x by Clenshaw recursion, step for step as
+    ``numpy.polynomial.legendre.legval`` takes it for a 1-D c."""
+    c0, c1 = (c[0], 0) if len(c) == 1 else (c[-2], c[-1])
+    nd = len(c)
+    for i in range(3, len(c) + 1):
+        nd -= 1
+        c0, c1 = c[-i] - c1 * ((nd - 1) / nd), c0 + c1 * x * ((2 * nd - 1) / nd)
+    return c0 + c1 * x
+
+
 @lru_cache(maxsize=16)
 def _leggauss(nodes: int):
-    x, w = np.polynomial.legendre.leggauss(nodes)
+    """Gauss-Legendre nodes and weights, with the arithmetic of
+    ``numpy.polynomial.legendre.leggauss`` (without importing it): the
+    eigenvalues of the symmetric companion matrix of P_nodes, one Newton
+    step, and weights from P_nodes' and P_{nodes-1}, symmetrized and
+    normalized to 2."""
+    c = np.zeros(nodes + 1)
+    c[-1] = 1.0
+    scl = 1.0 / np.sqrt(2 * np.arange(nodes) + 1)
+    off = np.arange(1, nodes) * scl[:-1] * scl[1:]
+    x = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
+    # d/dx P_n = sum of (2k + 1) P_k over k = n-1, n-3, ...
+    ks = np.arange(nodes)
+    der = np.where((nodes - 1 - ks) % 2 == 0, 2.0 * ks + 1.0, 0.0)
+    dy = _legval(x, c)
+    df = _legval(x, der)
+    x -= dy / df
+    fm = _legval(x, c[1:])
+    fm /= np.abs(fm).max()
+    df /= np.abs(df).max()
+    w = 1 / (fm * df)
+    w = (w + w[::-1]) / 2
+    x = (x - x[::-1]) / 2
+    w *= 2.0 / w.sum()
     return x, w
 
 
@@ -198,9 +248,16 @@ def adaptive_quadrature(fn, tol: float = 1e-11, max_nodes: int = 4096, min_nodes
     array-valued integrands are both fine.  Doubles the node count until two
     successive results agree to ``tol`` (absolute, sup over components); past
     the cap, a disagreement above 1e-9 raises :class:`NumericalAccuracyError`.
+    A first rule at the cap is compared with the rule of half its nodes.
     """
+    if min_nodes < 1:
+        raise InputValidationError(f"min_nodes must be >= 1, got {min_nodes}")
+    if max_nodes < 2:
+        raise InputValidationError(
+            f"max_nodes must be >= 2 (two rules are compared), got {max_nodes}"
+        )
     prev = None
-    nodes = min(min_nodes, max_nodes)
+    nodes = max_nodes // 2 if min_nodes >= max_nodes else min_nodes
     while True:
         x, w = _leggauss(nodes)
         val = np.asarray(fn(x)) @ w

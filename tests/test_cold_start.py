@@ -1,7 +1,8 @@
 """Cold start: what one command pays before and beside its results.
 
-No command imports numpy.ma (np.unique and np.median would) or statistics,
-and coherence_profile takes T = ||(I - QQ^H) S||^2 = 1 with no SVD for
+No command imports numpy.ma (np.unique and np.median would), statistics or
+numpy.polynomial (for Gauss-Legendre rules the module computes itself), and
+coherence_profile takes T = ||(I - QQ^H) S||^2 = 1 with no SVD for
 orthonormal sampling vectors with J above the rank of W_n."""
 
 import json
@@ -29,7 +30,8 @@ FL = "fl:n=6,ambient=301,max_defect=0.05"
 
 # Runs each argv list of argv[1] through cli.main in this fresh process and
 # prints the exit codes and the modules the runs added to those present
-# after importing numpy and the CLI (numpy 1.24 imports numpy.ma eagerly).
+# after importing numpy and the CLI (numpy 1.24 imports numpy.ma and
+# numpy.polynomial eagerly).
 PROBE = """
 import contextlib, io, json, sys
 import numpy, stochsamp.cli
@@ -44,14 +46,16 @@ print(json.dumps({"codes": codes, "added": sorted(set(sys.modules) - before)}))
 
 def command_runs(command, frame):
     runs = {
-        "reconstruct": [["--model", "identity:4"], ["--model", FL, "--target", "exp_c:1"]],
+        "reconstruct": [["--model", "identity:4"], ["--model", FL, "--target", "exp_c:1"],
+                        ["--model", "fl:n=10", "--target", "pole_a:2"]],
         "mc-gram": [["--model", "identity:4", "--trials", "3"],
                     ["--model", FL, "--target", "exp_c:1", "--trials", "3"],
                     ["--model", f"custom:{frame}", "--n", "4", "--trials", "3"]],
         "leverage": [["--model", "identity:4"], ["--model", FL]],
         "bounds": [["--model", "identity:4"], ["--model", FL],
                    ["--model", f"custom:{frame}", "--n", "4"]],
-        "convergence": [["--model", FL, "--n", "3,4,5,6", "--trials", "2"]],
+        "convergence": [["--model", FL, "--n", "3,4,5,6", "--trials", "2"],
+                        ["--trials", "2"]],
     }
     return [[command, *args] for args in runs[command]]
 
@@ -68,7 +72,7 @@ def test_command_imports_no_numpy_ma_or_statistics(command, tmp_path):
     )
     result = json.loads(out.stdout.splitlines()[-1])
     assert result["codes"] == [0] * len(result["codes"])
-    assert not {"numpy.ma", "statistics"} & set(result["added"])
+    assert not {"numpy.ma", "numpy.polynomial", "statistics"} & set(result["added"])
 
 
 # -- T = ||(I - QQ^H) S||^2 ----------------------------------------------------

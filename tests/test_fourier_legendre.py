@@ -4,8 +4,10 @@ import mpmath
 import numpy as np
 import pytest
 
+import stochsamp.fourier_legendre as fourier_legendre
 from stochsamp.errors import InputValidationError, NumericalAccuracyError, TruncationError
 from stochsamp.fourier_legendre import (
+    _leggauss,
     adaptive_quadrature,
     build_fl_model,
     column_defects,
@@ -29,6 +31,69 @@ def bessel_oracle(x, k):
         if x < 0 and k % 2 == 1:
             val = -val
         return float(val)
+
+
+def _bessel_scalar_abs(ax, k_max):
+    """j_0..j_k_max at one point 0 < ax <= k_max + 1, one point at a time: the
+    upward recurrence up to k_up = min(k_max, floor(ax)), then, if ax < k_max,
+    a downward recurrence rescaled at 1e250 and anchored at the largest
+    upward value."""
+    k_up = min(k_max, int(math.floor(ax)))
+    up = np.empty(max(k_up + 1, 2))
+    up[0] = math.sin(ax) / ax
+    up[1] = math.sin(ax) / ax**2 - math.cos(ax) / ax
+    for k in range(1, k_up):
+        up[k + 1] = (2 * k + 1) / ax * up[k] - up[k - 1]
+    if k_max <= ax:
+        return up[: k_max + 1].copy()
+
+    k_start = k_max + 16 + math.ceil(1.5 * math.sqrt(k_max))
+    vals = np.zeros(k_max + 1)
+    jp, jc = 0.0, 1e-150
+    for k in range(k_start, -1, -1):
+        if k <= k_max:
+            vals[k] = jc
+        jm = (2 * k + 1) / ax * jc - jp
+        jp, jc = jc, jm
+        if abs(jc) > 1e250:
+            jp *= 1e-250
+            jc *= 1e-250
+            vals *= 1e-250
+    if k_up >= 1:
+        anchor = int(np.argmax(np.abs(up[: k_up + 1])))
+        scale = up[anchor] / vals[anchor]
+    else:
+        scale = (math.sin(ax) / ax) / vals[0]
+    return vals * scale
+
+
+def bessel_table_by_point(xs, k_max):
+    """The spherical Bessel table with a loop over the points at or below
+    |x| = k_max + 1 and a plain upward recurrence, one point per row, above."""
+    xs = np.asarray(xs, dtype=float)
+    out = np.empty((xs.size, k_max + 1))
+    ax = np.abs(xs)
+    fast = ax > k_max + 1.0
+    a = ax[fast]
+    block = np.empty((a.size, k_max + 1))
+    jm = np.sin(a) / a
+    block[:, 0] = jm
+    if k_max >= 1:
+        jc = np.sin(a) / a**2 - np.cos(a) / a
+        block[:, 1] = jc
+        for k in range(1, k_max):
+            jm, jc = jc, (2 * k + 1) / a * jc - jm
+            block[:, k + 1] = jc
+    out[fast] = block
+    for i in np.flatnonzero(~fast):
+        if ax[i] == 0.0:
+            out[i] = 0.0
+            out[i, 0] = 1.0
+        else:
+            out[i] = _bessel_scalar_abs(ax[i], k_max)
+    neg = xs < 0.0
+    out[neg] *= np.where(np.arange(k_max + 1) % 2 == 0, 1.0, -1.0)
+    return out
 
 
 def frequency_oracle(index):
@@ -106,6 +171,18 @@ class TestSphericalBessel:
     def test_rejects_nonfinite(self):
         with pytest.raises(InputValidationError):
             spherical_bessel_table([1.0, math.nan], 3)
+
+    @pytest.mark.parametrize("k_max", [0, 1, 2, 9, 19, 72, 400])
+    @pytest.mark.parametrize("count", [7, 301, 2001, 20001])
+    def test_equals_the_point_by_point_table_bit_for_bit(self, k_max, count):
+        # The frequency points of the Fourier-Legendre tables, then x = 0,
+        # negative points and |x| at both ends of the upward-only range.
+        extra = [0.0, -0.0, -0.4, 0.4, -1.0, -2.5, k_max, -k_max, k_max + 1, -(k_max + 1),
+                 k_max - 0.5, k_max + 0.5, -(k_max + 1.5)]
+        xs = np.concatenate([-math.pi * frequencies(count), extra])
+        got = spherical_bessel_table(xs, k_max)
+        want = bessel_table_by_point(xs, k_max)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 class TestLegendreFourierCoef:
@@ -194,6 +271,46 @@ class TestQuadrature:
     def test_nonconvergent_raises(self):
         with pytest.raises(NumericalAccuracyError):
             adaptive_quadrature(lambda x: np.sqrt(np.abs(x)), tol=1e-14)
+
+    @pytest.mark.parametrize("kwargs", [{"max_nodes": 64}, {"min_nodes": 4096},
+                                        {"min_nodes": 100, "max_nodes": 64}])
+    def test_a_first_rule_at_the_cap_is_checked(self, kwargs):
+        # The 64-node rule is 1.3e-3 off the true 4/3, the 4096-node one 2.6e-6.
+        with pytest.raises(NumericalAccuracyError):
+            adaptive_quadrature(lambda x: np.sqrt(np.abs(x)), **kwargs)
+        assert adaptive_quadrature(lambda x: x**4, **kwargs) == pytest.approx(0.4, abs=1e-12)
+
+    @pytest.mark.parametrize("kwargs,counts", [
+        ({}, [64, 128]),
+        ({"max_nodes": 64}, [32, 64]),
+        ({"min_nodes": 4096}, [2048, 4096]),
+        ({"min_nodes": 1, "max_nodes": 2}, [1, 2]),
+    ])
+    def test_never_compares_a_rule_with_itself(self, kwargs, counts, monkeypatch):
+        seen = []
+
+        def rule(nodes):
+            seen.append(nodes)
+            return _leggauss(nodes)
+
+        monkeypatch.setattr(fourier_legendre, "_leggauss", rule)
+        adaptive_quadrature(lambda x: np.ones_like(x), **kwargs)
+        assert seen == counts
+
+    @pytest.mark.parametrize("field,kwargs", [("min_nodes", {"min_nodes": 0}),
+                                              ("min_nodes", {"min_nodes": -5}),
+                                              ("max_nodes", {"max_nodes": 1}),
+                                              ("max_nodes", {"max_nodes": 0})])
+    def test_rejects_node_counts_below_their_floor(self, field, kwargs):
+        with pytest.raises(InputValidationError, match=field):
+            adaptive_quadrature(lambda x: x, **kwargs)
+
+    @pytest.mark.parametrize("nodes", [1, 2, 3, 64, 128, 256, 512, 1024, 2048, 4096])
+    def test_rule_equals_numpy_leggauss_bit_for_bit(self, nodes):
+        x, w = _leggauss(nodes)
+        want_x, want_w = np.polynomial.legendre.leggauss(nodes)
+        assert np.array_equal(x.view(np.uint64), want_x.view(np.uint64))
+        assert np.array_equal(w.view(np.uint64), want_w.view(np.uint64))
 
 
 class TestAnalyticTargets:
