@@ -33,6 +33,7 @@ from .errors import InputValidationError, NumericalAccuracyError
 from .linalg import operator_norm
 from .sampling import (
     FrameModel,
+    LeverageProfile,
     _selection_model,
     coherence_profile,
     cross_term_deviation,
@@ -187,22 +188,29 @@ NUMERIC_RULES = {
 }
 
 
+def _number(val, parse):
+    """``parse(val)`` (int or float) if it is finite and equal to
+    ``float(val)``, else None.  A JSON boolean is not a number, though Python
+    converts it to one."""
+    try:
+        num = parse(val)
+        if not isinstance(val, bool) and math.isfinite(num) and float(val) == num:
+            return num
+    except (TypeError, ValueError, OverflowError):
+        pass
+    return None
+
+
 def _check_fields(cfg: dict) -> None:
     """Reject bad numeric fields, n and out, naming the field, before any
     work starts; numeric fields and n are normalized in place.  Fields whose
-    default is None may stay None.  A JSON boolean is not a number, though
-    Python converts it to one."""
+    default is None may stay None."""
     for key, (kind, in_range, rule) in NUMERIC_RULES.items():
         val = cfg[key]
         if val is None and DEFAULTS[key] is None:
             continue
-        try:
-            num = kind(val)
-            valid = (not isinstance(val, bool) and math.isfinite(num) and in_range(num)
-                     and float(val) == num)
-        except (TypeError, ValueError, OverflowError):
-            valid = False
-        if not valid:
+        num = _number(val, kind)
+        if num is None or not in_range(num):
             raise InputValidationError(f"{key} must be {rule}, got {val!r}")
         cfg[key] = num
     if cfg["n"] is not None:
@@ -226,13 +234,10 @@ def _check_p_spec(p_spec) -> None:
     if isinstance(p_spec, str):
         valid = p_spec in P_SPECS
     else:
-        try:
-            valid = isinstance(p_spec, list) and bool(p_spec) and all(
-                isinstance(x, (int, float)) and not isinstance(x, bool)
-                and math.isfinite(x) and x >= 0 for x in p_spec
-            )
-        except OverflowError:
-            valid = False
+        valid = isinstance(p_spec, list) and bool(p_spec) and all(
+            isinstance(x, (int, float)) and _number(x, float) is not None and x >= 0
+            for x in p_spec
+        )
     if not valid:
         raise InputValidationError(
             f"p_spec must be {' or '.join(map(repr, P_SPECS))} or a list of finite "
@@ -248,14 +253,8 @@ def _parse_counts(value) -> int | list[int]:
         items = [p for p in value.split(",") if p.strip()]
     else:
         items = value if isinstance(value, (list, tuple)) else [value]
-    try:
-        vals = [int(v) for v in items]
-        valid = bool(vals) and all(
-            v >= 1 and not isinstance(x, bool) and float(x) == v for v, x in zip(vals, items)
-        )
-    except (TypeError, ValueError, OverflowError):
-        valid = False
-    if not valid or any(b <= a for a, b in zip(vals, vals[1:])):
+    vals = [_number(v, int) for v in items]
+    if not vals or None in vals or vals[0] < 1 or any(b <= a for a, b in zip(vals, vals[1:])):
         raise InputValidationError(
             f"n must be an integer >= 1 or a strictly increasing list of them, got {value!r}"
         )
@@ -322,14 +321,11 @@ def _spec_fields(spec, name: str, kinds: dict) -> tuple[str, dict]:
                 f"{kind} takes {', '.join(fields)}"
             )
         parse = fields[key][0]
-        try:
-            out[key] = parse(val)
-            valid = isinstance(val, str) if parse is str else (
-                not isinstance(val, bool) and math.isfinite(out[key]) and float(val) == out[key]
-            )
-        except (TypeError, ValueError, OverflowError):
-            valid = False
-        if not valid:
+        if parse is str:
+            out[key] = val if isinstance(val, str) else None
+        else:
+            out[key] = _number(val, parse)
+        if out[key] is None:
             raise InputValidationError(
                 f"{name} spec {spec!r}: {key} must be {FIELD_RULES[parse]}, got {val!r}"
             )
@@ -374,9 +370,12 @@ def _target_ambient_coef(model: FrameModel, target: fl.AnalyticTarget | None) ->
     return (f / np.linalg.norm(f)).astype(complex)
 
 
-def _pick_n(cfg: dict, model: FrameModel) -> int:
-    """The resolved n, or for a custom model without one min(4, its columns)."""
-    return min(4, model.num_reconstruction) if cfg["n"] is None else cfg["n"]
+def _profile(cfg: dict) -> tuple[FrameModel, dict, LeverageProfile]:
+    """The model, its report entry and its leverage profile at the resolved
+    n, or for a custom model without one at min(4, its columns)."""
+    model, info = _build_model(cfg)
+    n = min(4, model.num_reconstruction) if cfg["n"] is None else cfg["n"]
+    return model, info, leverage_profile(model, n, cfg["p_spec"])
 
 
 def _pick_m(cfg: dict, n: int) -> int:
@@ -450,9 +449,8 @@ def _prob_entry(successes: int, trials: int) -> dict:
 
 def run_reconstruct(cfg: dict) -> None:
     target, target_info = cfg["target"] or (None, None)
-    model, model_info = _build_model(cfg)
-    n = _pick_n(cfg, model)
-    prof = leverage_profile(model, n, cfg["p_spec"])
+    model, model_info, prof = _profile(cfg)
+    n = prof.n
     m = _pick_m(cfg, n)
     f_coef = _target_ambient_coef(model, target)
     draw = draw_samples(prof, m, cfg["seed"])
@@ -488,12 +486,11 @@ def run_reconstruct(cfg: dict) -> None:
 
 def run_montecarlo(cfg: dict) -> None:
     target, target_info = cfg["target"] or (None, None)
-    model, model_info = _build_model(cfg)
-    n = _pick_n(cfg, model)
+    model, model_info, prof = _profile(cfg)
+    n = prof.n
     delta = cfg["delta"]
     trials = cfg["trials"]
     base_seed = cfg["seed"]
-    prof = leverage_profile(model, n, cfg["p_spec"])
     coh = coherence_profile(model, prof)
     m = _pick_m(cfg, n)
     eps = _pick_eps(cfg, prof)
@@ -605,9 +602,7 @@ def run_convergence(cfg: dict) -> None:
 
 
 def run_leverage(cfg: dict) -> None:
-    model, model_info = _build_model(cfg)
-    n = _pick_n(cfg, model)
-    prof = leverage_profile(model, n, cfg["p_spec"])
+    _, model_info, prof = _profile(cfg)
     vn2 = np.sum(np.abs(prof.v) ** 2, axis=0).real
     cum = np.cumsum(prof.p)
     is_fl = model_info["kind"] == "fourier-legendre"
@@ -619,7 +614,7 @@ def run_leverage(cfg: dict) -> None:
     report = {
         "command": "leverage",
         "model": model_info,
-        "n": n,
+        "n": prof.n,
         "num_indices": prof.num_indices,
         "trace_sigma": fmt_real(prof.trace_sigma),
         "lambda0": fmt_real(prof.lambda0),
@@ -631,10 +626,9 @@ def run_leverage(cfg: dict) -> None:
 
 
 def run_bounds(cfg: dict) -> None:
-    model, model_info = _build_model(cfg)
-    n = _pick_n(cfg, model)
+    model, model_info, prof = _profile(cfg)
+    n = prof.n
     delta = cfg["delta"]
-    prof = leverage_profile(model, n, cfg["p_spec"])
     coh = coherence_profile(model, prof)
     eps = _pick_eps(cfg, prof)
     d_upper = model.declared_bounds[3] if model.declared_bounds else coh.sigma_norm

@@ -64,30 +64,22 @@ def _hermitian_norm(h: np.ndarray) -> float:
     return float(max(abs(eigs[0]), abs(eigs[-1])))
 
 
-def svd_with_rank(m: np.ndarray, rel_tol: float | None = None):
+def svd_with_rank(m: np.ndarray):
     """Thin SVD ``(u, s, vh)`` of ``m`` and the shared rank decision r: the
-    number of singular values above ``rel_tol * sigma_max`` (default
-    :func:`default_rel_tol`), 0 for the zero matrix."""
-    if rel_tol is None:
-        rel_tol = default_rel_tol(m)
+    number of singular values above ``default_rel_tol(m) * sigma_max``, 0 for
+    the zero matrix."""
     u, s, vh = np.linalg.svd(m, full_matrices=False)
     if s[0] == 0.0:
         r = 0
     else:
-        r = int(np.count_nonzero(s > rel_tol * s[0]))
+        r = int(np.count_nonzero(s > default_rel_tol(m) * s[0]))
     return u, s, vh, r
 
 
-def pseudo_inverse(a, rel_tol: float | None = None) -> np.ndarray:
-    """Moore-Penrose pseudo-inverse with singular values <= rel_tol * sigma_max
-    treated as zero.  An all-zero matrix maps to the zero matrix of transposed
-    shape (rank 0)."""
-    m = as_matrix(a)
-    if rel_tol is None:
-        rel_tol = default_rel_tol(m)
-    if not 0.0 < rel_tol < 1.0:
-        raise InputValidationError(f"rel_tol must lie in (0, 1), got {rel_tol}")
-    return pinv_from_svd(*svd_with_rank(m, rel_tol))
+def pseudo_inverse(a) -> np.ndarray:
+    """Moore-Penrose pseudo-inverse through the shared rank decision.  An
+    all-zero matrix maps to the zero matrix of transposed shape (rank 0)."""
+    return pinv_from_svd(*svd_with_rank(as_matrix(a)))
 
 
 def pinv_from_svd(u: np.ndarray, s: np.ndarray, vh: np.ndarray, r: int) -> np.ndarray:
@@ -96,7 +88,7 @@ def pinv_from_svd(u: np.ndarray, s: np.ndarray, vh: np.ndarray, r: int) -> np.nd
     return (vh[:r].conj().T / s[:r]) @ u[:, :r].conj().T
 
 
-def minimal_norm_lsq(design, rhs, rel_tol: float | None = None) -> np.ndarray:
+def minimal_norm_lsq(design, rhs) -> np.ndarray:
     """Minimal Euclidean-norm solution of min_x ||design @ x - rhs||.
 
     Computed as ``pinv(design) @ rhs`` through the shared SVD rank decision,
@@ -110,7 +102,7 @@ def minimal_norm_lsq(design, rhs, rel_tol: float | None = None) -> np.ndarray:
         )
     if not np.all(np.isfinite(b.real)) or not np.all(np.isfinite(b.imag)):
         raise InputValidationError("rhs contains non-finite entries")
-    return _lsq_from_svd(*svd_with_rank(m, rel_tol), b)
+    return _lsq_from_svd(*svd_with_rank(m), b)
 
 
 def _lsq_from_svd(u: np.ndarray, s: np.ndarray, vh: np.ndarray, r: int,
@@ -154,14 +146,14 @@ def effective_rank(a) -> float:
     return float(np.sum(np.clip(w, 0.0, None))) / top
 
 
-def projector_from_columns(cols, rel_tol: float | None = None) -> np.ndarray:
+def projector_from_columns(cols) -> np.ndarray:
     """Orthogonal projector onto the column span of ``cols``.
 
     Rank-revealing through the shared SVD threshold, so duplicated or nearly
     dependent columns do not inflate the range.
     """
     m = as_matrix(cols, name="cols")
-    u, _, _, r = svd_with_rank(m, rel_tol)
+    u, _, _, r = svd_with_rank(m)
     return projector_from_svd(u, r)
 
 

@@ -248,6 +248,22 @@ class TestLegendreFourierCoef:
                 scalar = 1j**k * math.sqrt(2 * k + 1) * bessel_oracle(-math.pi * ell, k)
                 assert tbl[li, k] == pytest.approx(scalar, abs=1e-13)
 
+    def test_phase_is_exact_past_degree_100(self):
+        # Column k is i^k times a real column: even k real, odd k imaginary,
+        # with exact zeros, though (1j) ** k rounds from k = 100 on.
+        tbl = legendre_fourier_table(120, frequencies(301))
+        assert np.all(tbl[:, 0::2].imag == 0.0)
+        assert np.all(tbl[:, 1::2].real == 0.0)
+
+    def test_phase_matches_the_power_below_degree_100(self):
+        # Below k = 100 the exact phase and (1j) ** k agree bit for bit, so
+        # tables of up to 100 columns are what they were with the power.
+        freqs = frequencies(301)
+        tbl = legendre_fourier_table(100, freqs)
+        ks = np.arange(100)
+        old = (1j) ** ks * np.sqrt(2 * ks + 1) * spherical_bessel_table(-math.pi * freqs, 99)
+        assert np.array_equal(tbl.view(np.uint64), old.view(np.uint64))
+
 
 class TestLeverageDistribution:
     def test_n1_point_mass(self):
@@ -288,47 +304,50 @@ class TestLeverageDistribution:
         assert np.max(np.abs(n * pre_renorm - vn2)) <= 1e-9
 
 
+@pytest.fixture
+def rules_taken(monkeypatch):
+    """Node counts of the Gauss-Legendre rules adaptive_quadrature takes, in order."""
+    seen = []
+
+    def rule(nodes):
+        seen.append(nodes)
+        return _leggauss(nodes)
+
+    monkeypatch.setattr(fourier_legendre, "_leggauss", rule)
+    return seen
+
+
 class TestQuadrature:
     def test_polynomial_exact(self):
         out = adaptive_quadrature(lambda x: x**4)
         assert out == pytest.approx(2.0 / 5.0, abs=1e-12)
 
-    def test_nonconvergent_raises(self):
+    def test_nonconvergent_raises(self, rules_taken):
         with pytest.raises(NumericalAccuracyError):
-            adaptive_quadrature(lambda x: np.sqrt(np.abs(x)), tol=1e-14)
+            # The 2048- and 4096-node rules differ by 4.7e-6.
+            adaptive_quadrature(lambda x: np.sqrt(np.abs(x)))
+        assert rules_taken == [64, 128, 256, 512, 1024, 2048, 4096]
 
-    @pytest.mark.parametrize("kwargs", [{"max_nodes": 64}, {"min_nodes": 4096},
-                                        {"min_nodes": 100, "max_nodes": 64}])
-    def test_a_first_rule_at_the_cap_is_checked(self, kwargs):
-        # The 64-node rule is 1.3e-3 off the true 4/3, the 4096-node one 2.6e-6.
-        with pytest.raises(NumericalAccuracyError):
-            adaptive_quadrature(lambda x: np.sqrt(np.abs(x)), **kwargs)
-        assert adaptive_quadrature(lambda x: x**4, **kwargs) == pytest.approx(0.4, abs=1e-12)
+    def test_never_compares_a_rule_with_itself(self, rules_taken):
+        adaptive_quadrature(lambda x: np.ones_like(x))
+        assert rules_taken == [64, 128]
 
-    @pytest.mark.parametrize("kwargs,counts", [
-        ({}, [64, 128]),
-        ({"max_nodes": 64}, [32, 64]),
-        ({"min_nodes": 4096}, [2048, 4096]),
-        ({"min_nodes": 1, "max_nodes": 2}, [1, 2]),
-    ])
-    def test_never_compares_a_rule_with_itself(self, kwargs, counts, monkeypatch):
-        seen = []
+    def test_stops_at_the_first_rule_within_tolerance(self, rules_taken):
+        # |x|^3.5: the 512- and 1024-node rules differ by 8.7e-13.
+        out = adaptive_quadrature(lambda x: np.abs(x) ** 3.5)
+        assert rules_taken == [64, 128, 256, 512, 1024]
+        assert out == pytest.approx(2.0 / 4.5, abs=1e-12)
 
-        def rule(nodes):
-            seen.append(nodes)
-            return _leggauss(nodes)
+    def test_accepts_a_gap_up_to_1e9_at_4096_nodes(self, rules_taken):
+        # |x|^1.9: the 2048- and 4096-node rules differ by 3.0e-11.
+        out = adaptive_quadrature(lambda x: np.abs(x) ** 1.9)
+        assert rules_taken == [64, 128, 256, 512, 1024, 2048, 4096]
+        assert out == pytest.approx(2.0 / 2.9, abs=1e-11)
 
-        monkeypatch.setattr(fourier_legendre, "_leggauss", rule)
-        adaptive_quadrature(lambda x: np.ones_like(x), **kwargs)
-        assert seen == counts
-
-    @pytest.mark.parametrize("field,kwargs", [("min_nodes", {"min_nodes": 0}),
-                                              ("min_nodes", {"min_nodes": -5}),
-                                              ("max_nodes", {"max_nodes": 1}),
-                                              ("max_nodes", {"max_nodes": 0})])
-    def test_rejects_node_counts_below_their_floor(self, field, kwargs):
-        with pytest.raises(InputValidationError, match=field):
-            adaptive_quadrature(lambda x: x, **kwargs)
+    @pytest.mark.parametrize("option", ["tol", "min_nodes", "max_nodes"])
+    def test_takes_no_schedule_options(self, option):
+        with pytest.raises(TypeError, match=option):
+            adaptive_quadrature(lambda x: x**4, **{option: 64})
 
     def test_numpy_legval_takes_one_of_two_clenshaw_steps(self):
         got = np.polynomial.legendre.legval(PROBE_X, PROBE_C).view(np.uint64)

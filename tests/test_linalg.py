@@ -94,7 +94,7 @@ class TestPseudoInverse:
         assert np.allclose(pseudo_inverse(np.eye(4)), np.eye(4))
 
     def test_diagonal_with_zero(self):
-        out = pseudo_inverse(np.diag([2.0, 0.0]), rel_tol=1e-12)
+        out = pseudo_inverse(np.diag([2.0, 0.0]))
         assert np.allclose(out, np.diag([0.5, 0.0]))
 
     def test_zero_matrix_transposed_shape(self):
@@ -120,10 +120,6 @@ class TestPseudoInverse:
         ap = pseudo_inverse(a)
         assert np.allclose(a @ ap @ a, a, atol=1e-12)
         assert np.allclose(ap @ a @ ap, ap, atol=1e-12)
-
-    def test_bad_rel_tol(self):
-        with pytest.raises(InputValidationError):
-            pseudo_inverse(np.eye(2), rel_tol=2.0)
 
 
 class TestMinimalNormLsq:
@@ -225,6 +221,26 @@ class TestProjector:
     def test_zero_columns(self):
         p = projector_from_columns(np.zeros((4, 2)))
         assert np.all(p == 0)
+
+
+class TestOneRankRule:
+    @pytest.mark.parametrize("fn,args", [
+        (svd_with_rank, (np.eye(2),)),
+        (pseudo_inverse, (np.eye(2),)),
+        (minimal_norm_lsq, (np.eye(2), np.ones(2))),
+        (projector_from_columns, (np.eye(2),)),
+    ])
+    def test_takes_no_tolerance(self, fn, args):
+        with pytest.raises(TypeError, match="rel_tol"):
+            fn(*args, rel_tol=1e-12)
+
+    @pytest.mark.parametrize("scale,rank", [(1.01, 2), (0.99, 1)])
+    def test_rank_is_counted_above_default_rel_tol(self, scale, rank):
+        # default_rel_tol of a 3 x 3 matrix is 3e-10, relative to sigma_max.
+        m = np.diag([2.0, 2.0 * 3e-10 * scale, 0.0])
+        assert svd_with_rank(m)[3] == rank
+        assert np.trace(projector_from_columns(m)).real == pytest.approx(rank)
+        assert np.count_nonzero(np.abs(pseudo_inverse(m)) > 0.0) == rank
 
 
 class TestRangeDistance:
