@@ -14,7 +14,6 @@ run in any order.
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import os
@@ -83,46 +82,46 @@ COMMAND_FIELDS = {
 
 # -- config handling ----------------------------------------------------------
 
-def _load_config(args: argparse.Namespace) -> dict:
-    """The config of one command, resolved once: flags override config-file
-    values, the command's defaults are applied and every check that needs no
-    built model runs, naming its field.  ``model`` becomes a (kind, fields)
-    pair, ``target`` None or an (AnalyticTarget, info) pair and ``n`` the
-    count or sweep to run, None only for a custom model's default."""
+def _load_config(command: str, flags: dict) -> dict:
+    """The config of one command, resolved once: the flags of
+    :func:`_parse_argv` override config-file values, the command's defaults
+    are applied and every check that needs no built model runs, naming its
+    field.  ``model`` becomes a (kind, fields) pair, ``target`` None or an
+    (AnalyticTarget, info) pair and ``n`` the count or sweep to run, None only
+    for a custom model's default."""
     cfg = dict(DEFAULTS)
     given = set()
-    if args.config is not None:
+    flags = dict(flags)
+    path = flags.pop("config", None)
+    if path is not None:
         try:
-            with open(args.config, encoding="utf-8") as fp:
+            with open(path, encoding="utf-8") as fp:
                 loaded = json.load(fp)
         except (OSError, json.JSONDecodeError) as exc:
-            raise InputValidationError(f"cannot read config {args.config}: {exc}")
+            raise InputValidationError(f"cannot read config {path}: {exc}")
         if not isinstance(loaded, dict):
             raise InputValidationError("config must be a JSON object")
         unknown = set(loaded) - set(DEFAULTS) - {"command"}
         if unknown:
             raise InputValidationError(f"unknown config fields: {sorted(unknown)}")
-        if loaded.get("command", args.command) != args.command:
+        if loaded.get("command", command) != command:
             raise InputValidationError(
                 f"config field command is {loaded['command']!r}, "
-                f"but the command run is {args.command}"
+                f"but the command run is {command}"
             )
         cfg.update(loaded)
         given.update(loaded)
-    for key in FLAG_FIELDS:
-        val = getattr(args, key)
-        if val is not None:
-            cfg[key] = val
-            given.add(key)
+    cfg.update(flags)
+    given.update(flags)
     _check_fields(cfg)
-    sweep = args.command == "convergence"
+    sweep = command == "convergence"
     if sweep:
         cfg["n"] = cfg["n"] or list(DEFAULT_SWEEP)
         if not isinstance(cfg["n"], list) or len(cfg["n"]) < 4:
             raise InputValidationError("convergence sweep needs at least 4 n values")
     elif isinstance(cfg["n"], list):
         raise InputValidationError(
-            f"n must be a single integer >= 1 for {args.command}, got {cfg['n']!r}; "
+            f"n must be a single integer >= 1 for {command}, got {cfg['n']!r}; "
             "sweep lists are for convergence"
         )
     if cfg["model"] is None:
@@ -131,9 +130,9 @@ def _load_config(args: argparse.Namespace) -> dict:
         cfg["target"] = DEFAULT_SWEEP_TARGET
     kind, fields = cfg["model"] = _spec_fields(cfg["model"], "model", MODEL_FIELDS)
     target = None if cfg["target"] is None else _spec_fields(cfg["target"], "target", TARGET_FIELDS)
-    unused = [key for key in DEFAULTS if key in given - COMMAND_FIELDS[args.command]]
+    unused = [key for key in DEFAULTS if key in given - COMMAND_FIELDS[command]]
     if unused:
-        raise InputValidationError(f"{args.command} does not use {', '.join(unused)}")
+        raise InputValidationError(f"{command} does not use {', '.join(unused)}")
     _check_p_spec(cfg["p_spec"])
 
     if sweep and kind != "fourier-legendre":
@@ -148,7 +147,7 @@ def _load_config(args: argparse.Namespace) -> dict:
                 f"target is for fourier-legendre models only; a {kind} model "
                 "reconstructs the fixed vector with entries proportional to 1/(j+1)"
             )
-    elif kind == "fourier-legendre" and args.command in ("reconstruct", "mc-gram"):
+    elif kind == "fourier-legendre" and command in ("reconstruct", "mc-gram"):
         raise InputValidationError("fourier-legendre models need a --target")
     # identity's dim or fl's n; a custom model's columns come with its file,
     # so leverage_profile checks n against them.
@@ -691,25 +690,63 @@ RUNNERS = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="stochsamp",
-        description="Stochastic generalized sampling experiments",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in RUNNERS:
-        cmd = sub.add_parser(name)
-        # Values stay strings here; _load_config checks them like config values.
-        for key in ["config", *FLAG_FIELDS]:
-            cmd.add_argument(f"--{key}")
-    return parser
+FLAGS = ("config", *FLAG_FIELDS)
+HELP = ("-h", "--help")
+
+USAGE = f"""usage: stochsamp COMMAND [--NAME VALUE | --NAME=VALUE]...
+
+commands: {', '.join(RUNNERS)}
+flags: {' '.join(f'--{name}' for name in FLAGS)}
+
+Each flag is spelt out in full and a repeated flag keeps its last value.
+Flags override the fields of the JSON file given by --config.  Exit codes:
+0 success, 2 usage, config or validation error, 3 numerical-accuracy failure.
+"""
+
+
+def _parse_argv(argv: list[str]) -> tuple[str, dict] | None:
+    """The command of a command line and its flags, or None where it asks
+    for help: -h or --help where a command or a flag is expected.
+
+    The first token is a command of RUNNERS and every later one --NAME VALUE
+    or --NAME=VALUE, NAME one of FLAGS; the flags map NAME to the last value
+    given.  Values stay strings; _load_config checks them like config
+    values.  Any other token raises InputValidationError naming it."""
+    tokens = iter(argv)
+    command = next(tokens, None)
+    if command in HELP:
+        return None
+    if command not in RUNNERS:
+        given = "no command given" if command is None else f"unknown command {command!r}"
+        raise InputValidationError(f"{given}; commands: {', '.join(RUNNERS)}")
+    flags = {}
+    for token in tokens:
+        if token in HELP:
+            return None
+        name, eq, value = token[2:].partition("=")
+        if not token.startswith("--") or name not in FLAGS:
+            raise InputValidationError(
+                f"unrecognized argument {token!r}; flags are spelt out in full"
+            )
+        if not eq:
+            value = next(tokens, None)
+            if value is None or value.startswith("--"):
+                raise InputValidationError(f"flag {token} needs a value")
+        flags[name] = value
+    return command, flags
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
-        RUNNERS[args.command](_load_config(args))
+        parsed = _parse_argv(sys.argv[1:] if argv is None else argv)
+    except InputValidationError as exc:
+        print(f"usage error: {exc}; see stochsamp --help", file=sys.stderr)
+        return 2
+    if parsed is None:
+        print(USAGE, end="")
+        return 0
+    try:
+        RUNNERS[parsed[0]](_load_config(*parsed))
     except NumericalAccuracyError as exc:
         print(f"numerical accuracy failure: {exc}", file=sys.stderr)
         return 3

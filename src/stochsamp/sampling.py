@@ -457,7 +457,13 @@ def leverage_profile(model: FrameModel, n: int, p_spec="leverage") -> LeveragePr
             raise SupportViolationError(
                 f"custom p is zero at indices with nonzero interaction: {np.flatnonzero(bad)[:5]}"
             )
-        total = p.sum()
+        with np.errstate(over="ignore"):
+            total = p.sum()
+        if not np.isfinite(total):
+            # Finite weights whose sum overflows: scale by the largest first.
+            # Only this case divides, so a p with a finite sum keeps its bits.
+            p = p / p.max()
+            total = p.sum()
         if total <= 0.0:
             raise InputValidationError("custom p sums to zero")
         p = p / total

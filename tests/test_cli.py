@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -86,6 +87,45 @@ class TestConfigHandling:
     def test_unknown_model_kind(self, capsys):
         code, _ = run(capsys, "reconstruct", "--model", "warp:3")
         assert code == 2
+
+
+# mc-gram --model identity:4 --m 3 as the config resolves it.
+MC_GRAM_M3 = dict(cli.DEFAULTS, model=("identity", {"dim": 4}), n=4, m=3)
+
+
+@pytest.mark.parametrize("argv,code,expect", [
+    (["mc-gram", "--model", "identity:4", "--m", "3"], 0, MC_GRAM_M3),
+    (["mc-gram", "--model=identity:4", "--m=3"], 0, MC_GRAM_M3),
+    (["mc-gram", "--m", "7", "--model", "identity:8", "--model=identity:4", "--m", "3"],
+     0, MC_GRAM_M3),
+    ([], 2, "no command given"),
+    (["warp"], 2, "'warp'"),
+    (["mc-gram", "--tri", "5"], 2, "'--tri'"),
+    (["mc-gram", "--bogus", "1"], 2, "'--bogus'"),
+    (["mc-gram", "-m", "3"], 2, "'-m'"),
+    (["mc-gram", "--m", "3", "stray"], 2, "'stray'"),
+    (["mc-gram", "--m"], 2, "flag --m needs a value"),
+    (["mc-gram", "--m", "--n", "3"], 2, "flag --m needs a value"),
+    (["-h"], 0, "usage"),
+    (["--help"], 0, "usage"),
+    (["mc-gram", "--m", "3", "-h"], 0, "usage"),
+])
+def test_command_line_forms(capsys, monkeypatch, argv, code, expect):
+    """A command, then --NAME VALUE or --NAME=VALUE, the last of a repeated
+    flag winning; any other token returns 2 naming it, and -h or --help
+    where a command or flag is expected prints the usage."""
+    resolved = []
+    monkeypatch.setitem(cli.RUNNERS, "mc-gram", resolved.append)
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    if code == 2:
+        assert captured.out == "" and expect in captured.err
+    elif expect == "usage":
+        assert captured.out.startswith("usage: stochsamp COMMAND")
+        assert all(name in captured.out for name in cli.RUNNERS)
+        assert all(f"--{name}" in captured.out for name in ["config", *cli.FLAG_FIELDS])
+    else:
+        assert resolved == [expect]
 
 
 class TestSpecKeys:
@@ -229,7 +269,7 @@ class TestUnusedFields:
         wrote = {key: values[key] for key in cli.COMMAND_FIELDS[command]}
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(wrote))
-        loaded = cli._load_config(cli._build_parser().parse_args([command, "--config", str(cfg)]))
+        loaded = cli._load_config(*cli._parse_argv([command, "--config", str(cfg)]))
         # The specs are kept in their resolved forms.
         resolved = dict(wrote, model=FL_4_RESOLVED)
         if "target" in wrote:
@@ -268,8 +308,8 @@ class TestLoadChecks:
     def test_command_equal_to_the_one_run_accepted(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"command": "leverage", "model": "identity:4"}))
-        args = cli._build_parser().parse_args(["leverage", "--config", str(path)])
-        assert cli._load_config(args)["command"] == "leverage"
+        args = cli._parse_argv(["leverage", "--config", str(path)])
+        assert cli._load_config(*args)["command"] == "leverage"
 
     @pytest.mark.parametrize("value", [
         "foo", "Leverage", "", 5, True, {"kind": "leverage"}, [], [1.0, -1.0], [1, True],
@@ -284,8 +324,8 @@ class TestLoadChecks:
     def test_good_p_spec_accepted(self, tmp_path, value):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"p_spec": value}))
-        args = cli._build_parser().parse_args(["leverage", "--config", str(path)])
-        assert cli._load_config(args)["p_spec"] == value
+        args = cli._parse_argv(["leverage", "--config", str(path)])
+        assert cli._load_config(*args)["p_spec"] == value
 
     @pytest.mark.parametrize("command", ["reconstruct", "mc-gram"])
     @pytest.mark.parametrize("model", [["--model", "identity:8"], ["--model", "custom:f.json"], []])
@@ -298,11 +338,11 @@ class TestLoadChecks:
         assert "target is for fourier-legendre models only" in captured.err
 
     def test_target_on_a_convergence_sweep_accepted(self):
-        args = cli._build_parser().parse_args(["convergence", "--target", "exp_c:2"])
-        assert cli._load_config(args)["target"] == (cli.fl.exp_target(2.0), {"kind": "exp_c", "c": 2.0})
+        args = cli._parse_argv(["convergence", "--target", "exp_c:2"])
+        assert cli._load_config(*args)["target"] == (cli.fl.exp_target(2.0), {"kind": "exp_c", "c": 2.0})
 
     def test_sweep_defaults_resolved_at_load(self):
-        cfg = cli._load_config(cli._build_parser().parse_args(["convergence"]))
+        cfg = cli._load_config(*cli._parse_argv(["convergence"]))
         assert cfg["n"] == [4, 8, 12, 16, 20]
         assert cfg["model"] == ("fourier-legendre", {"n": 20, "ambient": 2001, "J": None,
                                                      "max_defect": 1e-2})
@@ -317,8 +357,8 @@ class TestLoadChecks:
         assert f"m must be an integer in [1, {cli.M_MAX}]" in captured.err
 
     def test_m_at_the_ceiling_accepted(self):
-        args = cli._build_parser().parse_args(["mc-gram", "--m", str(cli.M_MAX)])
-        assert cli._load_config(args)["m"] == cli.M_MAX == 1_000_000
+        args = cli._parse_argv(["mc-gram", "--m", str(cli.M_MAX)])
+        assert cli._load_config(*args)["m"] == cli.M_MAX == 1_000_000
 
     @pytest.fixture
     def no_builders(self, monkeypatch):
@@ -337,8 +377,8 @@ class TestLoadChecks:
     @pytest.mark.parametrize("command", ["leverage", "bounds", "convergence"])
     def test_fl_model_without_target_accepted_where_none_is_read(self, command):
         # The default sweep reaches n = 20, and its default target is pole_a:1.5.
-        args = cli._build_parser().parse_args([command, "--model", "fl:n=20"])
-        target = cli._load_config(args)["target"]
+        args = cli._parse_argv([command, "--model", "fl:n=20"])
+        target = cli._load_config(*args)["target"]
         if command == "convergence":
             assert target == (cli.fl.pole_target(1.5), {"kind": "pole_a", "a": 1.5})
         else:
@@ -391,8 +431,8 @@ class TestLoadChecks:
             ("fl:n=100,ambient=100001",
              ("fourier-legendre", {"n": 100, "ambient": 100_001, "J": None, "max_defect": 1e-2})),
         ):
-            args = cli._build_parser().parse_args(["leverage", "--model", spec])
-            assert cli._load_config(args)["model"] == resolved
+            args = cli._parse_argv(["leverage", "--model", spec])
+            assert cli._load_config(*args)["model"] == resolved
         assert (cli.IDENTITY_DIM_MAX, cli.FL_N_MAX, cli.FL_AMBIENT_MAX) == (3000, 100, 100_001)
 
 
@@ -431,8 +471,8 @@ def test_spec_forms_give_the_same_model_info(capsys, tmp_path):
 
 
 def test_identity_model_is_a_selection():
-    args = cli._build_parser().parse_args(["leverage", "--model", "identity:5"])
-    model, info = cli._build_model(cli._load_config(args))
+    args = cli._parse_argv(["leverage", "--model", "identity:5"])
+    model, info = cli._build_model(cli._load_config(*args))
     assert info == {"kind": "identity", "dim": 5}
     assert model.s_matrix is None
     assert np.array_equal(model.s_rows, np.arange(5))
@@ -548,6 +588,24 @@ class TestLeverage:
         assert float(first[2]) == pytest.approx(1.0, abs=1e-12)
         assert 5.0 * float(first[3]) == pytest.approx(1.0, abs=0.05)
 
+    def test_p_spec_whose_sum_overflows(self, capsys, tmp_path):
+        # Each weight is finite and their sum overflows; the distribution is
+        # uniform, as "uniform_on_support" gives it, bit for bit.
+        outputs = []
+        for p_spec in ([1e308] * 4, "uniform_on_support"):
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"p_spec": p_spec}))
+            for command in (["leverage"], ["mc-gram", "--trials", "3"]):
+                out = tmp_path / "run"
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    code = main([*command, "--model", "identity:4", "--config", str(cfg),
+                                 "--out", str(out)])
+                assert code == 0
+                assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+                outputs.append((capsys.readouterr().out, (tmp_path / "run.csv").read_text()))
+        assert outputs[:2] == outputs[2:]
+
 
 class TestBounds:
     def test_rate_onb_value(self, capsys):
@@ -598,10 +656,11 @@ class TestMonteCarlo:
         assert report["bound_violations"] == 0
 
     def test_crossterm_alias_removed(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["mc-crossterm", "--model", "identity:8", "--n", "4", "--trials", "2"])
-        assert exc.value.code == 2
-        assert capsys.readouterr().out == ""
+        code = main(["mc-crossterm", "--model", "identity:8", "--n", "4", "--trials", "2"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "unknown command 'mc-crossterm'" in captured.err
 
     def test_doubling_m_reduces_median_gram_dev(self, capsys, tmp_path):
         meds = []

@@ -1,9 +1,9 @@
 """Cold start: what one command pays before and beside its results.
 
 No command imports numpy.ma (np.unique and np.median would), statistics or
-numpy.polynomial (for Gauss-Legendre rules the module computes itself), and
-coherence_profile takes T = ||(I - QQ^H) S||^2 = 1 with no SVD for
-orthonormal sampling vectors with J above the rank of W_n."""
+numpy.polynomial (for Gauss-Legendre rules the module computes itself), the
+CLI imports no argparse, and coherence_profile takes T = ||(I - QQ^H) S||^2 = 1
+with no SVD for orthonormal sampling vectors with J above the rank of W_n."""
 
 import json
 import os
@@ -73,6 +73,22 @@ def test_command_imports_no_numpy_ma_or_statistics(command, tmp_path):
     result = json.loads(out.stdout.splitlines()[-1])
     assert result["codes"] == [0] * len(result["codes"])
     assert not {"numpy.ma", "numpy.polynomial", "statistics"} & set(result["added"])
+
+
+def test_cli_import_builds_no_argparse():
+    # main parses argv in one pass, so neither argparse nor the gettext it
+    # imports is loaded, on import or on a usage error or --help.
+    probe = ("import contextlib, io, json, sys\n"
+             "before = set(sys.modules)\n"
+             "import numpy, stochsamp.cli\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             "    codes = [stochsamp.cli.main(argv) for argv in (['--help'], ['mc-gram', '--tri', '5'])]\n"
+             "print(json.dumps({'codes': codes, 'added': sorted(set(sys.modules) - before)}))\n")
+    out = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=SRC),
+                         capture_output=True, text=True, check=True)
+    result = json.loads(out.stdout.splitlines()[-1])
+    assert result["codes"] == [0, 2]
+    assert not {"argparse", "gettext"} & set(result["added"])
 
 
 # -- T = ||(I - QQ^H) S||^2 ----------------------------------------------------
