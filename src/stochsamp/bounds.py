@@ -3,7 +3,9 @@
 All logarithms are natural (the constants 8/3 and 10/3 pair with ln in the
 derivations).  Tail bounds are returned unclamped -- they may exceed 1 and the
 caller clamps when a probability is needed.  Sample sizes apply the ceiling at
-the final step only.
+the final step only; a size that is not a finite number (a delta or epsilon
+so small that a logarithm or a division overflows) raises
+InputValidationError naming delta or epsilon.
 """
 
 from __future__ import annotations
@@ -55,6 +57,29 @@ class BoundInputs:
             raise InputValidationError(f"delta must lie in (0, 1), got {self.delta}")
         if self.epsilon is not None and self.epsilon <= 0.0:
             raise InputValidationError(f"epsilon must be positive, got {self.epsilon}")
+
+
+def _finite(value: float, field: str) -> float:
+    """``value`` if it is a finite number, else InputValidationError naming
+    the input ``field`` at which the sample size is not finite."""
+    if not math.isfinite(value):
+        raise InputValidationError(f"sample size is not a finite number at this {field}")
+    return value
+
+
+def _log(c: float, n: int, delta: float) -> float:
+    """ln(c n / delta); a delta that makes it infinite is rejected."""
+    return math.log(_finite(c * n / delta if delta else math.inf, "delta"))
+
+
+def _over_eps2(num: float, eps: float) -> float:
+    """num / eps^2, infinite where eps^2 underflows to 0."""
+    sq = eps**2
+    return num / sq if sq else math.inf
+
+
+def _ceil(size: float, field: str) -> int:
+    return math.ceil(_finite(size, field))
 
 
 def _require(inputs: BoundInputs, *names: str) -> list[float]:
@@ -129,30 +154,30 @@ def gram_sample_size(inputs: BoundInputs, mode: str) -> int:
     """
     if mode not in GRAM_MODES:
         raise InputValidationError(f"unknown mode {mode!r}; expected one of {GRAM_MODES}")
-    log_term = math.log(2.0 * inputs.n / inputs.delta)
+    log_term = _log(2.0, inputs.n, inputs.delta)
     if mode == "rate_onb":
-        return math.ceil((8.0 / 3.0) * inputs.n * log_term)
+        return _ceil((8.0 / 3.0) * inputs.n * log_term, "delta")
     if mode == "rate_Rlogn":
         (r,) = _require(inputs, "R")
-        return math.ceil((8.0 / 3.0) * r * log_term)
+        return _ceil((8.0 / 3.0) * r * log_term, "delta")
     if mode == "rate_leverage":
         tr, sn, sin_ = _require(inputs, "trace_sigma", "sigma_norm", "sigma_inv_norm")
-        return math.ceil((8.0 / 3.0) * tr * sn * sin_**2 * log_term)
+        return _ceil((8.0 / 3.0) * tr * sn * sin_**2 * log_term, "delta")
     if mode == "at_lambda0":
         r, sn, sin_ = _require(inputs, "R", "sigma_norm", "sigma_inv_norm")
-        return math.ceil((8.0 / 3.0) * r * sn * sin_**2 * log_term)
+        return _ceil((8.0 / 3.0) * r * sn * sin_**2 * log_term, "delta")
     # explicit_eps
     r, sn, eps = _require(inputs, "R", "sigma_norm", "epsilon")
     if eps > sn:
         raise InputValidationError(
             f"epsilon={eps} exceeds ||Sigma||={sn}; admissible range is (0, ||Sigma||]"
         )
-    return math.ceil((8.0 / 3.0) * r * sn * log_term / eps**2)
+    return _ceil(_over_eps2((8.0 / 3.0) * r * sn * log_term, eps), "epsilon")
 
 
 def _crossterm_formula(n: int, delta: float, k_scale: float, r_double: float, eps: float) -> int:
-    return math.ceil(
-        (10.0 / 3.0) * k_scale * r_double * math.log(28.0 * n / delta) / eps**2
+    return _ceil(
+        _over_eps2((10.0 / 3.0) * k_scale * r_double * _log(28.0, n, delta), eps), "epsilon"
     )
 
 
@@ -190,16 +215,8 @@ def kfactor_sample_size(inputs: BoundInputs, variant: str) -> int:
             f"epsilon={eps} outside admissible interval (0, {eps_max})"
         )
     if variant == "riesz":
-        return math.ceil(
-            (10.0 / 3.0)
-            * k_scale
-            * r_double
-            * math.log(56.0 * inputs.n / inputs.delta)
-            * lam**2
-            * d_up
-            / eps**2
-            * max(1.0, 2.0 * sin_) ** 4
-        )
+        num = (10.0 / 3.0) * k_scale * r_double * _log(56.0, inputs.n, inputs.delta) * lam**2 * d_up
+        return _ceil(_over_eps2(num, eps) * max(1.0, 2.0 * sin_) ** 4, "epsilon")
     scale = lam * math.sqrt(d_up)
     half = inputs.delta / 2.0
     return max(

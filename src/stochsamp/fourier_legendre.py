@@ -13,6 +13,7 @@ never silently renormalized away.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -25,7 +26,6 @@ __all__ = [
     "frequencies",
     "spherical_bessel_table",
     "legendre_fourier_table",
-    "FLTruncation",
     "fl_leverage_distribution",
     "AnalyticTarget",
     "exp_target",
@@ -154,22 +154,13 @@ def legendre_fourier_table(n: int, freqs: np.ndarray) -> np.ndarray:
 
 # -- leverage distribution with tail accounting --------------------------------
 
-@dataclass(frozen=True)
-class FLTruncation:
-    """Truncation record: reconstruction dimension, retained frequency count,
-    and the probability mass lost to the discarded frequencies."""
-
-    n: int
-    J: int
-    tail_mass: float
-
-
-def fl_leverage_distribution(n: int, J: int) -> tuple[np.ndarray, FLTruncation]:
+def fl_leverage_distribution(n: int, J: int) -> tuple[np.ndarray, float]:
     """Exact leverage distribution p_l = (1/n) sum_{k<n} (2k+1) j_k(-sigma(l) pi)^2
-    on the first J enumerated frequencies, renormalized by the retained mass.
+    on the first J enumerated frequencies, renormalized by the retained mass,
+    and the tail mass.
 
-    The raw distribution sums to 1 over all integers; the reported tail mass
-    is the weight of the discarded frequencies.
+    The raw distribution sums to 1 over all integers; the tail mass is the
+    weight of the discarded frequencies.
     """
     if n < 1 or J < 1:
         raise InputValidationError("n and J must be >= 1")
@@ -183,7 +174,7 @@ def fl_leverage_distribution(n: int, J: int) -> tuple[np.ndarray, FLTruncation]:
             f"J={J} retains only {retained:.3f} of the leverage mass for n={n}; "
             "increase J"
         )
-    return p_raw / retained, FLTruncation(n=n, J=J, tail_mass=tail)
+    return p_raw / retained, tail
 
 
 # -- Legendre evaluation and quadrature ----------------------------------------
@@ -311,10 +302,14 @@ class AnalyticTarget:
             out = np.sqrt(2.0) * np.sinh(safe) / safe
             # sinh(z)/z -> 1 + z^2/6 near zero
             return np.where(small, np.sqrt(2.0) * (1.0 + z**2 / 6.0), out)
-        # Degree cutoff leaving a truncation tail below ~1e-15.
-        k_cut = min(int(math.ceil(40.0 / math.log(self.rho))) + 30, 400)
-        c = self.legendre_coef(k_cut)
-        return legendre_fourier_table(k_cut + 1, freqs) @ c
+        c = self.legendre_coef(self.k_cut)
+        return legendre_fourier_table(self.k_cut + 1, freqs) @ c
+
+    @property
+    def k_cut(self) -> int:
+        """Legendre degree cutoff of the pole target, leaving a truncation
+        tail below ~1e-15."""
+        return int(math.ceil(40.0 / math.log(self.rho))) + 30
 
     def legendre_coef(self, k_max: int) -> np.ndarray:
         """Coefficients <f, w_{k+1}> for degrees 0..k_max, by quadrature."""
@@ -323,17 +318,42 @@ class AnalyticTarget:
         ).astype(complex)
 
 
+# The largest |c| whose ||exp(c x)||^2 = sinh(2c)/c is a finite double; the
+# largest pole target degree cutoff, which puts the pole at a >= 1.00585; and
+# the farthest pole, whose ||f||^2 = 2/(a^2 - 1) stays a normal double.
+EXP_C_MAX = math.asinh(sys.float_info.max) / 2.0
+POLE_K_CUT_MAX = 400
+POLE_A_MAX = 1e150
+
+
 def exp_target(c: float) -> AnalyticTarget:
-    """Entire target exp(c*x); Bernstein parameter is infinite."""
-    return AnalyticTarget(kind="exp_c", param=float(c), rho=math.inf)
+    """Entire target exp(c*x) for |c| <= EXP_C_MAX (about 355.24); Bernstein
+    parameter is infinite."""
+    c = float(c)
+    if not abs(c) <= EXP_C_MAX:
+        raise InputValidationError(
+            f"exp_c needs |c| <= {EXP_C_MAX!r}, where ||f||^2 = sinh(2c)/c is "
+            f"a finite double; got c={c}"
+        )
+    return AnalyticTarget(kind="exp_c", param=c, rho=math.inf)
 
 
 def pole_target(a: float) -> AnalyticTarget:
-    """Target 1/(x - a) with a real pole at a > 1; rho = a + sqrt(a^2 - 1)."""
+    """Target 1/(x - a) with a real pole at a > 1; rho = a + sqrt(a^2 - 1).
+    The pole must lie at most POLE_A_MAX out and far enough from 1 that
+    k_cut <= POLE_K_CUT_MAX."""
     a = float(a)
-    if a <= 1.0:
-        raise InputValidationError(f"pole location must satisfy a > 1, got {a}")
-    return AnalyticTarget(kind="pole_a", param=a, rho=a + math.sqrt(a**2 - 1.0))
+    if not 1.0 < a <= POLE_A_MAX:
+        raise InputValidationError(
+            f"pole location must satisfy a > 1 and a <= {POLE_A_MAX:g}, got {a}"
+        )
+    target = AnalyticTarget(kind="pole_a", param=a, rho=a + math.sqrt(a**2 - 1.0))
+    if target.k_cut > POLE_K_CUT_MAX:
+        raise InputValidationError(
+            f"pole location a={a} needs Legendre degree {target.k_cut} "
+            f"(> {POLE_K_CUT_MAX}) for a 1e-15 tail; a must be at least about 1.00585"
+        )
+    return target
 
 
 # -- model builder ----------------------------------------------------------------

@@ -23,7 +23,6 @@ __all__ = [
     "pinv_from_svd",
     "minimal_norm_lsq",
     "hermitian_dilation",
-    "effective_rank",
     "projector_from_columns",
     "projector_from_svd",
     "range_distance",
@@ -126,24 +125,6 @@ def hermitian_dilation(t) -> np.ndarray:
     out[:d1, d1:] = m.conj().T
     out[d1:, :d1] = m
     return out
-
-
-def effective_rank(a) -> float:
-    """trace(a) / operator_norm(a) for a self-adjoint PSD matrix; 0 for the
-    zero matrix."""
-    m = as_matrix(a)
-    if m.shape[0] != m.shape[1]:
-        raise InputValidationError("effective_rank requires a square matrix")
-    scale = max(1.0, float(np.abs(m).max()))
-    if operator_norm(m - m.conj().T) > 1e-10 * scale:
-        raise InputValidationError("matrix is not self-adjoint within tolerance")
-    w = np.linalg.eigvalsh((m + m.conj().T) / 2.0)
-    if w[0] < -1e-10 * scale:
-        raise InputValidationError("matrix is not positive semidefinite within tolerance")
-    top = float(np.max(np.abs(w)))
-    if top == 0.0:
-        return 0.0
-    return float(np.sum(np.clip(w, 0.0, None))) / top
 
 
 def projector_from_columns(cols) -> np.ndarray:

@@ -85,8 +85,6 @@ def model_to_dict(model: FrameModel) -> dict:
             if model.declared_bounds is None
             else [fmt_real(x) for x in model.declared_bounds]
         ),
-        "sampling_is_orthonormal": model.sampling_is_orthonormal,
-        "reconstruction_is_riesz": model.reconstruction_is_riesz,
     }
 
 

@@ -18,12 +18,12 @@ PUBLIC = {
     },
     "cli": {"main"},
     "fourier_legendre": {
-        "AnalyticTarget", "FLTruncation", "adaptive_quadrature", "build_fl_model",
+        "AnalyticTarget", "adaptive_quadrature", "build_fl_model",
         "column_defects", "exp_target", "fl_leverage_distribution", "frequencies",
         "legendre_fourier_table", "legendre_table", "pole_target", "spherical_bessel_table",
     },
     "linalg": {
-        "as_matrix", "default_rel_tol", "effective_rank", "hermitian_dilation",
+        "as_matrix", "default_rel_tol", "hermitian_dilation",
         "minimal_norm_lsq", "operator_norm", "pinv_from_svd", "projector_from_columns",
         "projector_from_svd", "pseudo_inverse", "range_distance", "svd_with_rank",
     },

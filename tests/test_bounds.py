@@ -257,3 +257,38 @@ class TestBoundInputsValidation:
     def test_bad_n(self):
         with pytest.raises(InputValidationError):
             BoundInputs(n=0, delta=0.1)
+
+
+class TestSizesThatAreNotFinite:
+    """A delta or epsilon so small that a size is not a finite number raises
+    InputValidationError naming it, where math.ceil would raise
+    OverflowError or the division ZeroDivisionError."""
+
+    INPUTS = dict(TestKfactorSampleSize.INPUTS, R=10.0, trace_sigma=10.0)
+    READ_EPSILON = [
+        (gram_sample_size, ("explicit_eps",)),
+        (crossterm_sample_size, ()),
+        (kfactor_sample_size, ("riesz",)),
+        (kfactor_sample_size, ("frames",)),
+    ]
+    READ_DELTA = READ_EPSILON + [(gram_sample_size, (mode,)) for mode in GRAM_MODES[1:]]
+
+    @pytest.mark.parametrize("delta", [5e-324, 1e-308])
+    @pytest.mark.parametrize("calc,mode", READ_DELTA)
+    def test_delta_named(self, calc, mode, delta):
+        inputs = BoundInputs(**dict(self.INPUTS, delta=delta))
+        with pytest.raises(InputValidationError, match="not a finite number at this delta"):
+            calc(inputs, *mode)
+
+    @pytest.mark.parametrize("eps", [5e-324, 1e-170, 1e-160])
+    @pytest.mark.parametrize("calc,mode", READ_EPSILON)
+    def test_epsilon_named(self, calc, mode, eps):
+        inputs = BoundInputs(**dict(self.INPUTS, epsilon=eps))
+        with pytest.raises(InputValidationError, match="not a finite number at this epsilon"):
+            calc(inputs, *mode)
+
+    def test_finite_sizes_kept_near_the_edge(self):
+        # delta = 1e-300 leaves ln(2n/delta) finite; the size is exact.
+        inputs = BoundInputs(n=4, delta=1e-300)
+        expected = math.ceil((8.0 / 3.0) * 4 * math.log(2.0 * 4 / 1e-300))
+        assert gram_sample_size(inputs, "rate_onb") == expected

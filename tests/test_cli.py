@@ -13,7 +13,7 @@ import stochsamp
 import stochsamp.cli as cli
 import stochsamp.sampling as sampling
 from stochsamp.cli import main
-from stochsamp.sampling import build_frame_model
+from stochsamp.sampling import build_frame_model, draw_samples
 from stochsamp.serialize import model_to_dict
 
 
@@ -148,6 +148,9 @@ class TestSpecKeys:
         ("--target", "exp_c:xyz", "c"),
         ("--target", "exp_c:nan", "c"),
         ("--target", "pole_a:a=1.5,b=2", "b"),
+        # Neither "value" nor "kind" is a key of a 'kind:...' string.
+        ("--model", "fl:value=6,ambient=301,max_defect=0.05", "'value'"),
+        ("--model", "fl:kind=identity,dim=4", "'kind'"),
     ])
     @pytest.mark.parametrize("command", ["reconstruct", "mc-gram", "leverage", "bounds"])
     def test_bad_spec_rejected(self, capsys, command, flag, spec, key):
@@ -571,7 +574,7 @@ class TestLeverage:
             capsys, "leverage", "--model", "fl:n=10,ambient=301,max_defect=0.05",
         )
         assert code == 0
-        exact = fl_leverage_distribution(10, 301)[1].tail_mass
+        exact = fl_leverage_distribution(10, 301)[1]
         assert abs(float(report["tail_mass"]) - exact) <= 1e-12
         assert float(report["tail_mass"]) > 0.007
 
@@ -848,6 +851,66 @@ class TestInputValidation:
                      "--n", "4,5,6,7", "--trials", "0"])
         assert code == 2
         assert "trials must" in capsys.readouterr().err
+
+
+FL_6 = "fl:n=6,ambient=301,max_defect=0.05"
+DELTA = "sample size is not a finite number at this delta"
+EPSILON = "sample size is not a finite number at this epsilon"
+EXTREME_VALUES = [
+    # Sizes that are not finite: exit 2 before the first draw, except in
+    # bounds, which reports them per threshold.
+    (["mc-gram", "--model", "identity:4", "--trials", "2", "--delta", "5e-324"], 2, DELTA),
+    (["mc-gram", "--model", "identity:4", "--m", "8", "--trials", "2", "--delta", "5e-324"],
+     2, DELTA),
+    (["bounds", "--model", "identity:4", "--delta", "5e-324"], 0, DELTA),
+    (["convergence", "--model", FL_6, "--n", "3,4,5,6", "--trials", "2", "--delta", "5e-324"],
+     2, DELTA),
+    (["reconstruct", "--model", "identity:4", "--delta", "5e-324"], 2, DELTA),
+    (["mc-gram", "--model", "identity:4", "--trials", "2", "--epsilon", "5e-324"], 2, EPSILON),
+    (["bounds", "--model", "identity:4", "--epsilon", "5e-324"], 0, EPSILON),
+    # Targets whose norm is not finite or whose expansion is cut: exit 2 at load.
+    (["reconstruct", "--model", FL_6, "--target", "exp_c:360"], 2, "exp_c needs |c| <="),
+    (["reconstruct", "--model", FL_6, "--target", "exp_c:-700"], 2, "exp_c needs |c| <="),
+    (["reconstruct", "--model", FL_6, "--target", "pole_a:1e308"], 2, "pole location"),
+    (["reconstruct", "--model", FL_6, "--target", "pole_a:1.0000000000000002"], 2, "pole location"),
+    (["reconstruct", "--model", FL_6, "--target", "pole_a:1.003"], 2, "pole location"),
+    # Controls.
+    (["mc-gram", "--model", "identity:4", "--trials", "2", "--delta", "1e-300"], 0, None),
+    (["bounds", "--model", "identity:4", "--epsilon", "1e308"], 0, None),
+    (["mc-gram", "--model", "identity:4", "--trials", "2", "--epsilon", "1e308"], 0, None),
+    (["mc-gram", "--model", "identity:4", "--trials", "2", "--m", "1"], 0, None),
+    (["reconstruct", "--model", FL_6, "--target", "exp_c:0"], 0, None),
+    (["reconstruct", "--model", FL_6, "--target", "exp_c:5e-324"], 0, None),
+    (["reconstruct", "--model", FL_6, "--target", "exp_c:-355"], 0, None),
+    (["reconstruct", "--model", FL_6, "--target", "pole_a:1e150"], 0, None),
+    (["leverage", "--model", "fl:n=6,ambient=301,max_defect=1e308"], 0, None),
+    (["mc-gram", "--model", "fl:n=1,ambient=1,max_defect=1", "--target", "exp_c:1",
+      "--trials", "2"], 0, None),
+    (["mc-gram", "--model", "identity:1", "--trials", "2"], 0, None),
+    (["mc-gram", "--model", "identity:4", "--trials", "2", "--seed", "1e300"], 2, "seed must be"),
+]
+
+
+@pytest.mark.parametrize("argv,code,message",
+                         [pytest.param(*case, id=" ".join(case[0])) for case in EXTREME_VALUES])
+def test_extreme_values(capsys, monkeypatch, argv, code, message):
+    """Each input ends in its exit code (0, 2 or 3) with no exception out of
+    main and no RuntimeWarning, and an exit 0 prints no infinite or NaN
+    number.  An exit 2 names the field on stderr and comes before the first
+    draw; bounds names it in its thresholds."""
+    draws = []
+    monkeypatch.setattr(cli, "draw_samples", lambda *a: draws.append(a) or draw_samples(*a))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == code
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    captured = capsys.readouterr()
+    if code == 2:
+        assert captured.out == "" and not draws
+        assert message in captured.err
+    else:
+        assert not re.search(r'"[-+]?(inf|nan)"', captured.out)
+        assert message is None or message in captured.out
 
 
 class TestNValidation:

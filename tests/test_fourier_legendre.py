@@ -7,6 +7,7 @@ import pytest
 import stochsamp.fourier_legendre as fourier_legendre
 from stochsamp.errors import InputValidationError, NumericalAccuracyError, TruncationError
 from stochsamp.fourier_legendre import (
+    EXP_C_MAX,
     _leggauss,
     _legval,
     adaptive_quadrature,
@@ -267,26 +268,26 @@ class TestLegendreFourierCoef:
 
 class TestLeverageDistribution:
     def test_n1_point_mass(self):
-        p, trunc = fl_leverage_distribution(1, 21)
+        p, tail = fl_leverage_distribution(1, 21)
         assert p[0] == pytest.approx(1.0)
         assert np.all(np.abs(p[1:]) <= 1e-25)
-        assert trunc.tail_mass <= 1e-12
+        assert tail <= 1e-12
 
     def test_n5_zero_frequency_entry(self):
-        p, trunc = fl_leverage_distribution(5, 401)
-        pre_renorm = p[0] * (1.0 - trunc.tail_mass)
+        p, tail = fl_leverage_distribution(5, 401)
+        pre_renorm = p[0] * (1.0 - tail)
         assert 5.0 * pre_renorm == pytest.approx(1.0, abs=1e-12)
 
     def test_retained_mass_audit(self):
         # sum over all integers of n * p_l equals n = tr(Sigma)
         n = 5
-        p, trunc = fl_leverage_distribution(n, 801)
-        retained = (1.0 - trunc.tail_mass) * n
+        p, tail = fl_leverage_distribution(n, 801)
+        retained = (1.0 - tail) * n
         assert retained <= n + 1e-12
         assert retained == pytest.approx(n, rel=2e-3)
 
     def test_tail_decreases_with_J(self):
-        tails = [fl_leverage_distribution(5, j)[1].tail_mass for j in (41, 201, 801)]
+        tails = [fl_leverage_distribution(5, j)[1] for j in (41, 201, 801)]
         assert tails[0] > tails[1] > tails[2] >= -1e-12
 
     def test_insufficient_J(self):
@@ -299,8 +300,8 @@ class TestLeverageDistribution:
         model = build_fl_model(n, j_count, ambient, max_defect=0.05)
         prof = leverage_profile(model, n)
         vn2 = np.sum(np.abs(prof.v) ** 2, axis=0).real
-        p, trunc = fl_leverage_distribution(n, j_count)
-        pre_renorm = p * (1.0 - trunc.tail_mass)
+        p, tail = fl_leverage_distribution(n, j_count)
+        pre_renorm = p * (1.0 - tail)
         assert np.max(np.abs(n * pre_renorm - vn2)) <= 1e-9
 
 
@@ -400,6 +401,28 @@ class TestAnalyticTargets:
     def test_pole_requires_a_above_one(self):
         with pytest.raises(InputValidationError):
             pole_target(0.9)
+
+    @pytest.mark.parametrize("a,k_cut", [(1.5, 72), (1.0058493751726991, 400), (1e150, 31)])
+    def test_pole_k_cut(self, a, k_cut):
+        assert pole_target(a).k_cut == k_cut
+
+    @pytest.mark.parametrize("a", [
+        1.005849375172699, 1.003, 1.0000001, 1.0000000000000002,
+        math.nextafter(1e150, math.inf), 1e308, math.inf, math.nan,
+    ])
+    def test_pole_outside_its_range_rejected(self, a):
+        # Either its expansion would need a degree above 400, or it lies so
+        # far out that ||f||^2 = 2/(a^2 - 1) is no longer a normal double.
+        with pytest.raises(InputValidationError, match=r"\ba\b"):
+            pole_target(a)
+
+    def test_exp_range_is_where_the_norm_is_finite(self):
+        for c in (EXP_C_MAX, -EXP_C_MAX):
+            assert math.isfinite(math.sinh(2.0 * c) / c)
+            assert exp_target(c).param == c
+        for c in (math.nextafter(EXP_C_MAX, math.inf), -360.0, 700.0, math.inf, math.nan):
+            with pytest.raises(InputValidationError, match=r"\|c\|"):
+                exp_target(c)
 
     def test_pole_fourier_vs_quadrature(self):
         t = pole_target(1.5)

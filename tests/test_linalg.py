@@ -3,7 +3,6 @@ import pytest
 
 from stochsamp.errors import InputValidationError
 from stochsamp.linalg import (
-    effective_rank,
     hermitian_dilation,
     minimal_norm_lsq,
     operator_norm,
@@ -177,28 +176,6 @@ class TestHermitianDilation:
         h = hermitian_dilation(t)
         assert np.array_equal(h, h.conj().T)
         assert abs(operator_norm(h) - operator_norm(t)) <= 1e-12
-
-
-class TestEffectiveRank:
-    def test_identity(self):
-        assert effective_rank(np.eye(5)) == pytest.approx(5.0)
-
-    def test_rank_one_diag(self):
-        assert effective_rank(np.diag([1.0, 0.0, 0.0])) == pytest.approx(1.0)
-
-    def test_mixed_diag(self):
-        assert effective_rank(np.diag([2.0, 1.0, 1.0])) == pytest.approx(2.0)
-
-    def test_zero_matrix(self):
-        assert effective_rank(np.zeros((3, 3))) == 0.0
-
-    def test_rejects_non_psd(self):
-        with pytest.raises(InputValidationError):
-            effective_rank(np.diag([1.0, -1.0]))
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(InputValidationError):
-            effective_rank([[1.0, 1.0], [0.0, 1.0]])
 
 
 class TestProjector:

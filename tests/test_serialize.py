@@ -55,6 +55,10 @@ class TestModelRoundTrip:
         assert back.sampling_is_orthonormal == model.sampling_is_orthonormal
         assert back.reconstruction_is_riesz == model.reconstruction_is_riesz
 
+    def test_writes_only_what_the_reader_reads(self):
+        model, _, _, _ = sample_objects()
+        assert set(model_to_dict(model)) == {"type", "s_coef", "w_coef", "declared_bounds"}
+
     def test_json_serializable(self):
         model, _, _, _ = sample_objects()
         text = dumps(model_to_dict(model))
