@@ -92,12 +92,18 @@ def _require(inputs: BoundInputs, *names: str) -> list[float]:
     return vals
 
 
+def _nonnegative(**args: float) -> None:
+    """Reject the first negative argument, naming it."""
+    for name, val in args.items():
+        if val < 0:
+            raise InputValidationError(f"{name} must be nonnegative, got {val}")
+
+
 def bernstein_matrix_tail(eps: float, d: int, L: float, V: float) -> float:
     """Matrix Bernstein tail 2d * exp(-(eps^2/2) / (V + L*eps/3)) for a sum of
     independent centered self-adjoint d x d matrices with ||X_t|| <= L and
     variance scale V."""
-    if eps < 0 or L < 0 or V < 0:
-        raise InputValidationError("eps, L, V must be nonnegative")
+    _nonnegative(eps=eps, L=L, V=V)
     if d < 1:
         raise InputValidationError("d must be >= 1")
     if eps == 0.0:
@@ -116,8 +122,7 @@ def bernstein_operator_tail(eps: float, L: float, sigma2: float, eff_rank: float
     """Dimension-free Bernstein tail 14 * r * exp(-(eps^2/2) / (sigma^2 + L*eps/3))
     for self-adjoint Hilbert-Schmidt operators, valid for
     eps >= (L + sqrt(L^2 + 36 sigma^2)) / 6."""
-    if eps < 0 or L < 0 or sigma2 < 0 or eff_rank < 0:
-        raise InputValidationError("all arguments must be nonnegative")
+    _nonnegative(eps=eps, L=L, sigma2=sigma2, eff_rank=eff_rank)
     threshold = _validity_threshold(L, sigma2)
     if eps < threshold:
         raise BoundValidityError(
@@ -135,8 +140,7 @@ def bernstein_rectangular_tail(
     """Rectangular-operator Bernstein tail
     14 * (tr V1 + tr V2) / max{||V1||, ||V2||} * exp(-(eps^2/2)/(sigma^2 + L*eps/3)),
     with the same validity threshold on eps as the operator version."""
-    if min(eps, L, sigma2, tr_v1, tr_v2, max_v_norm) < 0:
-        raise InputValidationError("all arguments must be nonnegative")
+    _nonnegative(eps=eps, L=L, sigma2=sigma2, tr_v1=tr_v1, tr_v2=tr_v2, max_v_norm=max_v_norm)
     if max_v_norm == 0.0:
         raise DegenerateVarianceError("max{||V1||, ||V2||} is zero; the bound is vacuous")
     return bernstein_operator_tail(eps, L, sigma2, (tr_v1 + tr_v2) / max_v_norm)

@@ -407,9 +407,7 @@ def _fmt_cell(value) -> str:
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return fmt_real(float(value))
-    return str(value)
+    return fmt_real(float(value))
 
 
 def _csv_text(header: list[str], rows: list[list]) -> str:

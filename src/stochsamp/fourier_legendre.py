@@ -380,6 +380,8 @@ def build_fl_model(
         raise InputValidationError(f"need 1 <= J <= ambient, got J={J}, ambient={ambient}")
     if n < 1:
         raise InputValidationError(f"n must be >= 1, got {n}")
+    if not max_defect > 0:
+        raise InputValidationError(f"max_defect must be > 0, got {max_defect}")
     w_coef = legendre_fourier_table(n, frequencies(ambient))
     defects = column_defects(w_coef)
     worst = float(defects.max())

@@ -29,7 +29,6 @@ from .linalg import (
     operator_norm,
     pinv_from_svd,
     projector_from_svd,
-    pseudo_inverse,
     svd_with_rank,
 )
 
@@ -83,19 +82,18 @@ class FrameModel:
     N_amb x K (column k = reconstruction vector w_k).  ``declared_bounds``
     optionally carries the frame/Riesz bounds (A, B, C, D).
 
-    A memo on the model takes no part in equality or serialization.  It
-    holds one record per n (see :class:`_PerN`): the interaction vectors,
-    one SVD of the first n reconstruction columns and what the estimators
-    derive from it, each built on first use; for a dense ``s_matrix`` that
-    includes the residual adjoint, one J x N_amb array the size of S.  For
-    the last target it holds one record (see :class:`_PerTarget`): its
-    finiteness, ||f||, the tail ||f - QQ^H f|| per n and, for a dense S, the
-    J-vector S^H f; per model, ||S||^2 for the guard of the n-space norms.
+    Everything else is derived on first read and takes no part in equality
+    or serialization: the orthonormality test, ||S||^2 and a memo that holds
+    one record per n (see :class:`_PerN`): the interaction vectors, one SVD
+    of the first n reconstruction columns and what the estimators derive
+    from it, each built on first use; for a dense ``s_matrix`` that includes
+    the residual adjoint, one J x N_amb array the size of S.  For the last
+    target the memo holds one record (see :class:`_PerTarget`): its
+    finiteness, ||f||, the J-vector S^H f and the tail ||f - QQ^H f|| per n.
     """
 
     w_coef: np.ndarray
     declared_bounds: tuple[float, float, float, float] | None
-    sampling_is_orthonormal: bool
     s_matrix: np.ndarray | None = None
     s_rows: np.ndarray | None = None
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -106,7 +104,9 @@ class FrameModel:
         access for a selection)."""
         if self.s_matrix is not None:
             return self.s_matrix
-        return _frozen(_sampling_columns(self))
+        s = np.zeros((self.ambient_dim, self.num_sampling), dtype=complex)
+        s[self.s_rows, np.arange(self.num_sampling)] = 1.0
+        return _frozen(s)
 
     @property
     def ambient_dim(self) -> int:
@@ -129,6 +129,27 @@ class FrameModel:
         sv_w = np.linalg.svd(self.w_coef, compute_uv=False)
         return bool(sv_w[0] > 0 and sv_w[-1] > default_rel_tol(self.w_coef) * sv_w[0])
 
+    @cached_property
+    def sampling_is_orthonormal(self) -> bool:
+        """True for a column selection; for a dense S, whether
+        ||S^H S - I||_F <= 1e-8, taken on first read.  Frobenius dominates
+        the spectral norm, so this is a conservative test."""
+        if self.s_rows is not None:
+            return True
+        s = self.s_matrix
+        defect = s.conj().T @ s
+        defect.flat[:: s.shape[1] + 1] -= 1.0
+        return bool(np.linalg.norm(defect) <= 1e-8)
+
+    @cached_property
+    def _s_norm2(self) -> float:
+        """||S||^2: 1 for orthonormal sampling vectors, a selection
+        included, else lambda_max(S^H S)."""
+        if self.sampling_is_orthonormal:
+            return 1.0
+        s = self.s_matrix
+        return float(np.linalg.eigvalsh(s.conj().T @ s)[-1])
+
 
 @dataclass(frozen=True)
 class LeverageProfile:
@@ -147,9 +168,8 @@ class LeverageProfile:
     For columns that are not unit-norm it is only that formula: it measures
     how far trace(sigma) is from n and can be negative.
 
-    The digest, the sampling CDF and the rank of sigma with the projector
-    onto its range are memoized on the profile; the memo takes no part in
-    equality.
+    The digest, the sampling CDF and one rank-revealing SVD of sigma are
+    computed on first read; they take no part in equality.
     """
 
     n: int
@@ -159,17 +179,27 @@ class LeverageProfile:
     p: np.ndarray
     tail_mass: float
     lambda0: float
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def num_indices(self) -> int:
         return self.p.shape[0]
 
-    @property
+    @cached_property
     def distribution_id(self) -> str:
-        if "digest" not in self._memo:
-            self._memo["digest"] = _distribution_digest(self.p)
-        return self._memo["digest"]
+        p = np.ascontiguousarray(self.p, dtype=np.float64)
+        return hashlib.sha256(p.tobytes()).hexdigest()[:16]
+
+    @cached_property
+    def _cdf(self) -> tuple[np.ndarray, int]:
+        """cumsum(p) and the last supported index, which absorbs cumulative
+        rounding past the end."""
+        return _frozen(np.cumsum(self.p)), int(np.flatnonzero(self.p > 0)[-1])
+
+    @cached_property
+    def _sigma_svd(self):
+        """svd_with_rank(sigma), shared by the range check and the
+        Christoffel values."""
+        return svd_with_rank(self.sigma)
 
 
 @dataclass(frozen=True)
@@ -177,15 +207,19 @@ class SampleDraw:
     """A multiset of drawn indices (0-based into the model columns) plus the
     seed and distribution digest that produced it.
 
-    The per-draw estimator quantities (see :func:`_draw_kernel`) are memoized
-    on the draw; the memo takes no part in equality.
+    The sample count m is the number of indices.  The per-draw estimator
+    quantities (see :func:`_draw_kernel`) are memoized on the draw; the memo
+    takes no part in equality.
     """
 
     indices: np.ndarray
-    m: int
     seed: int
     distribution_id: str
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    @property
+    def m(self) -> int:
+        return self.indices.size
 
 
 @dataclass(frozen=True)
@@ -239,10 +273,6 @@ class RangeStability:
     distance: float
 
 
-def _distribution_digest(p: np.ndarray) -> str:
-    return hashlib.sha256(np.ascontiguousarray(p, dtype=np.float64).tobytes()).hexdigest()[:16]
-
-
 def _check_bounds(raw) -> tuple[float, float, float, float]:
     """(A, B, C, D) from four finite numbers or numeric strings with
     0 < A <= B and 0 < C <= D; anything else, a string too, is rejected
@@ -263,9 +293,8 @@ def _check_bounds(raw) -> tuple[float, float, float, float]:
 
 
 def build_frame_model(s_coef, w_coef, declared_bounds=None) -> FrameModel:
-    """Assemble an immutable frame model from copies of the caller's arrays,
-    testing orthonormality of the sampling columns and full column rank of
-    the reconstruction columns."""
+    """Assemble an immutable frame model from copies of the caller's
+    arrays."""
     s = as_matrix(np.array(s_coef, dtype=complex), name="s_coef")
     w = as_matrix(np.array(w_coef, dtype=complex), name="w_coef")
     if s.shape[0] != w.shape[0]:
@@ -274,18 +303,7 @@ def build_frame_model(s_coef, w_coef, declared_bounds=None) -> FrameModel:
         )
     if declared_bounds is not None:
         declared_bounds = _check_bounds(declared_bounds)
-
-    # S^H S - I, with I subtracted in place.  Frobenius dominates the
-    # spectral norm, so this is a conservative test.
-    defect = s.conj().T @ s
-    defect.flat[:: s.shape[1] + 1] -= 1.0
-    orthonormal = bool(np.linalg.norm(defect) <= 1e-8)
-    return FrameModel(
-        w_coef=_frozen(w),
-        declared_bounds=declared_bounds,
-        sampling_is_orthonormal=orthonormal,
-        s_matrix=_frozen(s),
-    )
+    return FrameModel(w_coef=_frozen(w), declared_bounds=declared_bounds, s_matrix=_frozen(s))
 
 
 def build_selection_model(rows, w_coef) -> FrameModel:
@@ -309,21 +327,7 @@ def _selection_model(rows, w_coef: np.ndarray) -> FrameModel:
         raise InputValidationError(f"rows must lie in [0, {w.shape[0] - 1}]")
     if np.any(srt[1:] == srt[:-1]):
         raise InputValidationError("rows must be distinct")
-    return FrameModel(
-        w_coef=_frozen(w),
-        declared_bounds=None,
-        sampling_is_orthonormal=True,
-        s_rows=_frozen(r.astype(np.int64)),
-    )
-
-
-def _sampling_columns(model: FrameModel) -> np.ndarray:
-    """S as a dense N_amb x J array."""
-    if model.s_rows is None:
-        return model.s_matrix
-    s = np.zeros((model.ambient_dim, model.num_sampling), dtype=complex)
-    s[model.s_rows, np.arange(model.num_sampling)] = 1.0
-    return s
+    return FrameModel(w_coef=_frozen(w), declared_bounds=None, s_rows=_frozen(r.astype(np.int64)))
 
 
 def _sampling_adjoint(model: FrameModel, x: np.ndarray) -> np.ndarray:
@@ -372,7 +376,7 @@ class _PerN:
 
     def residuals(self) -> np.ndarray:
         """(I - QQ^H) S, column j the residual u_j of s_j, N_amb x J."""
-        s = _sampling_columns(self.model)
+        s = self.model.s_coef
         return s - self.q @ (self.qh @ s)
 
     @cached_property
@@ -486,6 +490,23 @@ def leverage_profile(model: FrameModel, n: int, p_spec="leverage") -> LeveragePr
     )
 
 
+def _per_weight(x: np.ndarray, p: np.ndarray, name: str) -> np.ndarray:
+    """x_j / p_j on the support of p and 0 off it, for x >= 0.  A weight so
+    small that a ratio overflows is rejected naming p_spec, with no overflow
+    warning."""
+    supp = p > 0.0
+    out = np.zeros_like(x)
+    with np.errstate(over="ignore"):
+        out[supp] = x[supp] / p[supp]
+    if not np.all(np.isfinite(out)):
+        j = int(np.flatnonzero(~np.isfinite(out))[0])
+        raise InputValidationError(
+            f"p_spec gives index {j} the probability {float(p[j]):.4g}, so small "
+            f"that {name}/p_j overflows"
+        )
+    return out
+
+
 def coherence_profile(model: FrameModel, prof: LeverageProfile) -> CoherenceProfile:
     """Coherence parameters R, R', R'', the limiting scales K and Lambda, and
     the spectral norms of the Gram section and cross-term.
@@ -499,8 +520,6 @@ def coherence_profile(model: FrameModel, prof: LeverageProfile) -> CoherenceProf
     sigma_max(U)^2 by at most that.  Every other case takes T from the SVD
     of the residual U = (I - QQ^H) S.
     """
-    p = prof.p
-    supp = p > 0.0
     vn2 = np.sum(np.abs(prof.v) ** 2, axis=0).real
     rec = _per_n(model, prof.n)
     wide = model.num_sampling > rec.q.shape[1]
@@ -517,8 +536,8 @@ def coherence_profile(model: FrameModel, prof: LeverageProfile) -> CoherenceProf
     else:
         t_norm = float(np.linalg.svd(u, compute_uv=False)[0] ** 2)
 
-    r_v = float(np.max(vn2[supp] / p[supp])) if np.any(supp) else 0.0
-    r_u = float(np.max(un2[supp] / p[supp])) if np.any(supp) else 0.0
+    r_v = float(np.max(_per_weight(vn2, prof.p, "||v_j||^2")))
+    r_u = float(np.max(_per_weight(un2, prof.p, "||u_j||^2")))
     # ||C|| from the memoized n x n Gram C C^H the deviation reads too.
     c_norm = float(np.sqrt(_hermitian_norm(rec.cc)))
     sigma_norm = operator_norm(prof.sigma)
@@ -549,16 +568,12 @@ def draw_samples(prof: LeverageProfile, m: int, seed: int) -> SampleDraw:
     """
     if m < 1:
         raise InputValidationError(f"m must be >= 1, got {m}")
-    if "cdf" not in prof._memo:
-        # The last supported index absorbs cumulative rounding past the end.
-        prof._memo["cdf"] = (_frozen(np.cumsum(prof.p)), int(np.flatnonzero(prof.p > 0)[-1]))
-    cdf, last = prof._memo["cdf"]
+    cdf, last = prof._cdf
     rng = np.random.default_rng(seed)
     u = rng.random(m)
     idx = np.minimum(np.searchsorted(cdf, u, side="right"), last)
     return SampleDraw(
         indices=_frozen(idx.astype(np.int64)),
-        m=int(m),
         seed=int(seed),
         distribution_id=prof.distribution_id,
     )
@@ -631,9 +646,7 @@ def _residual_gram(model: FrameModel, prof: LeverageProfile, draw: SampleDraw):
 
     For a selection M = I - Q_s Q_s^H with Q_s = Q[rows].  For a dense S,
     M = g g^H with g = U^H[sel].  mu = ||S||^2 >= ||(I - QQ^H) S_sel||^2 =
-    ||M|| holds for every draw and n: it is 1 for orthonormal sampling
-    vectors, a selection included, and lambda_max(S^H S) otherwise, computed
-    once per model.
+    ||M|| holds for every draw and n (see FrameModel._s_norm2).
     """
     hit = draw._memo.get("residual")
     if hit is not None and hit[0] is prof and hit[1] is model:
@@ -646,11 +659,7 @@ def _residual_gram(model: FrameModel, prof: LeverageProfile, draw: SampleDraw):
     else:
         qs = rec.q[model.s_rows[sel]]
         m = np.eye(sel.size) - qs @ qs.conj().T
-    if "s_norm2" not in model._memo:
-        s = model.s_matrix
-        model._memo["s_norm2"] = (1.0 if model.sampling_is_orthonormal
-                                  else float(np.linalg.eigvalsh(s.conj().T @ s)[-1]))
-    draw._memo["residual"] = (prof, model, (m, model._memo["s_norm2"]))
+    draw._memo["residual"] = (prof, model, (m, model._s_norm2))
     return draw._memo["residual"][2]
 
 
@@ -755,9 +764,9 @@ def cross_term_deviation(model: FrameModel, prof: LeverageProfile, draw: SampleD
 class _PerTarget:
     """What the estimators share for one target f, keyed on its bytes
     ``key``: whether f is finite, checked once, and, each built on first use
-    and read-only, ``norm`` = ||f||, ``shf`` = S^H f (J-vector, dense S
-    only) and the tail ||f - QQ^H f|| per n.  Its f is a read-only view of
-    the key, so a caller's array changed in place cannot reach it."""
+    and read-only, ``norm`` = ||f||, ``shf`` = S^H f (J-vector, a gather for
+    a selection) and the tail ||f - QQ^H f|| per n.  Its f is a read-only
+    view of the key, so a caller's array changed in place cannot reach it."""
 
     def __init__(self, model: FrameModel, key: bytes):
         self.model, self.key = model, key
@@ -812,11 +821,8 @@ def _solve(model: FrameModel, prof: LeverageProfile, draw: SampleDraw, tgt: _Per
     idx = draw.indices
     wts = 1.0 / np.sqrt(draw.m * prof.p[idx])
     design = prof.v[:, idx].conj().T * wts[:, None]
-    if model.s_rows is None:
-        # S^H f once per target; the draw's samples are a gather of it.
-        rhs = wts * tgt.shf[idx]
-    else:
-        rhs = wts * tgt.f[model.s_rows[idx]]
+    # S^H f once per target; the draw's samples are a gather of it.
+    rhs = wts * tgt.shf[idx]
     x = _lsq_from_svd(*svd_with_rank(design), rhs)
     f_tilde = model.w_coef[:, : prof.n] @ x
     return design, rhs, x, f_tilde, float(np.linalg.norm(tgt.f - f_tilde))
@@ -877,15 +883,12 @@ def reconstruction_error(
 def christoffel_profile(prof: LeverageProfile) -> ChristoffelProfile:
     """Christoffel values K_P(j) = <Sigma^+ v_j, v_j> for every index, their
     p-weighted values, and kappa_w = sup over the support."""
-    sig_pinv = pseudo_inverse(prof.sigma)
+    sig_pinv = pinv_from_svd(*prof._sigma_svd)
     values = np.real(np.sum(prof.v.conj() * (sig_pinv @ prof.v), axis=0))
     values = np.clip(values, 0.0, None)
-    supp = prof.p > 0.0
-    weighted = np.zeros_like(values)
-    weighted[supp] = values[supp] / prof.p[supp]
-    kappa_w = float(np.max(weighted[supp])) if np.any(supp) else 0.0
+    weighted = _per_weight(values, prof.p, "K_P(j)")
     return ChristoffelProfile(
-        values=_frozen(values), weighted=_frozen(weighted), kappa_w=kappa_w
+        values=_frozen(values), weighted=_frozen(weighted), kappa_w=float(np.max(weighted))
     )
 
 
@@ -897,19 +900,16 @@ def range_stability_check(prof: LeverageProfile, draw: SampleDraw) -> RangeStabi
     two of rank n are both the identity, so those draws take no eigensolve.
     Only equal ranks below n form P_hat - P, whose norm comes from the
     extreme eigenvalues of the Hermitian difference.  The rank and projector
-    of sigma come from one rank-revealing SVD, memoized on the profile.
+    of sigma come from the profile's one SVD of sigma.
     """
     kern = _draw_kernel(prof, draw)
-    if "range" not in prof._memo:
-        u, _, _, r = svd_with_rank(prof.sigma)
-        prof._memo["range"] = (r, _frozen(projector_from_svd(u, r)))
-    rank, proj = prof._memo["range"]
+    u, _, _, rank = prof._sigma_svd
     if kern.rank != rank:
         return RangeStability(equal=False, distance=1.0)
     if rank == prof.n:
         return RangeStability(equal=True, distance=0.0)
     # Both projectors are exact by construction (the kernel's SVD and the
-    # memoized one), so the checks of linalg.range_distance, three SVDs per
+    # profile's), so the checks of linalg.range_distance, three SVDs per
     # projector, are not repeated for every draw.
-    dist = _hermitian_norm(projector_from_svd(kern.u, kern.rank) - proj)
+    dist = _hermitian_norm(projector_from_svd(kern.u, kern.rank) - projector_from_svd(u, rank))
     return RangeStability(equal=bool(dist < 1e-6), distance=dist)

@@ -253,8 +253,7 @@ def _pair_array(buf: bytearray, start: int, end: int) -> np.ndarray | None:
                 hi = buf.find(b",", start + min(lo + _CHUNK, text.size), end)
                 hi = text.size if hi < 0 else hi - start
                 part = _parse_numbers(text[lo:hi])
-                if done + part.size > count:
-                    return None
+                # More numbers than the skeleton counted do not fit: ValueError.
                 values[done:done + part.size] = part
                 done += part.size
                 lo = hi + 1

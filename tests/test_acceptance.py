@@ -214,7 +214,7 @@ def test_06_unbiasedness_brute_force():
         cross_sum = np.zeros_like(c)
         for j in np.flatnonzero(prof.p > 0):
             draw = SampleDraw(
-                indices=np.array([j], dtype=np.int64), m=1, seed=0,
+                indices=np.array([j], dtype=np.int64), seed=0,
                 distribution_id=prof.distribution_id,
             )
             gram_sum += prof.p[j] * empirical_gram(prof, draw)

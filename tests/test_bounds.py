@@ -292,3 +292,33 @@ class TestSizesThatAreNotFinite:
         inputs = BoundInputs(n=4, delta=1e-300)
         expected = math.ceil((8.0 / 3.0) * 4 * math.log(2.0 * 4 / 1e-300))
         assert gram_sample_size(inputs, "rate_onb") == expected
+
+
+# Every argument check of the tail bounds: (call, error, text naming the field).
+TAIL_ARGUMENT_ERRORS = [
+    (lambda: bernstein_matrix_tail(-1.0, 2, 1.0, 1.0), InputValidationError, "eps must be"),
+    (lambda: bernstein_matrix_tail(1.0, 0, 1.0, 1.0), InputValidationError, "d must be >= 1"),
+    (lambda: bernstein_operator_tail(1.0, -1.0, 1.0, 1.0), InputValidationError, "L must be"),
+    (lambda: bernstein_operator_tail(1.0, 1.0, -1.0, 1.0), InputValidationError, "sigma2 must be"),
+    (lambda: bernstein_operator_tail(1.0, 1.0, 1.0, -1.0), InputValidationError,
+     "eff_rank must be"),
+    (lambda: bernstein_rectangular_tail(1.0, 1.0, 1.0, -1.0, 1.0, 1.0), InputValidationError,
+     "tr_v1 must be"),
+    (lambda: bernstein_rectangular_tail(1.0, 1.0, 1.0, 1.0, 1.0, -1.0), InputValidationError,
+     "max_v_norm must be"),
+    (lambda: bernstein_rectangular_tail(1.0, 1.0, 1.0, 1.0, 1.0, 0.0), DegenerateVarianceError,
+     "max{||V1||, ||V2||} is zero"),
+]
+
+
+@pytest.mark.parametrize("call,error,field", TAIL_ARGUMENT_ERRORS)
+def test_tail_argument_checks_name_the_field(call, error, field):
+    with pytest.raises(error) as exc:
+        call()
+    assert field in str(exc.value)
+
+
+def test_operator_tail_without_variance_or_range():
+    # L = sigma^2 = 0: the summands vanish, every eps > 0 is valid and the
+    # tail is 0.
+    assert bernstein_operator_tail(1.0, 0.0, 0.0, 3.0) == 0.0

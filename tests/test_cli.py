@@ -874,6 +874,9 @@ EXTREME_VALUES = [
     (["reconstruct", "--model", FL_6, "--target", "pole_a:1e308"], 2, "pole location"),
     (["reconstruct", "--model", FL_6, "--target", "pole_a:1.0000000000000002"], 2, "pole location"),
     (["reconstruct", "--model", FL_6, "--target", "pole_a:1.003"], 2, "pole location"),
+    # A truncation bound that no column meets: exit 2 before the table is built.
+    (["leverage", "--model", "fl:n=4,ambient=301,max_defect=0"], 2, "max_defect must be > 0"),
+    (["leverage", "--model", "fl:n=4,ambient=301,max_defect=-1"], 2, "max_defect must be > 0"),
     # Controls.
     (["mc-gram", "--model", "identity:4", "--trials", "2", "--delta", "1e-300"], 0, None),
     (["bounds", "--model", "identity:4", "--epsilon", "1e308"], 0, None),
@@ -890,14 +893,40 @@ EXTREME_VALUES = [
     (["mc-gram", "--model", "identity:4", "--trials", "2", "--seed", "1e300"], 2, "seed must be"),
 ]
 
+def with_config(tmp_path, config, argv):
+    """argv and, unless config is None, --config naming a file that holds it."""
+    if config is None:
+        return argv
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    return [*argv, "--config", str(path)]
 
-@pytest.mark.parametrize("argv,code,message",
-                         [pytest.param(*case, id=" ".join(case[0])) for case in EXTREME_VALUES])
-def test_extreme_values(capsys, monkeypatch, argv, code, message):
+
+# Extreme values only a config file gives: (config, argv, code, message).  A
+# p_spec weight so small that a coherence ratio overflows exits 2 in the
+# commands that read the coherence; leverage and reconstruct read none.
+TINY_P = {"p_spec": [1, 1, 1, 1e-320]}
+EXTREME_CONFIGS = [
+    (TINY_P, ["bounds", "--model", "identity:4"], 2, "p_spec gives index 3"),
+    (TINY_P, ["mc-gram", "--model", "identity:4", "--trials", "3"], 2, "p_spec gives index 3"),
+    ({"p_spec": [1] * 7 + [1e-320]}, ["bounds", "--model", "identity:8"], 2,
+     "p_spec gives index 7"),
+    (TINY_P, ["leverage", "--model", "identity:4"], 0, None),
+    (TINY_P, ["reconstruct", "--model", "identity:4"], 0, None),
+]
+
+
+@pytest.mark.parametrize("config,argv,code,message", [
+    *(pytest.param(None, *case, id=" ".join(case[0])) for case in EXTREME_VALUES),
+    *(pytest.param(*case, id=f"{json.dumps(case[0])} {' '.join(case[1])}")
+      for case in EXTREME_CONFIGS),
+])
+def test_extreme_values(capsys, monkeypatch, tmp_path, config, argv, code, message):
     """Each input ends in its exit code (0, 2 or 3) with no exception out of
     main and no RuntimeWarning, and an exit 0 prints no infinite or NaN
     number.  An exit 2 names the field on stderr and comes before the first
     draw; bounds names it in its thresholds."""
+    argv = with_config(tmp_path, config, argv)
     draws = []
     monkeypatch.setattr(cli, "draw_samples", lambda *a: draws.append(a) or draw_samples(*a))
     with warnings.catch_warnings(record=True) as caught:
@@ -911,6 +940,43 @@ def test_extreme_values(capsys, monkeypatch, argv, code, message):
     else:
         assert not re.search(r'"[-+]?(inf|nan)"', captured.out)
         assert message is None or message in captured.out
+
+
+# Config and spec checks that no other test reaches: (config file content
+# or None, argv, text on stderr naming the field).  Each exits 2 before any
+# model is built.
+LOAD_REJECTIONS = [
+    ([1, 2], ["leverage"], "config must be a JSON object"),
+    ({"model": 5}, ["leverage"], "model spec must be a string or object"),
+    (None, ["leverage", "--model", "fl:n=4,foo"], "malformed model spec field 'foo'"),
+    (None, ["leverage", "--model", "fl:n=0"], "n must be >= 1"),
+    (None, ["leverage", "--model", "identity:0"], "dim must be >= 1"),
+    (None, ["leverage", "--model", "custom:"], "needs a file path"),
+]
+
+
+@pytest.mark.parametrize("config,argv,message", LOAD_REJECTIONS)
+def test_load_rejections_name_the_field(capsys, monkeypatch, tmp_path, config, argv, message):
+    def refuse(cfg):
+        raise AssertionError("a model was built before the check")
+
+    monkeypatch.setattr(cli, "_build_model", refuse)
+    argv = with_config(tmp_path, config, argv)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
+
+
+def test_numerical_accuracy_failure_exits_3(capsys, monkeypatch):
+    # No accepted pole_a leaves the quadrature unresolved, so it is made to fail.
+    def unresolved(fn):
+        raise cli.NumericalAccuracyError("quadrature did not resolve")
+
+    monkeypatch.setattr(cli.fl, "adaptive_quadrature", unresolved)
+    code = main(["reconstruct", "--model", FL_6, "--target", "pole_a:2"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert "numerical accuracy failure: quadrature did not resolve" in captured.err
 
 
 class TestNValidation:

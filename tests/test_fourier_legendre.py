@@ -533,3 +533,32 @@ class TestLegendreEval:
         vals = legendre_table(7, x)
         gram = (vals * w) @ vals.T
         assert np.max(np.abs(gram - np.eye(8))) <= 1e-12
+
+
+# Every argument check of the tables and the model builder: (call, text
+# naming the field).  Each runs before any frequency table is made.
+ARGUMENT_ERRORS = [
+    (lambda: spherical_bessel_table([1.0], -1), "k_max must be >= 0"),
+    (lambda: spherical_bessel_table([1.0, np.inf], 3), "spherical Bessel arguments must be finite"),
+    (lambda: legendre_table(-1, [0.0]), "k_max must be >= 0"),
+    (lambda: legendre_fourier_table(0, np.arange(5.0)), "n must be >= 1"),
+    (lambda: fl_leverage_distribution(0, 5), "n and J must be >= 1"),
+    (lambda: fl_leverage_distribution(4, 0), "n and J must be >= 1"),
+    (lambda: build_fl_model(4, 0, 301), "need 1 <= J <= ambient"),
+    (lambda: build_fl_model(4, 302, 301), "need 1 <= J <= ambient"),
+    (lambda: build_fl_model(0, 301, 301), "n must be >= 1"),
+    (lambda: build_fl_model(4, 301, 301, max_defect=0.0), "max_defect must be > 0"),
+    (lambda: build_fl_model(4, 301, 301, max_defect=-1.0), "max_defect must be > 0"),
+    (lambda: build_fl_model(4, 301, 301, max_defect=math.nan), "max_defect must be > 0"),
+]
+
+
+@pytest.mark.parametrize("call,field", ARGUMENT_ERRORS)
+def test_argument_checks_name_the_field(monkeypatch, call, field):
+    def refuse(count):
+        raise AssertionError("a table was built before the check")
+
+    monkeypatch.setattr(fourier_legendre, "frequencies", refuse)
+    with pytest.raises(InputValidationError) as exc:
+        call()
+    assert field in str(exc.value)

@@ -311,7 +311,7 @@ def test_reconstruction_error_checks_as_reconstruct():
     good = draw_samples(prof, 10, 0)
 
     def draw_of(indices):
-        return SampleDraw(indices=np.array(indices, dtype=np.int64), m=2, seed=0,
+        return SampleDraw(indices=np.array(indices, dtype=np.int64), seed=0,
                           distribution_id=prof.distribution_id)
 
     bad_f = f.copy()
@@ -422,7 +422,7 @@ def test_kernel_is_computed_once_per_profile_and_draw(monkeypatch):
 def test_memo_takes_no_part_in_equality_or_serialization():
     prof = leverage_profile(build_fl_model(4, 41, 101, max_defect=0.05), 4)
     draw = draw_samples(prof, 10, 0)
-    fresh = SampleDraw(indices=draw.indices, m=draw.m, seed=draw.seed,
+    fresh = SampleDraw(indices=draw.indices, seed=draw.seed,
                        distribution_id=draw.distribution_id)
     empirical_gram(prof, draw)
     assert draw._memo and not fresh._memo
@@ -433,7 +433,7 @@ def test_memo_takes_no_part_in_equality_or_serialization():
 @pytest.mark.parametrize("bad", [[-1, 0], [0, 41]])
 def test_out_of_range_indices_rejected(bad):
     prof = leverage_profile(build_fl_model(4, 41, 101, max_defect=0.05), 4)
-    draw = SampleDraw(indices=np.array(bad, dtype=np.int64), m=2, seed=0,
+    draw = SampleDraw(indices=np.array(bad, dtype=np.int64), seed=0,
                       distribution_id=prof.distribution_id)
     with pytest.raises(sampling.InputValidationError):
         empirical_gram(prof, draw)
@@ -562,7 +562,9 @@ def test_selection_builds_no_dense_memo():
             reconstruct(model, prof, draw, f)
             reconstruction_error(model, prof, draw, f)
             cross_term_deviation(model, prof, draw)
-        assert "shf" not in vars(model._memo["target"]) and "uh" not in vars(model._memo[n])
+        # S^H f is a gather of f; no N_amb x J residual adjoint is formed.
+        assert np.array_equal(model._memo["target"].shf, f[model.s_rows])
+        assert "uh" not in vars(model._memo[n])
 
 
 def test_sample_memo_follows_a_target_changed_in_place(haar_400):
@@ -662,7 +664,7 @@ def test_non_orthonormal_dense_frame_scales_the_guard_by_s_norm_squared(monkeypa
         draw = draw_samples(prof, 48, seed)
         rep = reconstruct(model, prof, draw, f)
         m, mu = sampling._residual_gram(model, prof, draw)
-        assert mu is model._memo["s_norm2"]
+        assert mu is model._s_norm2
         assert abs(mu - s_norm2) <= 1e-12 * s_norm2 and mu >= np.linalg.eigvalsh(m)[-1]
         k_ref = direct_k_factor(model, prof, draw)
         assert abs(rep.k_factor - k_ref) <= REL * k_ref, seed

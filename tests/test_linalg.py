@@ -277,3 +277,30 @@ class TestRankProperties:
         assert svd_with_rank(b)[3] == 4
         bound = 1.0 / (1.0 / a_inv_norm - operator_norm(pert)) + 1e-9
         assert operator_norm(np.linalg.inv(b)) <= bound
+
+
+# Every input check of the kernel: (call, text naming the bad argument).
+INPUT_ERRORS = [
+    (lambda: operator_norm(np.ones(3)), "matrix must be 2-dimensional"),
+    (lambda: operator_norm(np.ones((0, 3))), "matrix must be nonempty"),
+    (lambda: operator_norm(np.array([[1.0, np.inf]])), "matrix contains non-finite"),
+    (lambda: minimal_norm_lsq(np.eye(3), np.ones(2)), "rhs length 2"),
+    (lambda: minimal_norm_lsq(np.eye(2), [1.0, np.nan]), "rhs contains non-finite"),
+    (lambda: range_distance(np.eye(2), np.eye(3)), "projectors must be square"),
+    (lambda: range_distance(np.ones((2, 3)), np.ones((2, 3))), "projectors must be square"),
+    # Idempotent, not self-adjoint.
+    (lambda: range_distance(np.array([[1.0, 1.0], [0.0, 0.0]]), np.eye(2)),
+     "p is not self-adjoint"),
+    (lambda: range_distance(np.eye(2), 2.0 * np.eye(2)), "q is not idempotent"),
+]
+
+
+@pytest.mark.parametrize("call,field", INPUT_ERRORS)
+def test_input_checks_name_the_argument(call, field):
+    with pytest.raises(InputValidationError, match=field):
+        call()
+
+
+def test_rank_zero_design_gives_the_zero_solution():
+    x = minimal_norm_lsq(np.zeros((3, 2)), [1.0, 2.0, 3.0])
+    assert x.shape == (2,) and not np.any(x)

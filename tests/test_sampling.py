@@ -1,8 +1,10 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
+import stochsamp.sampling as sampling
 from stochsamp.errors import (
     DegenerateModelError,
     InputValidationError,
@@ -10,6 +12,9 @@ from stochsamp.errors import (
 )
 from stochsamp.linalg import operator_norm
 from stochsamp.sampling import (
+    FrameModel,
+    LeverageProfile,
+    SampleDraw,
     build_frame_model,
     build_selection_model,
     christoffel_profile,
@@ -239,7 +244,7 @@ class TestEmpiricalGram:
         from stochsamp.sampling import SampleDraw
 
         idx = np.array([0, 1, 2, 3] * 5, dtype=np.int64)
-        draw = SampleDraw(indices=idx, m=20, seed=0, distribution_id=prof.distribution_id)
+        draw = SampleDraw(indices=idx, seed=0, distribution_id=prof.distribution_id)
         assert np.allclose(empirical_gram(prof, draw), np.eye(4))
 
     def test_concentration_large_m(self):
@@ -258,7 +263,6 @@ class TestEmpiricalGram:
         for j in np.flatnonzero(prof.p > 0):
             draw = SampleDraw(
                 indices=np.array([j], dtype=np.int64),
-                m=1,
                 seed=0,
                 distribution_id=prof.distribution_id,
             )
@@ -313,7 +317,6 @@ class TestEmpiricalCrossTerm:
         for j in np.flatnonzero(prof.p > 0):
             draw = SampleDraw(
                 indices=np.array([j], dtype=np.int64),
-                m=1,
                 seed=0,
                 distribution_id=prof.distribution_id,
             )
@@ -450,7 +453,98 @@ class TestRangeStability:
 
         prof = leverage_profile(identity_model(4), 4)
         idx = np.zeros(6, dtype=np.int64)  # only index 1 ever drawn
-        draw = SampleDraw(indices=idx, m=6, seed=0, distribution_id=prof.distribution_id)
+        draw = SampleDraw(indices=idx, seed=0, distribution_id=prof.distribution_id)
         out = range_stability_check(prof, draw)
         assert not out.equal
         assert out.distance == pytest.approx(1.0)
+
+
+def tiny_selection(value, ambient=3):
+    """Selection model with one reconstruction column value * e_0."""
+    w = np.zeros((ambient, 1), dtype=complex)
+    w[0, 0] = value
+    return build_selection_model(np.arange(ambient), w)
+
+
+# A custom p with a weight so small that ||v_j||^2/p_j or ||u_j||^2/p_j
+# overflows: index 3 of identity:4, or index 7 of identity:8 at n = 4, where
+# v_7 = 0 and u_7 = e_7.
+TINY_P4 = [1.0, 1.0, 1.0, 1e-320]
+TINY_P8 = [1.0] * 7 + [1e-320]
+
+
+def coherence_at(dim, p_spec):
+    model = identity_model(dim)
+    return coherence_profile(model, leverage_profile(model, 4, p_spec))
+
+# Every validation branch of the profile, the draw and the coherence and
+# Christoffel values: (call, error, text naming the field).
+PROFILE_ERRORS = [
+    (lambda: leverage_profile(identity_model(4), 0), InputValidationError, "n must lie in"),
+    (lambda: leverage_profile(identity_model(4), 4, "bogus"), InputValidationError,
+     "unknown p_spec 'bogus'"),
+    (lambda: leverage_profile(identity_model(4), 4, [1.0, 1.0]), InputValidationError,
+     "custom p has length 2, expected 4"),
+    (lambda: leverage_profile(identity_model(4), 4, [1.0, 1.0, -1.0, 1.0]), InputValidationError,
+     "custom p must be nonnegative and finite"),
+    (lambda: leverage_profile(identity_model(4), 4, [1.0, np.nan, 1.0, 1.0]),
+     InputValidationError, "custom p must be nonnegative and finite"),
+    (lambda: leverage_profile(identity_model(4), 4, [1.0, 0.0, 1.0, 1.0]), SupportViolationError,
+     "custom p is zero"),
+    # ||v_0||^2 = 1e-26 is below the support tolerance, so a zero p passes
+    # the support check and sums to zero.
+    (lambda: leverage_profile(tiny_selection(1e-13), 1, [0.0, 0.0, 0.0]), InputValidationError,
+     "custom p sums to zero"),
+    (lambda: leverage_profile(tiny_selection(1e-170), 1), DegenerateModelError, "zero trace"),
+    # |v_0|^2 rounds up to the least subnormal, a^2 + b^2 to 0: the trace is
+    # positive, the Gram section zero.
+    (lambda: leverage_profile(tiny_selection(1.5e-162 * (1 + 1j)), 1), DegenerateModelError,
+     "numerically zero"),
+    (lambda: draw_samples(leverage_profile(identity_model(4), 4), 0, 0), InputValidationError,
+     "m must be >= 1"),
+    (lambda: coherence_at(4, TINY_P4), InputValidationError, "p_spec gives index 3 the probability"),
+    (lambda: coherence_at(8, TINY_P8), InputValidationError, "||u_j||^2/p_j overflows"),
+    (lambda: christoffel_profile(leverage_profile(identity_model(4), 4, TINY_P4)),
+     InputValidationError, "K_P(j)/p_j overflows"),
+]
+
+
+@pytest.mark.parametrize("call,error,field", PROFILE_ERRORS)
+def test_validation_names_the_field(call, error, field):
+    with pytest.raises(error) as exc:
+        call()
+    assert field in str(exc.value)
+
+
+class TestDerivedFields:
+    """Records hold their inputs; everything else is derived on first read."""
+
+    def test_draw_m_is_its_index_count(self):
+        prof = leverage_profile(identity_model(4), 4)
+        draw = draw_samples(prof, 7, 0)
+        assert draw.m == draw.indices.size == 7
+        assert "m" not in {f.name for f in fields(SampleDraw)}
+        # 20 indices, one of them each 5 times: diag(G_hat) is 1.
+        idx = np.repeat(np.arange(4), 5)
+        hand = SampleDraw(indices=idx, seed=0, distribution_id=prof.distribution_id)
+        assert np.array_equal(np.diag(empirical_gram(prof, hand)).real, np.ones(4))
+
+    def test_orthonormality_is_taken_on_first_read(self):
+        assert "sampling_is_orthonormal" not in {f.name for f in fields(FrameModel)}
+        assert "_memo" not in {f.name for f in fields(LeverageProfile)}
+        dense = build_frame_model(2.0 * np.eye(4), np.eye(4)[:, :2])
+        assert "sampling_is_orthonormal" not in vars(dense)
+        assert not dense.sampling_is_orthonormal and dense._s_norm2 == 4.0
+        assert build_selection_model(np.arange(4), np.eye(4)[:, :2]).sampling_is_orthonormal
+
+    def test_one_svd_of_sigma_per_profile(self, monkeypatch):
+        model = build_selection_model(np.arange(6), np.eye(6)[:, [0, 0, 1]])
+        prof = leverage_profile(model, 3)
+        seen = []
+        real = sampling.svd_with_rank
+        monkeypatch.setattr(sampling, "svd_with_rank",
+                            lambda a: seen.append(a is prof.sigma) or real(a))
+        christoffel_profile(prof)
+        for seed in range(5):
+            range_stability_check(prof, draw_samples(prof, 6, seed))
+        assert seen.count(True) == 1

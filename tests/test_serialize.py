@@ -99,7 +99,7 @@ class TestProfileRoundTrip:
 
     def test_digest_validated(self):
         _, prof, draw, _ = sample_objects()
-        forged = SampleDraw(indices=draw.indices, m=draw.m, seed=draw.seed,
+        forged = SampleDraw(indices=draw.indices, seed=draw.seed,
                             distribution_id="0" * 16)
         with pytest.raises(InputValidationError):
             empirical_gram(prof, forged)
