@@ -128,6 +128,9 @@ def bernstein_operator_tail(eps: float, L: float, sigma2: float, eff_rank: float
         raise BoundValidityError(
             f"eps={eps} below validity threshold {threshold}", threshold
         )
+    if eps == 0.0:
+        # P(||X|| >= 0) = 1; reached only with L = sigma^2 = 0.
+        return 14.0 * eff_rank
     denom = sigma2 + L * eps / 3.0
     if denom == 0.0:
         return 0.0

@@ -254,23 +254,36 @@ class ChristoffelProfile:
 
 @dataclass(frozen=True)
 class ReconstructionReport:
-    """Outcome of one weighted least-squares reconstruction."""
+    """Outcome of one weighted least-squares reconstruction.  The weighted
+    design and right-hand side of the solve are kept, outside equality and
+    repr, so that ``residual_weighted`` is computed when first read."""
 
     x_tilde: np.ndarray
     f_tilde_coef: np.ndarray
-    residual_weighted: float
     err_l2: float
     tail_err: float
     k_factor: float
     bound_ok: bool
     gram_condition: float | str
     used_pseudo_inverse: bool
+    _system: tuple[np.ndarray, np.ndarray] = field(repr=False, compare=False)
+
+    @cached_property
+    def residual_weighted(self) -> float:
+        """||design x_tilde - rhs||, the weighted least-squares residual."""
+        design, rhs = self._system
+        return float(np.linalg.norm(design @ self.x_tilde - rhs))
 
 
 @dataclass(frozen=True)
 class RangeStability:
     equal: bool
     distance: float
+
+
+# The outcomes that range_stability_check reads from the ranks alone.
+_RANKS_DIFFER = RangeStability(equal=False, distance=1.0)
+_BOTH_IDENTITY = RangeStability(equal=True, distance=0.0)
 
 
 def _check_bounds(raw) -> tuple[float, float, float, float]:
@@ -345,8 +358,8 @@ class _PerN:
     W_n, ``qh`` = Q^H and ``sv`` = diag(s) V^H, with ||W_n y|| = ||sv y||.
     Then the residual adjoint ``uh`` = U^H, U = (I - QQ^H) S (J x N_amb,
     dense S only), the cross-term limit ``c`` = sum_j v_j u_j^H (n x N_amb),
-    ``cc`` = C C^H, and ``b``, U^H C^H (J x n) for a dense S or (CQ)^H
-    (rank Q x n) for a selection."""
+    ``cc`` = C C^H with ``cc_trace`` = ||C||_F^2, and ``b``, U^H C^H (J x n)
+    for a dense S or (CQ)^H (rank Q x n) for a selection."""
 
     def __init__(self, model: FrameModel, n: int):
         self.model, self.n = model, n
@@ -406,6 +419,10 @@ class _PerN:
         return _frozen(self.c @ self.c.conj().T)
 
     @cached_property
+    def cc_trace(self) -> float:
+        return float(np.trace(self.cc).real)
+
+    @cached_property
     def b(self) -> np.ndarray:
         if self.model.s_rows is None:
             return _frozen(self.uh @ self.c.conj().T)
@@ -431,11 +448,19 @@ def leverage_profile(model: FrameModel, n: int, p_spec="leverage") -> LeveragePr
         raise InputValidationError(
             f"n must lie in [1, {model.num_reconstruction}], got {n}"
         )
-    v = _per_n(model, n).v
-    vn2 = np.sum(np.abs(v) ** 2, axis=0).real
-    sigma = v @ v.conj().T
-    sigma = (sigma + sigma.conj().T) / 2.0
-    trace_sigma = float(np.sum(vn2))
+    # Columns too large for float64 overflow here; that is rejected below,
+    # before any division or eigensolve, with no warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = _per_n(model, n).v
+        vn2 = np.sum(np.abs(v) ** 2, axis=0).real
+        sigma = v @ v.conj().T
+        sigma = (sigma + sigma.conj().T) / 2.0
+        trace_sigma = float(np.sum(vn2))
+    if not (math.isfinite(trace_sigma) and np.all(np.isfinite(sigma))):
+        raise InputValidationError(
+            f"w_coef is too large: the Gram section of its first {n} columns "
+            "overflows float64 (sum of ||v_j||^2 is not finite)"
+        )
     if trace_sigma <= 0.0:
         raise DegenerateModelError("Gram section has zero trace; no usable interactions")
 
@@ -572,20 +597,24 @@ def draw_samples(prof: LeverageProfile, m: int, seed: int) -> SampleDraw:
     rng = np.random.default_rng(seed)
     u = rng.random(m)
     idx = np.minimum(np.searchsorted(cdf, u, side="right"), last)
-    return SampleDraw(
+    draw = SampleDraw(
         indices=_frozen(idx.astype(np.int64)),
         seed=int(seed),
         distribution_id=prof.distribution_id,
     )
+    # Its read-only indices come from prof's CDF, so _check_draw passes it.
+    draw._memo["checked"] = prof
+    return draw
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class _DrawKernel:
     """Per-draw quantities every estimator reads: the distinct drawn indices
     ``sel``, ``vw = v[:, sel] * count/(m p)``, and the empirical Gram with its
     one SVD (``u``, ``s``, ``vh``) and rank decision.  The drawn columns'
     residual Gram, which also depends on the model, is memoized next to it
-    (see :func:`_residual_gram`)."""
+    (see :func:`_residual_gram`).  Private and built once per draw, so not
+    frozen: a frozen record costs a checked set per field."""
 
     sel: np.ndarray
     vw: np.ndarray
@@ -610,7 +639,10 @@ class _DrawKernel:
 
 def _check_draw(prof: LeverageProfile, draw: SampleDraw) -> None:
     """Reject a draw from another distribution or with an index outside the
-    profile's [0, J - 1]."""
+    profile's [0, J - 1].  A draw that :func:`draw_samples` made under
+    ``prof`` itself is valid by construction and is not scanned."""
+    if draw._memo.get("checked") is prof:
+        return
     if draw.distribution_id != prof.distribution_id:
         raise InputValidationError("draw was produced under a different distribution")
     idx = draw.indices
@@ -620,6 +652,19 @@ def _check_draw(prof: LeverageProfile, draw: SampleDraw) -> None:
         )
 
 
+def _distinct(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted distinct values of a nonempty integer vector and their
+    counts, as ``np.unique(idx, return_counts=True)`` gives them, from one
+    sort: ``pos`` marks where each run of equal values starts, then the
+    end."""
+    srt = np.sort(idx)
+    edge = np.empty(srt.size + 1, dtype=bool)
+    edge[0] = edge[-1] = True
+    np.not_equal(srt[1:], srt[:-1], out=edge[1:-1])
+    pos = np.flatnonzero(edge)
+    return srt[pos[:-1]], pos[1:] - pos[:-1]
+
+
 def _draw_kernel(prof: LeverageProfile, draw: SampleDraw) -> _DrawKernel:
     """The per-draw quantities of ``draw`` under ``prof``, computed once per
     (profile, draw) and memoized on the draw."""
@@ -627,7 +672,7 @@ def _draw_kernel(prof: LeverageProfile, draw: SampleDraw) -> _DrawKernel:
     if hit is not None and hit[0] is prof:
         return hit[1]
     _check_draw(prof, draw)
-    sel, counts = np.unique(draw.indices, return_counts=True)
+    sel, counts = _distinct(draw.indices)
     weights = counts / (draw.m * prof.p[sel])
     vs = prof.v[:, sel]
     vw = vs * weights
@@ -756,7 +801,7 @@ def cross_term_deviation(model: FrameModel, prof: LeverageProfile, draw: SampleD
 
     return _n_space_norm(
         (vw @ m) @ vw.conj().T - x - x.conj().T + rec.cc,
-        mu * vw_norm**2 + 2.0 * vw_norm * np.linalg.norm(p) + np.trace(rec.cc).real,
+        mu * vw_norm**2 + 2.0 * vw_norm * np.linalg.norm(p) + rec.cc_trace,
         wide,
     )
 
@@ -793,15 +838,22 @@ class _PerTarget:
 def _target(model: FrameModel, f_coef) -> _PerTarget:
     """The record of ``f_coef`` as a complex ambient vector, memoized on the
     model under "target" with one entry and replaced whenever the bytes
-    change.  A wrong length or non-finite entries are rejected, naming
-    them, on every call."""
-    f = np.asarray(f_coef, dtype=complex).reshape(-1)
+    change.  A contiguous vector over the whole of a ``bytes`` object, as the
+    CLI passes, cannot change (numpy refuses to make it writable), so that
+    object is its key: the record it made is found by identity, with no copy
+    or compare.  Any other f_coef is copied to bytes and compared.  A wrong
+    length or non-finite entries are rejected, naming them, on every call."""
+    f = np.asarray(f_coef, dtype=complex)
+    if f.ndim != 1:
+        f = f.reshape(-1)
     if f.shape[0] != model.ambient_dim:
         raise InputValidationError(
             f"f_coef has length {f.shape[0]}, expected ambient dim {model.ambient_dim}"
         )
-    key = f.tobytes()
+    over_bytes = isinstance(f.base, bytes) and f.flags.c_contiguous and f.nbytes == len(f.base)
+    key = f.base if over_bytes else f.tobytes()
     tgt = model._memo.get("target")
+    # bytes compare equal to themselves without reading their contents.
     if tgt is None or tgt.key != key:
         tgt = model._memo["target"] = _PerTarget(model, key)
     if not tgt.finite:
@@ -858,7 +910,6 @@ def reconstruct(
     return ReconstructionReport(
         x_tilde=_frozen(x),
         f_tilde_coef=_frozen(f_tilde),
-        residual_weighted=float(np.linalg.norm(design @ x - rhs)),
         err_l2=err_l2,
         tail_err=tail_err,
         k_factor=k_factor,
@@ -866,6 +917,7 @@ def reconstruct(
                       + _BOUND_ROUNDING * tgt.norm),
         gram_condition=kern.gram_condition,
         used_pseudo_inverse=not kern.full_rank,
+        _system=(_frozen(design), _frozen(rhs)),
     )
 
 
@@ -905,9 +957,9 @@ def range_stability_check(prof: LeverageProfile, draw: SampleDraw) -> RangeStabi
     kern = _draw_kernel(prof, draw)
     u, _, _, rank = prof._sigma_svd
     if kern.rank != rank:
-        return RangeStability(equal=False, distance=1.0)
+        return _RANKS_DIFFER
     if rank == prof.n:
-        return RangeStability(equal=True, distance=0.0)
+        return _BOTH_IDENTITY
     # Both projectors are exact by construction (the kernel's SVD and the
     # profile's), so the checks of linalg.range_distance, three SVDs per
     # projector, are not repeated for every draw.

@@ -62,6 +62,12 @@ class TestOperatorTail:
             bernstein_operator_tail(0.999999, 0.0, 1.0, 1.0)
         assert exc.value.threshold == pytest.approx(1.0)
 
+    def test_eps_zero(self):
+        # Valid only with L = sigma^2 = 0, and P(||X|| >= 0) = 1, so the
+        # bound is the prefactor, as bernstein_matrix_tail gives 2d.
+        assert bernstein_operator_tail(0.0, 0.0, 0.0, 3.0) == 42.0
+        assert bernstein_rectangular_tail(0.0, 0.0, 0.0, 1.0, 2.0, 0.5) == 84.0
+
     def test_linearity_in_rank(self):
         one = bernstein_operator_tail(2.0, 0.0, 1.0, 1.0)
         two = bernstein_operator_tail(2.0, 0.0, 1.0, 2.0)

@@ -519,6 +519,19 @@ def test_custom_model_n_checked_against_its_columns(capsys, tmp_path):
     assert "n must lie in [1, 2], got 3" in captured.err
 
 
+@pytest.mark.parametrize("command", ["leverage", "bounds"])
+def test_custom_model_whose_gram_overflows_names_w_coef(capsys, tmp_path, command):
+    # ||v_j||^2 = 1e400 overflows float64; rejected before any division or
+    # eigensolve, with no RuntimeWarning (pyproject.toml makes one an error).
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(model_to_dict(build_frame_model(np.eye(6), 1e200 * np.eye(6)[:, :4]))))
+    code = main([command, "--model", f"custom:{path}"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "w_coef" in captured.err and "overflows" in captured.err
+
+
 class TestDeclaredBounds:
     """A model file's declared_bounds is null or four numbers (or numeric strings)."""
 

@@ -300,7 +300,8 @@ def test_reconstruction_error_builds_no_kernel_or_k_factor(monkeypatch):
         monkeypatch.setattr(sampling, name, refuse)
     draw = draw_samples(prof, 40, 3)
     assert reconstruction_error(model, prof, draw, f) == want
-    assert not draw._memo
+    # The draw carries only the mark of draw_samples, no kernel or residual.
+    assert not {"kernel", "residual"} & draw._memo.keys()
 
 
 def test_reconstruction_error_checks_as_reconstruct():
@@ -750,3 +751,98 @@ def test_measured_dense_draws_meet_the_bound(haar_400):
         full += not rep.used_pseudo_inverse
         assert rep.used_pseudo_inverse or rep.bound_ok, seed
     assert full > 20
+
+
+# -- the per-trial shortcuts: one check per draw, one sort, the target by identity --
+
+def report_fields(rep):
+    return (rep.x_tilde.tobytes(), rep.f_tilde_coef.tobytes(), rep.err_l2, rep.tail_err,
+            rep.k_factor, rep.bound_ok, rep.gram_condition, rep.used_pseudo_inverse,
+            rep.residual_weighted)
+
+
+@pytest.mark.parametrize("bad", ["index J", "negative index", "other distribution",
+                                 "drawn under another distribution"])
+def test_hand_built_and_foreign_draws_are_still_checked(bad):
+    model = build_fl_model(4, 41, 101, max_defect=0.05)
+    prof = leverage_profile(model, 4)
+    other = leverage_profile(model, 4, "uniform_on_support")
+    f = exp_target(1.0).fourier_coef(frequencies(101))
+    indices = draw_samples(prof, 10, 0).indices.copy()
+    if bad == "drawn under another distribution":
+        draw = draw_samples(other, 10, 0)
+    else:
+        ident = other.distribution_id if bad == "other distribution" else prof.distribution_id
+        indices[3] = {"index J": 41, "negative index": -1}.get(bad, indices[3])
+        draw = SampleDraw(indices=indices, seed=0, distribution_id=ident)
+    calls = [lambda: reconstruct(model, prof, draw, f),
+             lambda: reconstruction_error(model, prof, draw, f),
+             lambda: cross_term_deviation(model, prof, draw)]
+    for call in calls:
+        with pytest.raises(sampling.InputValidationError, match="draw"):
+            call()
+
+
+def test_draws_of_draw_samples_pass_only_their_own_profile():
+    model = build_fl_model(4, 41, 101, max_defect=0.05)
+    prof = leverage_profile(model, 4)
+    f = exp_target(1.0).fourier_coef(frequencies(101))
+    draw = draw_samples(prof, 10, 2)
+    assert draw._memo["checked"] is prof
+    # A hand-built copy and another profile of the same distribution are
+    # checked in full and give the same bits.
+    twin = leverage_profile(model, 4)
+    copy = SampleDraw(indices=draw.indices.copy(), seed=2, distribution_id=prof.distribution_id)
+    want = report_fields(reconstruct(model, prof, draw, f))
+    assert report_fields(reconstruct(model, prof, copy, f)) == want
+    assert report_fields(reconstruct(model, twin, draw, f)) == want
+    assert "checked" not in copy._memo
+
+
+def test_writeable_target_changed_in_place_gives_the_new_result():
+    model = build_fl_model(10, 301, 301, max_defect=0.05)
+    prof = leverage_profile(model, 10)
+    f = exp_target(1.0).fourier_coef(frequencies(301))
+    draw = draw_samples(prof, 40, 4)
+    before = reconstruct(model, prof, draw, f)
+    f[::7] += 0.25j
+    after = reconstruct(model, prof, draw, f)
+    fresh = build_fl_model(10, 301, 301, max_defect=0.05)
+    want = reconstruct(fresh, leverage_profile(fresh, 10), draw_samples(prof, 40, 4), f.copy())
+    assert report_fields(after) == report_fields(want) != report_fields(before)
+
+
+def test_a_vector_over_bytes_is_its_own_key(monkeypatch):
+    model = build_fl_model(10, 301, 301, max_defect=0.05)
+    prof = leverage_profile(model, 10)
+    coef = exp_target(1.0).fourier_coef(frequencies(301))
+    f = np.frombuffer(coef.tobytes(), dtype=complex)
+    draw = draw_samples(prof, 40, 4)
+    want = report_fields(reconstruct(model, prof, draw, coef))
+    built = []
+    per_target = sampling._PerTarget
+    monkeypatch.setattr(sampling, "_PerTarget", lambda *a: built.append(a[1]) or per_target(*a))
+    # Equal bytes keep the record; the vector's own bytes object is then
+    # found by identity on the next model.
+    assert report_fields(reconstruct(model, prof, draw, f)) == want and built == []
+    fresh = build_fl_model(10, 301, 301, max_defect=0.05)
+    fresh_prof = leverage_profile(fresh, 10)
+    for _ in range(3):
+        assert report_fields(reconstruct(fresh, fresh_prof, draw_samples(fresh_prof, 40, 4), f)) == want
+    assert len(built) == 1 and built[0] is f.base
+    # A vector over part of a longer bytes object is copied, not kept.
+    part = np.frombuffer(f.tobytes() + bytes(16), dtype=complex, count=301)
+    assert report_fields(reconstruct(fresh, fresh_prof, draw, part)) == want
+    assert fresh._memo["target"].key is f.base and len(built) == 1
+
+
+@pytest.mark.parametrize("indices", [
+    [7], [3, 3, 3, 3], [5, 0, 5, 2, 0, 9, 9, 9], list(range(20, 0, -1)),
+    np.random.default_rng(0).integers(0, 50, size=200),
+], ids=["m=1", "all equal", "repeats", "descending", "random"])
+def test_distinct_indices_and_counts_match_np_unique(indices):
+    idx = np.asarray(indices, dtype=np.int64)
+    sel, counts = sampling._distinct(idx)
+    want_sel, want_counts = np.unique(idx, return_counts=True)
+    assert np.array_equal(sel, want_sel) and np.array_equal(counts, want_counts)
+    assert sel.dtype == want_sel.dtype and counts.dtype == want_counts.dtype

@@ -19,6 +19,7 @@ import os
 import numpy as np
 import pytest
 
+from stochsamp import cli, sampling
 from stochsamp.cli import main
 from stochsamp.sampling import build_frame_model
 from stochsamp.serialize import model_to_dict
@@ -87,8 +88,11 @@ def json_leaves(value):
         yield str(value)
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_mc_gram_outputs_pinned(name, tmp_path, capsys):
+def run_pinned(name, tmp_path, capsys) -> None:
+    """Run mc-gram on case ``name`` and hold stdout and the CSV to the pinned
+    outputs.  The canary runs first, so that every linalg call after the
+    last draw is the run's."""
+    exact = canary() == CAPTURE_CANARY
     frame = tmp_path / "frame.json"
     hadamard_frame(frame)
     out = tmp_path / "out"
@@ -102,7 +106,6 @@ def test_mc_gram_outputs_pinned(name, tmp_path, capsys):
     with open(f"{out}.csv", encoding="utf-8") as fp:
         got = list(csv.reader(fp))
 
-    exact = canary() == CAPTURE_CANARY
     if exact:
         assert stdout == want_stdout
     else:
@@ -114,3 +117,55 @@ def test_mc_gram_outputs_pinned(name, tmp_path, capsys):
         for column, g, w in zip(want[0], row, ref):
             rel = 1e-14 if column == "gram_dev" else 0.0
             assert close(g, w, rel if exact else 1e-12), (column, g, w)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_mc_gram_outputs_pinned(name, tmp_path, capsys):
+    run_pinned(name, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("name", ["custom", "fl"])
+def test_mc_gram_trial_budget(name, tmp_path, capsys, monkeypatch):
+    """A trial after the first takes two SVDs (of G_hat and of the weighted
+    design), at most three Hermitian eigensolves (K, the cross-term
+    deviation, ||G_hat - Sigma||) and no np.unique, and finds the target's
+    record by the identity of the CLI vector's own bytes, with no copy."""
+    counts = {"svd": 0, "eigvalsh": 0, "unique": 0}
+
+    def counted(module, attr):
+        original = getattr(module, attr)
+
+        def call(*args, **kwargs):
+            counts[attr] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, attr, call)
+
+    counted(np.linalg, "svd")
+    counted(np.linalg, "eigvalsh")
+    counted(np, "unique")
+    stamps = []
+    draw_samples = cli.draw_samples
+    monkeypatch.setattr(cli, "draw_samples",
+                        lambda *args: stamps.append(dict(counts)) or draw_samples(*args))
+    keys = []
+    reconstruct = cli.reconstruct
+
+    def keyed(model, prof, draw, f_coef):
+        rep = reconstruct(model, prof, draw, f_coef)
+        keys.append(model._memo["target"].key is f_coef.base)
+        return rep
+
+    monkeypatch.setattr(cli, "reconstruct", keyed)
+    built = []
+    per_target = sampling._PerTarget
+    monkeypatch.setattr(sampling, "_PerTarget", lambda *args: built.append(1) or per_target(*args))
+
+    run_pinned(name, tmp_path, capsys)
+    stamps.append(dict(counts))
+    trials = int(CASES[name][CASES[name].index("--trials") + 1])
+    assert len(stamps) == trials + 1 and keys == [True] * trials and len(built) == 1
+    for before, after in zip(stamps[1:-1], stamps[2:]):
+        spent = {k: after[k] - before[k] for k in counts}
+        assert spent["svd"] == 2 and spent["eigvalsh"] <= 3 and spent["unique"] == 0, spent
+    assert counts["unique"] == 0
