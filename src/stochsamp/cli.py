@@ -31,6 +31,7 @@ from .linalg import _hermitian_norm, operator_norm
 from .sampling import (
     FrameModel,
     LeverageProfile,
+    _drop_per_n,
     _selection_model,
     coherence_profile,
     cross_term_deviation,
@@ -160,15 +161,20 @@ def _load_config(command: str, flags: dict) -> dict:
     return cfg
 
 
-# Ceiling on the samples per draw: a draw holds m uniforms and m indices,
-# and the solve a few m x n complex arrays of 16 m n bytes each.
+# Ceilings on a given m, checked at load, and on m n for the m a command
+# resolves, given or the rate_onb size (see _pick_m): a draw holds m
+# uniforms and m indices, and the solve a few m x n complex arrays of
+# 16 m n bytes each (about 61 bytes per entry of m n in all), 160 MB each at
+# MN_MAX.
 M_MAX = 1_000_000
+MN_MAX = 10_000_000
 
 # Ceilings on the model sizes a spec may ask for, checked with its fields:
 # identity:DIM builds one DIM x DIM complex array of 16 DIM^2 bytes (144 MB
 # at the ceiling; leverage on identity:3000 peaks at 181 MB resident), and
 # fl:n=N,ambient=A builds A x N tables of 16 A N bytes (160 MB at both
-# ceilings, the size of one m x 10 design at M_MAX).
+# ceilings, where leverage peaks at 504 MB resident and a 3-trial mc-gram at
+# 823 MB, with the A x N temporaries of the SVD of W_n and the cross-term).
 IDENTITY_DIM_MAX = 3000
 FL_N_MAX = 100
 FL_AMBIENT_MAX = 100_001
@@ -373,10 +379,18 @@ def _profile(cfg: dict) -> tuple[FrameModel, dict, LeverageProfile]:
 
 
 def _pick_m(cfg: dict, n: int) -> int:
-    """The given m, or the rate_onb Gram sample size for n at delta."""
-    if cfg["m"] is not None:
-        return cfg["m"]
-    return gram_sample_size(BoundInputs(n=n, delta=cfg["delta"]), "rate_onb")
+    """The given m, or the rate_onb Gram sample size for n at delta; an m
+    with m n above MN_MAX is rejected naming m."""
+    m = cfg["m"]
+    if m is None:
+        m = gram_sample_size(BoundInputs(n=n, delta=cfg["delta"]), "rate_onb")
+    if m * n > MN_MAX:
+        source = "" if cfg["m"] is not None else " (the rate_onb sample size)"
+        raise InputValidationError(
+            f"m must be at most {MN_MAX // n} for n = {n}, so that m*n is at most "
+            f"{MN_MAX}, got {m}{source}"
+        )
+    return m
 
 
 def _pick_eps(cfg: dict, prof) -> float:
@@ -503,8 +517,8 @@ def run_montecarlo(cfg: dict) -> None:
     delta = cfg["delta"]
     trials = cfg["trials"]
     base_seed = cfg["seed"]
-    coh = coherence_profile(model, prof)
     m = _pick_m(cfg, n)
+    coh = coherence_profile(model, prof)
     eps = _pick_eps(cfg, prof)
     # Before the first draw, so that a size that is not finite exits first.
     inputs = _bound_inputs(prof, coh, delta, min(eps, coh.sigma_norm))
@@ -575,18 +589,19 @@ def run_convergence(cfg: dict) -> None:
     trials = cfg["trials"]
     base_seed = cfg["seed"]
     target, target_info = cfg["target"]
+    ms = [_pick_m(cfg, n) for n in n_list]
     model, model_info = _build_model(cfg)
     f_coef = _target_ambient_coef(model, target)
 
     rows = []
     medians = []
-    for n in n_list:
+    for n, m in zip(n_list, ms):
         prof = leverage_profile(model, n, cfg["p_spec"])
-        m = _pick_m(cfg, n)
-        errs = []
-        for t in range(trials):
-            draw = draw_samples(prof, m, base_seed + t)
-            errs.append(reconstruction_error(model, prof, draw, f_coef))
+        errs = [reconstruction_error(model, prof, draw_samples(prof, m, base_seed + t), f_coef)
+                for t in range(trials)]
+        # This n's n x J interaction vectors are freed before the next n's.
+        del prof
+        _drop_per_n(model, n)
         med = _median(errs)
         medians.append(med)
         rows.append([n, m, trials, med, float(np.min(errs)), float(np.max(errs))])

@@ -26,6 +26,8 @@ from .linalg import (
     _lsq_from_svd,
     as_matrix,
     default_rel_tol,
+    # Not called here: the benchmark's tracer self-test checks that the
+    # name it wraps here is the one it wraps in cli.
     operator_norm,
     pinv_from_svd,
     projector_from_svd,
@@ -83,11 +85,12 @@ class FrameModel:
     optionally carries the frame/Riesz bounds (A, B, C, D).
 
     Everything else is derived on first read and takes no part in equality
-    or serialization: the orthonormality test, ||S||^2 and a memo that holds
-    one record per n (see :class:`_PerN`): the interaction vectors, one SVD
-    of the first n reconstruction columns and what the estimators derive
-    from it, each built on first use; for a dense ``s_matrix`` that includes
-    the residual adjoint, one J x N_amb array the size of S.  For the last
+    or serialization: the orthonormality test and ||S||^2, both from one
+    J x J Gram S^H S of a dense S, and a memo that holds one record per n
+    (see :class:`_PerN`): the interaction vectors, one SVD of the first n
+    reconstruction columns and what the estimators derive from it, each
+    built on first use; for a dense ``s_matrix`` that includes the residual
+    adjoint, one J x N_amb array the size of S.  For the last
     target the memo holds one record (see :class:`_PerTarget`): its
     finiteness, ||f||, the J-vector S^H f and the tail ||f - QQ^H f|| per n.
     """
@@ -130,25 +133,33 @@ class FrameModel:
         return bool(sv_w[0] > 0 and sv_w[-1] > default_rel_tol(self.w_coef) * sv_w[0])
 
     @cached_property
+    def _sampling_gram(self) -> tuple[bool, float]:
+        """(sampling_is_orthonormal, _s_norm2) from one J x J Gram S^H S of a
+        dense S, formed on first read of either.  Both are kept: a frame with
+        lambda_max(S^H S) = 1 need not be orthonormal."""
+        if self.s_rows is not None:
+            return True, 1.0
+        s = self.s_matrix
+        gram = s.conj().T @ s
+        diag = gram.diagonal().copy()
+        gram.flat[:: s.shape[1] + 1] -= 1.0
+        if np.linalg.norm(gram) <= 1e-8:
+            return True, 1.0
+        np.fill_diagonal(gram, diag)
+        return False, float(np.linalg.eigvalsh(gram)[-1])
+
+    @property
     def sampling_is_orthonormal(self) -> bool:
         """True for a column selection; for a dense S, whether
-        ||S^H S - I||_F <= 1e-8, taken on first read.  Frobenius dominates
-        the spectral norm, so this is a conservative test."""
-        if self.s_rows is not None:
-            return True
-        s = self.s_matrix
-        defect = s.conj().T @ s
-        defect.flat[:: s.shape[1] + 1] -= 1.0
-        return bool(np.linalg.norm(defect) <= 1e-8)
+        ||S^H S - I||_F <= 1e-8.  Frobenius dominates the spectral norm, so
+        this is a conservative test."""
+        return self._sampling_gram[0]
 
-    @cached_property
+    @property
     def _s_norm2(self) -> float:
         """||S||^2: 1 for orthonormal sampling vectors, a selection
         included, else lambda_max(S^H S)."""
-        if self.sampling_is_orthonormal:
-            return 1.0
-        s = self.s_matrix
-        return float(np.linalg.eigvalsh(s.conj().T @ s)[-1])
+        return self._sampling_gram[1]
 
 
 @dataclass(frozen=True)
@@ -158,8 +169,10 @@ class LeverageProfile:
 
     ``v`` is n x J with column j the interaction vector v_j; ``sigma`` is the
     n x n Gram section (sum of v_j v_j^H); ``p`` the sampling distribution
-    over the J model indices; ``lambda0`` the smallest retained (nonzero)
-    eigenvalue of sigma.
+    over the J model indices.  One eigensolve of sigma gives ``lambda0``,
+    the smallest retained eigenvalue, ``sigma_norm`` = ||sigma|| and
+    ``rank``, the count of retained eigenvalues: those above
+    default_rel_tol(sigma) times the largest.
 
     ``tail_mass`` is 1 - trace(sigma)/n.  When the first n reconstruction
     columns are unit-norm and the sampling vectors orthonormal, it is the
@@ -168,8 +181,8 @@ class LeverageProfile:
     For columns that are not unit-norm it is only that formula: it measures
     how far trace(sigma) is from n and can be negative.
 
-    The digest, the sampling CDF and one rank-revealing SVD of sigma are
-    computed on first read; they take no part in equality.
+    The digest, the sampling CDF and one SVD of sigma, for its singular
+    vectors, are computed on first read; they take no part in equality.
     """
 
     n: int
@@ -179,6 +192,8 @@ class LeverageProfile:
     p: np.ndarray
     tail_mass: float
     lambda0: float
+    sigma_norm: float
+    rank: int
 
     @property
     def num_indices(self) -> int:
@@ -197,9 +212,9 @@ class LeverageProfile:
 
     @cached_property
     def _sigma_svd(self):
-        """svd_with_rank(sigma), shared by the range check and the
-        Christoffel values."""
-        return svd_with_rank(self.sigma)
+        """(u, s, vh), the thin SVD of sigma, shared by the range check and
+        the Christoffel values; its rank is ``rank``."""
+        return np.linalg.svd(self.sigma, full_matrices=False)
 
 
 @dataclass(frozen=True)
@@ -355,7 +370,8 @@ class _PerN:
     built on first use and read-only: the interaction vectors ``v`` (n x J),
     and from one rank-revealing SVD W_n = U_w diag(s) V^H of the first n
     reconstruction columns the orthonormal basis ``q`` = U_w[:, :rank] of
-    W_n, ``qh`` = Q^H and ``sv`` = diag(s) V^H, with ||W_n y|| = ||sv y||.
+    W_n and ``sv`` = diag(s) V^H, with ||W_n y|| = ||sv y||.  Q^H is formed
+    where it is read, ``q.conj().T``, not kept next to Q.
     Then the residual adjoint ``uh`` = U^H, U = (I - QQ^H) S (J x N_amb,
     dense S only), the cross-term limit ``c`` = sum_j v_j u_j^H (n x N_amb),
     ``cc`` = C C^H with ``cc_trace`` = ||C||_F^2, and ``b``, U^H C^H (J x n)
@@ -374,10 +390,6 @@ class _PerN:
         return _frozen(u[:, :r])
 
     @cached_property
-    def qh(self) -> np.ndarray:
-        return _frozen(self.q.conj().T)
-
-    @cached_property
     def sv(self) -> np.ndarray:
         _, s, vh, _ = self._svd
         return _frozen(s[:, None] * vh)
@@ -390,7 +402,7 @@ class _PerN:
     def residuals(self) -> np.ndarray:
         """(I - QQ^H) S, column j the residual u_j of s_j, N_amb x J."""
         s = self.model.s_coef
-        return s - self.q @ (self.qh @ s)
+        return s - self.q @ (self.q.conj().T @ s)
 
     @cached_property
     def uh(self) -> np.ndarray:
@@ -406,7 +418,7 @@ class _PerN:
         if self.model.s_rows is None:
             return vw @ (self.uh if cols is None else self.uh[cols])
         rows = self.model.s_rows if cols is None else self.model.s_rows[cols]
-        out = -(vw @ self.q[rows]) @ self.qh
+        out = -(vw @ self.q[rows]) @ self.q.conj().T
         out[:, rows] += vw
         return out
 
@@ -434,6 +446,12 @@ def _per_n(model: FrameModel, n: int) -> _PerN:
     if n not in model._memo:
         model._memo[n] = _PerN(model, n)
     return model._memo[n]
+
+
+def _drop_per_n(model: FrameModel, n: int) -> None:
+    """Forget the per-n record of ``model`` at n, so that its arrays are
+    freed once no profile holds them; a later read builds it again."""
+    model._memo.pop(n, None)
 
 
 def leverage_profile(model: FrameModel, n: int, p_spec="leverage") -> LeverageProfile:
@@ -498,8 +516,7 @@ def leverage_profile(model: FrameModel, n: int, p_spec="leverage") -> LeveragePr
         p = p / total
 
     eigs = np.linalg.eigvalsh(sigma)
-    cutoff = default_rel_tol(sigma) * eigs[-1]
-    retained = eigs[eigs > cutoff]
+    retained = eigs[eigs > default_rel_tol(sigma) * eigs[-1]]
     lambda0 = float(retained[0]) if retained.size else 0.0
     if lambda0 <= 0.0:
         raise DegenerateModelError("Gram section is numerically zero")
@@ -512,6 +529,8 @@ def leverage_profile(model: FrameModel, n: int, p_spec="leverage") -> LeveragePr
         p=_frozen(p),
         tail_mass=1.0 - trace_sigma / n,
         lambda0=lambda0,
+        sigma_norm=float(max(abs(eigs[0]), abs(eigs[-1]))),
+        rank=retained.size,
     )
 
 
@@ -565,16 +584,15 @@ def coherence_profile(model: FrameModel, prof: LeverageProfile) -> CoherenceProf
     r_u = float(np.max(_per_weight(un2, prof.p, "||u_j||^2")))
     # ||C|| from the memoized n x n Gram C C^H the deviation reads too.
     c_norm = float(np.sqrt(_hermitian_norm(rec.cc)))
-    sigma_norm = operator_norm(prof.sigma)
     sigma_inv_norm = 1.0 / prof.lambda0
     return CoherenceProfile(
         R=r_v,
         R_prime=r_u,
         R_double=max(r_v, r_u),
         T_norm=t_norm,
-        K_scale=max(sigma_norm, t_norm),
+        K_scale=max(prof.sigma_norm, t_norm),
         Lambda=1.0 + sigma_inv_norm + c_norm,
-        sigma_norm=sigma_norm,
+        sigma_norm=prof.sigma_norm,
         sigma_inv_norm=sigma_inv_norm,
         C_norm=c_norm,
     )
@@ -831,7 +849,7 @@ class _PerTarget:
         """||f - Q Q^H f||, the best error from W_n."""
         if n not in self.tails:
             rec = _per_n(self.model, n)
-            self.tails[n] = float(np.linalg.norm(self.f - rec.q @ (rec.qh @ self.f)))
+            self.tails[n] = float(np.linalg.norm(self.f - rec.q @ (rec.q.conj().T @ self.f)))
         return self.tails[n]
 
 
@@ -935,7 +953,7 @@ def reconstruction_error(
 def christoffel_profile(prof: LeverageProfile) -> ChristoffelProfile:
     """Christoffel values K_P(j) = <Sigma^+ v_j, v_j> for every index, their
     p-weighted values, and kappa_w = sup over the support."""
-    sig_pinv = pinv_from_svd(*prof._sigma_svd)
+    sig_pinv = pinv_from_svd(*prof._sigma_svd, prof.rank)
     values = np.real(np.sum(prof.v.conj() * (sig_pinv @ prof.v), axis=0))
     values = np.clip(values, 0.0, None)
     weighted = _per_weight(values, prof.p, "K_P(j)")
@@ -951,11 +969,11 @@ def range_stability_check(prof: LeverageProfile, draw: SampleDraw) -> RangeStabi
     Orthogonal projectors of different ranks are at distance exactly 1, and
     two of rank n are both the identity, so those draws take no eigensolve.
     Only equal ranks below n form P_hat - P, whose norm comes from the
-    extreme eigenvalues of the Hermitian difference.  The rank and projector
-    of sigma come from the profile's one SVD of sigma.
+    extreme eigenvalues of the Hermitian difference.  The rank of sigma is
+    the profile's; only that last case reads its SVD, for the projector.
     """
     kern = _draw_kernel(prof, draw)
-    u, _, _, rank = prof._sigma_svd
+    rank = prof.rank
     if kern.rank != rank:
         return _RANKS_DIFFER
     if rank == prof.n:
@@ -963,5 +981,6 @@ def range_stability_check(prof: LeverageProfile, draw: SampleDraw) -> RangeStabi
     # Both projectors are exact by construction (the kernel's SVD and the
     # profile's), so the checks of linalg.range_distance, three SVDs per
     # projector, are not repeated for every draw.
-    dist = _hermitian_norm(projector_from_svd(kern.u, kern.rank) - projector_from_svd(u, rank))
+    dist = _hermitian_norm(projector_from_svd(kern.u, rank)
+                           - projector_from_svd(prof._sigma_svd[0], rank))
     return RangeStability(equal=bool(dist < 1e-6), distance=dist)

@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -362,6 +363,17 @@ class TestLoadChecks:
     def test_m_at_the_ceiling_accepted(self):
         args = cli._parse_argv(["mc-gram", "--m", str(cli.M_MAX)])
         assert cli._load_config(*args)["m"] == cli.M_MAX == 1_000_000
+
+    def test_m_times_n_ceiling(self):
+        # m n at MN_MAX, one 160 MB complex m x n array, is accepted; one
+        # more entry's worth of m is not, given or from rate_onb.
+        assert cli.MN_MAX == 10 * cli.M_MAX
+        assert cli._pick_m({"m": cli.M_MAX, "delta": 0.1}, 10) == cli.M_MAX
+        with pytest.raises(cli.InputValidationError, match=r"m must be at most 909090 for n = 11"):
+            cli._pick_m({"m": cli.M_MAX, "delta": 0.1}, 11)
+        assert cli._pick_m({"m": None, "delta": 0.1}, 100) == 2027
+        with pytest.raises(cli.InputValidationError, match=r"got 26410 \(the rate_onb"):
+            cli._pick_m({"m": None, "delta": 0.1}, 1000)
 
     @pytest.fixture
     def no_builders(self, monkeypatch):
@@ -737,6 +749,24 @@ class TestConvergence:
                  for t in range(3)])))
         assert json.loads(plain)["median_err"] == medians
 
+    def test_each_n_record_is_freed_before_the_next(self, capsys, monkeypatch):
+        # A sweep holds one n's n x J interaction vectors at a time: each n's
+        # are freed once its trials end, the profile's and the memo's alike.
+        alive = []
+        real = cli.leverage_profile
+
+        def profile(model, n, p_spec):
+            assert not [ref for ref in alive if ref() is not None]
+            prof = real(model, n, p_spec)
+            alive.append(weakref.ref(prof.v))
+            return prof
+
+        monkeypatch.setattr(cli, "leverage_profile", profile)
+        code, _ = run(capsys, "convergence", "--model", "fl:n=7,ambient=301,max_defect=0.05",
+                      "--n", "4,5,6,7", "--trials", "3")
+        assert code == 0 and len(alive) == 4
+        assert not [ref for ref in alive if ref() is not None]
+
     def test_requires_four_points(self, capsys):
         code, _ = run(
             capsys, "convergence", "--model", "fl:n=6,ambient=301,max_defect=0.05",
@@ -904,6 +934,13 @@ EXTREME_VALUES = [
       "--trials", "2"], 0, None),
     (["mc-gram", "--model", "identity:1", "--trials", "2"], 0, None),
     (["mc-gram", "--model", "identity:4", "--trials", "2", "--seed", "1e300"], 2, "seed must be"),
+    # m within its own ceiling whose m n arrays would not fit: exit 2 naming m.
+    (["reconstruct", "--model", "identity:200", "--n", "100", "--m", "1000000"], 2,
+     "m must be at most 100000 for n = 100"),
+    (["mc-gram", "--model", "identity:200", "--n", "20", "--m", "600000", "--trials", "2"], 2,
+     "m must be at most 500000 for n = 20"),
+    (["convergence", "--model", "fl:n=100,ambient=101", "--n", "25,50,75,100", "--trials", "2",
+      "--delta", "1e-300"], 2, "got 139158 (the rate_onb sample size)"),
 ]
 
 def with_config(tmp_path, config, argv):

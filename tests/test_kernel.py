@@ -606,6 +606,8 @@ def test_cross_products_built_once_per_n_and_shared_by_every_profile(make):
         got = (rec.v, rec.c, rec.cc, rec.b)
         assert all(x is y for x, y in zip(parts.setdefault(n, got), got))
         assert prof.v is rec.v
+        # Q^H is formed where it is read; no N_amb x n copy is kept.
+        assert not hasattr(rec, "qh")
         c, cc, b, q = rec.c, rec.cc, rec.b, rec.q
         assert c is cross_term_matrix(model, prof)
         if model.s_rows is None:

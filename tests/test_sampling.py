@@ -533,18 +533,69 @@ class TestDerivedFields:
         assert "sampling_is_orthonormal" not in {f.name for f in fields(FrameModel)}
         assert "_memo" not in {f.name for f in fields(LeverageProfile)}
         dense = build_frame_model(2.0 * np.eye(4), np.eye(4)[:, :2])
-        assert "sampling_is_orthonormal" not in vars(dense)
+        assert "_sampling_gram" not in vars(dense)
         assert not dense.sampling_is_orthonormal and dense._s_norm2 == 4.0
         assert build_selection_model(np.arange(4), np.eye(4)[:, :2]).sampling_is_orthonormal
 
-    def test_one_svd_of_sigma_per_profile(self, monkeypatch):
+    @pytest.mark.parametrize("s, orthonormal, s_norm2", [
+        (np.hstack([np.eye(6), np.eye(6)]), False, 2.0),  # redundant, ||S||^2 = 2
+        (np.diag([1.0, 0.5, 0.5]), False, 1.0),  # ||S|| = 1, yet not orthonormal
+        (np.eye(3)[:, [2, 0, 1]], True, 1.0),
+    ])
+    def test_one_gram_of_s_gives_both_sampling_results(self, s, orthonormal, s_norm2):
+        class Counted(np.ndarray):
+            conj_calls = 0
+
+            def conj(self):
+                Counted.conj_calls += 1
+                return np.asarray(self).conj()
+
+        model = build_frame_model(s, np.eye(s.shape[0])[:, :2])
+        counted = FrameModel(w_coef=model.w_coef, declared_bounds=None,
+                             s_matrix=model.s_matrix.view(Counted))
+        assert counted.sampling_is_orthonormal is orthonormal
+        assert counted._s_norm2 == s_norm2
+        assert counted._s_norm2 is counted._s_norm2
+        assert Counted.conj_calls == 1
+
+    def test_sigma_is_factored_once_per_profile(self, monkeypatch):
+        # One eigvalsh of sigma gives lambda0, ||sigma|| and its rank, which
+        # the coherence profile and the range check read; sigma's one SVD is
+        # taken only where its singular vectors are read.  Here sigma =
+        # [[1, 1, 0], [1, 1, 0], [0, 0, 1]], of rank 2 < n = 3.
+        seen = {"eigvalsh": [], "svd": []}
+        for name, args in seen.items():
+            real = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name, lambda a, *rest, _real=real, _args=args, **kw:
+                                _args.append(a) or _real(a, *rest, **kw))
+
+        def on_sigma(name, prof):
+            return sum(a is prof.sigma for a in seen[name])
+
         model = build_selection_model(np.arange(6), np.eye(6)[:, [0, 0, 1]])
         prof = leverage_profile(model, 3)
-        seen = []
-        real = sampling.svd_with_rank
-        monkeypatch.setattr(sampling, "svd_with_rank",
-                            lambda a: seen.append(a is prof.sigma) or real(a))
+        coh = coherence_profile(model, prof)
+        assert (prof.lambda0, prof.rank) == (pytest.approx(1.0), 2)
+        assert coh.sigma_norm == prof.sigma_norm == pytest.approx(2.0)
+        assert (on_sigma("eigvalsh", prof), on_sigma("svd", prof)) == (1, 0)
+        ranks = {sampling._draw_kernel(prof, d).rank: range_stability_check(prof, d)
+                 for d in (draw_samples(prof, 1 + seed % 4, seed) for seed in range(8))}
+        assert ranks[1] == sampling._RANKS_DIFFER and ranks[2].equal
         christoffel_profile(prof)
-        for seed in range(5):
-            range_stability_check(prof, draw_samples(prof, 6, seed))
-        assert seen.count(True) == 1
+        assert (on_sigma("eigvalsh", prof), on_sigma("svd", prof)) == (1, 1)
+        # A profile of full rank reads no singular vector of sigma.
+        full = leverage_profile(identity_model(4), 4)
+        for seed in range(4):
+            range_stability_check(full, draw_samples(full, 2 + seed, seed))
+        assert full.rank == 4 and on_sigma("svd", full) == 0
+
+    @pytest.mark.parametrize("model", [
+        build_selection_model(np.arange(6), np.eye(6)[:, [0, 0, 1]]),
+        build_frame_model(np.hstack([np.eye(6), np.eye(6)]), np.eye(6)[:, :4]),
+        random_riesz_model(3, ambient=9, j_count=9, k_count=5),
+    ])
+    def test_eigenvalue_rank_of_sigma_matches_its_svd_rank(self, model):
+        for n in range(1, model.num_reconstruction + 1):
+            prof = leverage_profile(model, n)
+            assert prof.rank == sampling.svd_with_rank(prof.sigma)[3]
+            assert prof.sigma_norm == operator_norm(prof.sigma)
