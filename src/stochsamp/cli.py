@@ -27,7 +27,7 @@ from .bounds import BoundInputs, gram_sample_size
 from .errors import InputValidationError, NumericalAccuracyError
 # operator_norm is not called here; it stays in this namespace because the
 # benchmark's tracer self-test looks it up here.
-from .linalg import _hermitian_norm, operator_norm
+from .linalg import operator_norm
 from .sampling import (
     FrameModel,
     LeverageProfile,
@@ -36,7 +36,7 @@ from .sampling import (
     coherence_profile,
     cross_term_deviation,
     draw_samples,
-    empirical_gram,
+    gram_deviation,
     leverage_profile,
     range_stability_check,
     reconstruct,
@@ -361,13 +361,9 @@ def _target_ambient_coef(model: FrameModel, target: fl.AnalyticTarget | None) ->
     the fixed unit vector with entries proportional to 1/(j+1).
     """
     if target is not None:
-        f = target.fourier_coef(fl.frequencies(model.ambient_dim))
-    else:
-        f = 1.0 / np.arange(1.0, model.ambient_dim + 1.0)
-        f = f / np.linalg.norm(f)
-    # Read-only over its own bytes: the sampling functions then find their
-    # per-target record by identity on every call after the first.
-    return np.frombuffer(np.asarray(f, dtype=complex).tobytes(), dtype=complex)
+        return target.fourier_coef(fl.frequencies(model.ambient_dim))
+    f = 1.0 / np.arange(1.0, model.ambient_dim + 1.0)
+    return (f / np.linalg.norm(f)).astype(complex)
 
 
 def _profile(cfg: dict) -> tuple[FrameModel, dict, LeverageProfile]:
@@ -391,11 +387,6 @@ def _pick_m(cfg: dict, n: int) -> int:
             f"{MN_MAX}, got {m}{source}"
         )
     return m
-
-
-def _pick_eps(cfg: dict, prof) -> float:
-    """The given epsilon, or the smallest retained eigenvalue of Sigma."""
-    return prof.lambda0 if cfg["epsilon"] is None else cfg["epsilon"]
 
 
 def _bound_inputs(prof, coh, delta: float, eps: float, **extra) -> BoundInputs:
@@ -519,7 +510,7 @@ def run_montecarlo(cfg: dict) -> None:
     base_seed = cfg["seed"]
     m = _pick_m(cfg, n)
     coh = coherence_profile(model, prof)
-    eps = _pick_eps(cfg, prof)
+    eps = prof.lambda0 if cfg["epsilon"] is None else cfg["epsilon"]
     # Before the first draw, so that a size that is not finite exits first.
     inputs = _bound_inputs(prof, coh, delta, min(eps, coh.sigma_norm))
     thresholds = {name: getattr(bounds, calc)(inputs, *mode)
@@ -532,10 +523,7 @@ def run_montecarlo(cfg: dict) -> None:
         seed = base_seed + t
         draw = draw_samples(prof, m, seed)
         rep = reconstruct(model, prof, draw, f_coef)
-        # G_hat and Sigma are both symmetrized, so their difference is
-        # exactly Hermitian: operator_norm would take this path after its
-        # checks.
-        gram_dev = _hermitian_norm(empirical_gram(prof, draw) - prof.sigma)
+        gram_dev = gram_deviation(prof, draw)
         cross_dev = cross_term_deviation(model, prof, draw)
         stable = range_stability_check(prof, draw).equal
         full_rank = not rep.used_pseudo_inverse
@@ -626,14 +614,12 @@ def run_convergence(cfg: dict) -> None:
 
 def run_leverage(cfg: dict) -> None:
     _, model_info, prof = _profile(cfg)
-    vn2 = np.sum(np.abs(prof.v) ** 2, axis=0).real
     cum = np.cumsum(prof.p)
+    count = prof.num_indices
     is_fl = model_info["kind"] == "fourier-legendre"
-    freqs = fl.frequencies(prof.num_indices) if is_fl else None
-    rows = []
-    for j in range(prof.num_indices):
-        sigma_j = int(freqs[j]) if is_fl else j + 1
-        rows.append([j + 1, sigma_j, float(vn2[j]), float(prof.p[j]), float(cum[j])])
+    freqs = fl.frequencies(count) if is_fl else np.arange(1, count + 1)
+    rows = [[j + 1, int(freqs[j]), float(prof.v_norm_sq[j]), float(prof.p[j]), float(cum[j])]
+            for j in range(count)]
     report = {
         "command": "leverage",
         "model": model_info,
@@ -653,7 +639,7 @@ def run_bounds(cfg: dict) -> None:
     n = prof.n
     delta = cfg["delta"]
     coh = coherence_profile(model, prof)
-    eps = _pick_eps(cfg, prof)
+    eps = prof.lambda0 if cfg["epsilon"] is None else cfg["epsilon"]
     d_upper = model.declared_bounds[3] if model.declared_bounds else coh.sigma_norm
     inputs = _bound_inputs(prof, coh, delta, eps, D_riesz_upper=d_upper)
     # A threshold whose inputs are out of its range reports the error.

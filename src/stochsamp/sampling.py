@@ -49,6 +49,7 @@ __all__ = [
     "coherence_profile",
     "cross_term_matrix",
     "cross_term_deviation",
+    "gram_deviation",
     "draw_samples",
     "empirical_gram",
     "empirical_cross_term",
@@ -167,7 +168,8 @@ class LeverageProfile:
     """Interaction vectors, Gram section and sampling distribution at a fixed
     reconstruction dimension n.
 
-    ``v`` is n x J with column j the interaction vector v_j; ``sigma`` is the
+    ``v`` is n x J with column j the interaction vector v_j; ``v_norm_sq``
+    the J-vector of ||v_j||^2, whose sum is ``trace_sigma``; ``sigma`` is the
     n x n Gram section (sum of v_j v_j^H); ``p`` the sampling distribution
     over the J model indices.  One eigensolve of sigma gives ``lambda0``,
     the smallest retained eigenvalue, ``sigma_norm`` = ||sigma|| and
@@ -188,6 +190,7 @@ class LeverageProfile:
     n: int
     v: np.ndarray
     sigma: np.ndarray
+    v_norm_sq: np.ndarray
     trace_sigma: float
     p: np.ndarray
     tail_mass: float
@@ -454,6 +457,17 @@ def _drop_per_n(model: FrameModel, n: int) -> None:
     model._memo.pop(n, None)
 
 
+def _per_n_of(model: FrameModel, prof: LeverageProfile) -> _PerN:
+    """The per-n record of ``model`` at ``prof.n``.  The estimators read v
+    and p from the profile and the rest from the record, so a profile whose v
+    is neither the record's own nor equal to it is rejected."""
+    rec = _per_n(model, prof.n)
+    if prof.v is not rec.v and not np.array_equal(prof.v, rec.v):
+        raise InputValidationError(f"the profile's interaction vectors at n = {prof.n} "
+                                   "are not this model's: it is a profile of another model")
+    return rec
+
+
 def leverage_profile(model: FrameModel, n: int, p_spec="leverage") -> LeverageProfile:
     """Interaction vectors, Gram section and sampling distribution for the
     first n reconstruction vectors.
@@ -492,7 +506,9 @@ def leverage_profile(model: FrameModel, n: int, p_spec="leverage") -> LeveragePr
         else:
             raise InputValidationError(f"unknown p_spec {p_spec!r}")
     else:
-        p = np.asarray(p_spec, dtype=float).reshape(-1)
+        p = np.asarray(p_spec, dtype=float)
+        if p.ndim != 1:
+            raise InputValidationError(f"p_spec must be one-dimensional, got shape {p.shape}")
         if p.shape[0] != model.num_sampling:
             raise InputValidationError(
                 f"custom p has length {p.shape[0]}, expected {model.num_sampling}"
@@ -525,6 +541,7 @@ def leverage_profile(model: FrameModel, n: int, p_spec="leverage") -> LeveragePr
         n=n,
         v=v,
         sigma=_frozen(sigma),
+        v_norm_sq=_frozen(vn2),
         trace_sigma=trace_sigma,
         p=_frozen(p),
         tail_mass=1.0 - trace_sigma / n,
@@ -564,8 +581,7 @@ def coherence_profile(model: FrameModel, prof: LeverageProfile) -> CoherenceProf
     sigma_max(U)^2 by at most that.  Every other case takes T from the SVD
     of the residual U = (I - QQ^H) S.
     """
-    vn2 = np.sum(np.abs(prof.v) ** 2, axis=0).real
-    rec = _per_n(model, prof.n)
+    rec = _per_n_of(model, prof)
     wide = model.num_sampling > rec.q.shape[1]
     if model.s_rows is not None and wide:
         # ||u_j||^2 = 1 - ||Q[r_j, :]||^2, with no N_amb x J residual formed.
@@ -580,7 +596,7 @@ def coherence_profile(model: FrameModel, prof: LeverageProfile) -> CoherenceProf
     else:
         t_norm = float(np.linalg.svd(u, compute_uv=False)[0] ** 2)
 
-    r_v = float(np.max(_per_weight(vn2, prof.p, "||v_j||^2")))
+    r_v = float(np.max(_per_weight(prof.v_norm_sq, prof.p, "||v_j||^2")))
     r_u = float(np.max(_per_weight(un2, prof.p, "||u_j||^2")))
     # ||C|| from the memoized n x n Gram C C^H the deviation reads too.
     c_norm = float(np.sqrt(_hermitian_norm(rec.cc)))
@@ -601,7 +617,7 @@ def coherence_profile(model: FrameModel, prof: LeverageProfile) -> CoherenceProf
 def cross_term_matrix(model: FrameModel, prof: LeverageProfile) -> np.ndarray:
     """Limiting cross-term C = sum_j v_j u_j^H as a read-only n x N_amb
     matrix."""
-    return _per_n(model, prof.n).c
+    return _per_n_of(model, prof).c
 
 
 def draw_samples(prof: LeverageProfile, m: int, seed: int) -> SampleDraw:
@@ -645,14 +661,6 @@ class _DrawKernel:
     @property
     def full_rank(self) -> bool:
         return self.rank == self.gram.shape[0]
-
-    @property
-    def gram_condition(self) -> float | str:
-        return float(self.s[0] / self.s[-1]) if self.full_rank else "rank-deficient"
-
-    def gram_pinv(self) -> np.ndarray:
-        """Pseudo-inverse of the empirical Gram through the kernel's SVD."""
-        return pinv_from_svd(self.u, self.s, self.vh, self.rank)
 
 
 def _check_draw(prof: LeverageProfile, draw: SampleDraw) -> None:
@@ -738,7 +746,7 @@ def empirical_cross_term(
     """Unbiased estimator (1/m) sum_t v_{i_t} u_{i_t}^H / p_{i_t} of the
     cross-term, as a read-only n x N_amb matrix."""
     kern = _draw_kernel(prof, draw)
-    return _frozen(_per_n(model, prof.n).cross(kern.vw, cols=kern.sel))
+    return _frozen(_per_n_of(model, prof).cross(kern.vw, cols=kern.sel))
 
 
 def _wide_norm(a: np.ndarray) -> float:
@@ -785,12 +793,19 @@ def _k_factor(model: FrameModel, prof: LeverageProfile, draw: SampleDraw) -> flo
     fallback forms a U_sel^H itself."""
     kern = _draw_kernel(prof, draw)
     rec = _per_n(model, prof.n)
-    a = rec.sv @ kern.gram_pinv() @ kern.vw
+    a = rec.sv @ pinv_from_svd(kern.u, kern.s, kern.vh, kern.rank) @ kern.vw
     m, mu = _residual_gram(model, prof, draw)
     return _n_space_norm(
         (a @ m) @ a.conj().T, mu * np.linalg.norm(a) ** 2,
         lambda: rec.cross(a, cols=kern.sel),
     )
+
+
+def gram_deviation(prof: LeverageProfile, draw: SampleDraw) -> float:
+    """||G_hat - Sigma||, which governs whether G_hat is invertible.  Both
+    are symmetrized when formed, so the difference is exactly Hermitian and
+    its norm is that of its extreme eigenvalues, as operator_norm takes it."""
+    return _hermitian_norm(empirical_gram(prof, draw) - prof.sigma)
 
 
 def cross_term_deviation(model: FrameModel, prof: LeverageProfile, draw: SampleDraw) -> float:
@@ -801,7 +816,7 @@ def cross_term_deviation(model: FrameModel, prof: LeverageProfile, draw: SampleD
     C[:, rows]^H - Q_s (CQ)^H for a selection.  The fallback forms
     C_hat - C."""
     kern = _draw_kernel(prof, draw)
-    rec = _per_n(model, prof.n)
+    rec = _per_n_of(model, prof)
     m, mu = _residual_gram(model, prof, draw)
     if model.s_rows is None:
         p = rec.b[kern.sel]
@@ -855,23 +870,19 @@ class _PerTarget:
 
 def _target(model: FrameModel, f_coef) -> _PerTarget:
     """The record of ``f_coef`` as a complex ambient vector, memoized on the
-    model under "target" with one entry and replaced whenever the bytes
-    change.  A contiguous vector over the whole of a ``bytes`` object, as the
-    CLI passes, cannot change (numpy refuses to make it writable), so that
-    object is its key: the record it made is found by identity, with no copy
-    or compare.  Any other f_coef is copied to bytes and compared.  A wrong
-    length or non-finite entries are rejected, naming them, on every call."""
+    model under "target" with one entry, keyed on a copy of its bytes and
+    replaced whenever they change, so a target changed in place is seen.  A
+    shape other than (ambient dim,) or non-finite entries are rejected,
+    naming them, on every call."""
     f = np.asarray(f_coef, dtype=complex)
     if f.ndim != 1:
-        f = f.reshape(-1)
+        raise InputValidationError(f"f_coef must be one-dimensional, got shape {f.shape}")
     if f.shape[0] != model.ambient_dim:
         raise InputValidationError(
             f"f_coef has length {f.shape[0]}, expected ambient dim {model.ambient_dim}"
         )
-    over_bytes = isinstance(f.base, bytes) and f.flags.c_contiguous and f.nbytes == len(f.base)
-    key = f.base if over_bytes else f.tobytes()
+    key = f.tobytes()
     tgt = model._memo.get("target")
-    # bytes compare equal to themselves without reading their contents.
     if tgt is None or tgt.key != key:
         tgt = model._memo["target"] = _PerTarget(model, key)
     if not tgt.finite:
@@ -920,6 +931,7 @@ def reconstruct(
     of zero the check cannot fail: rounding then resolves nothing the bound
     could rule out.
     """
+    _per_n_of(model, prof)
     tgt = _target(model, f_coef)
     kern = _draw_kernel(prof, draw)
     design, rhs, x, f_tilde, err_l2 = _solve(model, prof, draw, tgt)
@@ -933,7 +945,7 @@ def reconstruct(
         k_factor=k_factor,
         bound_ok=bool(err_l2 <= tail_err * np.sqrt(1.0 + k_factor**2)
                       + _BOUND_ROUNDING * tgt.norm),
-        gram_condition=kern.gram_condition,
+        gram_condition=float(kern.s[0] / kern.s[-1]) if kern.full_rank else "rank-deficient",
         used_pseudo_inverse=not kern.full_rank,
         _system=(_frozen(design), _frozen(rhs)),
     )
@@ -945,6 +957,7 @@ def reconstruction_error(
     """||f - W_n x_tilde||, the ``err_l2`` of :func:`reconstruct` with the same
     checks and bits, from the solve alone: no per-draw kernel, K-factor, tail
     or weighted residual."""
+    _per_n_of(model, prof)
     tgt = _target(model, f_coef)
     _check_draw(prof, draw)
     return _solve(model, prof, draw, tgt)[4]

@@ -17,6 +17,11 @@ mpmath, independently of the program's formulas and factorizations:
 and two scales the tolerances of a comparison need: ``gram_scale`` =
 ||G_hat|| + ||Sigma|| and ``cross_scale`` = ||C_hat||_F + ||C||_F.
 
+:func:`pole_legendre_coef` gives the pole target's Legendre coefficients
+<f, w_{k+1}>, f(x) = 1/(x - a), in closed form: Heine's formula 1/(a - x) =
+sum_k (2k+1) P_k(x) Q_k(a) and w_{k+1} = sqrt((2k+1)/2) P_k give
+-sqrt(2(2k+1)) Q_k(a), with Q_k the Legendre function of the second kind.
+
 Here v_j = W_n^H s_j, Sigma = sum_j v_j v_j^H and G_hat = (1/m) sum_t
 v_{i_t} v_{i_t}^H / p_{i_t}.  Only full-rank draws (G_hat invertible) and
 full-rank W_n are covered.  Everything is O(n N J) work at 40 digits, so the
@@ -106,3 +111,14 @@ def oracle(w_n, s, p, indices, f) -> dict:
 def model_oracle(model, prof, draw, f) -> dict:
     """:func:`oracle` on the inputs of ``draw`` under ``model`` and ``prof``."""
     return oracle(model.w_coef[:, :prof.n], model.s_coef, prof.p, draw.indices, f)
+
+
+def pole_legendre_coef(a: float, k_max: int) -> np.ndarray:
+    """<f, w_{k+1}> = -sqrt(2(2k+1)) Q_k(a) for f(x) = 1/(x - a), a > 1,
+    degrees 0..k_max, at 40 digits; Q_k(a) from ``mpmath.legenq`` (type 3,
+    the branch off [-1, 1]).  A float64 array."""
+    with mpmath.workdps(DPS):
+        x = mpmath.mpf(a)
+        return np.array([float(-mpmath.sqrt(2 * (2 * k + 1))
+                               * mpmath.re(mpmath.legenq(k, 0, x, type=3)))
+                         for k in range(k_max + 1)])

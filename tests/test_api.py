@@ -32,8 +32,8 @@ PUBLIC = {
         "LeverageProfile", "RangeStability", "ReconstructionReport", "SampleDraw",
         "build_frame_model", "build_selection_model", "christoffel_profile",
         "coherence_profile", "cross_term_deviation", "cross_term_matrix", "draw_samples",
-        "empirical_cross_term", "empirical_gram", "leverage_profile", "range_stability_check",
-        "reconstruct", "reconstruction_error",
+        "empirical_cross_term", "empirical_gram", "gram_deviation", "leverage_profile",
+        "range_stability_check", "reconstruct", "reconstruction_error",
     },
     "serialize": {
         "complex_array_from_lists", "complex_array_to_lists", "dumps", "fmt_complex",

@@ -616,6 +616,18 @@ class TestLeverage:
         assert float(first[2]) == pytest.approx(1.0, abs=1e-12)
         assert 5.0 * float(first[3]) == pytest.approx(1.0, abs=0.05)
 
+    @pytest.mark.parametrize("model", ["identity:6", "fl:n=5,ambient=301,max_defect=0.05"])
+    def test_v_norm_sq_column_is_the_profiles(self, capsys, tmp_path, model):
+        # The column prints the ||v_j||^2 the profile stored, bit for bit.
+        out = tmp_path / "lev"
+        code, _ = run(capsys, "leverage", "--model", model, "--out", str(out))
+        assert code == 0
+        rows = [line.split(",") for line in (tmp_path / "lev.csv").read_text().splitlines()[1:]]
+        _, _, prof = cli._profile(cli._load_config("leverage", {"model": model}))
+        assert [float(r[2]) for r in rows] == prof.v_norm_sq.tolist()
+        assert np.array_equal(prof.v_norm_sq, np.sum(np.abs(prof.v) ** 2, axis=0))
+        assert prof.trace_sigma == float(np.sum(prof.v_norm_sq))
+
     def test_p_spec_whose_sum_overflows(self, capsys, tmp_path):
         # Each weight is finite and their sum overflows; the distribution is
         # uniform, as "uniform_on_support" gives it, bit for bit.

@@ -337,13 +337,17 @@ def test_tail_memo_is_keyed_on_the_target_bytes():
     tgt = model._memo["target"]
     assert tgt.key == f.tobytes() and tgt.tails == {10: first}
     # A planted value shows which calls read the memo: every target with the
-    # same values, whatever its flags or form.
+    # same values, whatever its flags, form or buffer; a vector over a bytes
+    # object is keyed like any other, on a copy of its bytes.
     tgt.tails[10] = 0.5
     frozen = f.copy()
     frozen.setflags(write=False)
-    for same in (frozen, f.copy(), frozen[:], list(f)):
+    over_bytes = np.frombuffer(f.tobytes(), dtype=complex)
+    over_part = np.frombuffer(f.tobytes() + bytes(16), dtype=complex, count=301)
+    for same in (frozen, f.copy(), frozen[:], list(f), over_bytes, over_part):
         assert reconstruct(model, prof, draw_samples(prof, 40, 1), same).tail_err == 0.5
         assert model._memo["target"] is tgt
+    assert tgt.key is not over_bytes.base
     # Changed values recompute the tail and replace the record.
     changed = f.copy()
     changed[-5:] += 1.0
@@ -755,7 +759,7 @@ def test_measured_dense_draws_meet_the_bound(haar_400):
     assert full > 20
 
 
-# -- the per-trial shortcuts: one check per draw, one sort, the target by identity --
+# -- the per-trial shortcuts: one check per draw, one sort, one target record --
 
 def report_fields(rep):
     return (rep.x_tilde.tobytes(), rep.f_tilde_coef.tobytes(), rep.err_l2, rep.tail_err,
@@ -814,30 +818,6 @@ def test_writeable_target_changed_in_place_gives_the_new_result():
     assert report_fields(after) == report_fields(want) != report_fields(before)
 
 
-def test_a_vector_over_bytes_is_its_own_key(monkeypatch):
-    model = build_fl_model(10, 301, 301, max_defect=0.05)
-    prof = leverage_profile(model, 10)
-    coef = exp_target(1.0).fourier_coef(frequencies(301))
-    f = np.frombuffer(coef.tobytes(), dtype=complex)
-    draw = draw_samples(prof, 40, 4)
-    want = report_fields(reconstruct(model, prof, draw, coef))
-    built = []
-    per_target = sampling._PerTarget
-    monkeypatch.setattr(sampling, "_PerTarget", lambda *a: built.append(a[1]) or per_target(*a))
-    # Equal bytes keep the record; the vector's own bytes object is then
-    # found by identity on the next model.
-    assert report_fields(reconstruct(model, prof, draw, f)) == want and built == []
-    fresh = build_fl_model(10, 301, 301, max_defect=0.05)
-    fresh_prof = leverage_profile(fresh, 10)
-    for _ in range(3):
-        assert report_fields(reconstruct(fresh, fresh_prof, draw_samples(fresh_prof, 40, 4), f)) == want
-    assert len(built) == 1 and built[0] is f.base
-    # A vector over part of a longer bytes object is copied, not kept.
-    part = np.frombuffer(f.tobytes() + bytes(16), dtype=complex, count=301)
-    assert report_fields(reconstruct(fresh, fresh_prof, draw, part)) == want
-    assert fresh._memo["target"].key is f.base and len(built) == 1
-
-
 @pytest.mark.parametrize("indices", [
     [7], [3, 3, 3, 3], [5, 0, 5, 2, 0, 9, 9, 9], list(range(20, 0, -1)),
     np.random.default_rng(0).integers(0, 50, size=200),
@@ -848,3 +828,100 @@ def test_distinct_indices_and_counts_match_np_unique(indices):
     want_sel, want_counts = np.unique(idx, return_counts=True)
     assert np.array_equal(sel, want_sel) and np.array_equal(counts, want_counts)
     assert sel.dtype == want_sel.dtype and counts.dtype == want_counts.dtype
+
+
+# -- the deviations and the profile/model rule ------------------------------------
+
+def test_gram_deviation_is_the_norm_of_g_hat_minus_sigma(case):
+    # The n x n difference is exactly Hermitian, so its eigenvalues give the
+    # norm: the bits of _hermitian_norm, and operator_norm and the largest
+    # singular value to 1e-12 relative.
+    _, prof, ms, _ = case
+    for m in ms:
+        draw = draw_samples(prof, m, 5)
+        diff = empirical_gram(prof, draw) - prof.sigma
+        got = sampling.gram_deviation(prof, draw)
+        assert got == linalg._hermitian_norm(diff)
+        for want in (operator_norm(diff), np.linalg.svd(diff, compute_uv=False)[0]):
+            assert abs(got - want) <= REL * want
+
+
+def identity_and_dense_twin():
+    """identity:8 and a dense 8 x 8 unitary frame with the same W = I."""
+    rng = np.random.default_rng(11)
+    z = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+    s = np.linalg.qr(z / np.sqrt(2.0))[0]
+    return build_selection_model(np.arange(8), np.eye(8)), build_frame_model(s, np.eye(8))
+
+
+def estimator_calls(model, prof, draw, f):
+    return {
+        "coherence_profile": lambda: coherence_profile(model, prof),
+        "cross_term_matrix": lambda: cross_term_matrix(model, prof),
+        "empirical_cross_term": lambda: empirical_cross_term(model, prof, draw),
+        "cross_term_deviation": lambda: cross_term_deviation(model, prof, draw),
+        "reconstruct": lambda: reconstruct(model, prof, draw, f),
+        "reconstruction_error": lambda: reconstruction_error(model, prof, draw, f),
+    }
+
+
+def test_a_profile_of_another_model_is_rejected():
+    # The profile's v and p paired with the dense frame's W_n and S gave
+    # wrong numbers with no error; every estimator now rejects the pair.
+    identity, dense = identity_and_dense_twin()
+    prof = leverage_profile(identity, 4)
+    draw = draw_samples(prof, 20, 0)
+    f = np.ones(8, dtype=complex)
+    for call in estimator_calls(dense, prof, draw, f).values():
+        with pytest.raises(sampling.InputValidationError, match="another model"):
+            call()
+    # The other way round as well.
+    dense_prof = leverage_profile(dense, 4)
+    with pytest.raises(sampling.InputValidationError, match="another model"):
+        reconstruct(identity, dense_prof, draw_samples(dense_prof, 20, 0), f)
+
+
+def test_a_profile_of_a_content_equal_model_passes(monkeypatch):
+    # A twin's record has its own v, equal entry for entry, so the check
+    # compares arrays and every result keeps its bits.  A profile of the
+    # model itself holds the record's own v and takes no compare.
+    identity, _ = identity_and_dense_twin()
+    twin, _ = identity_and_dense_twin()
+    prof = leverage_profile(identity, 4)
+    draw = draw_samples(prof, 20, 0)
+    f = np.ones(8, dtype=complex)
+    own = estimator_calls(identity, prof, draw, f)
+    want = {name: call() for name, call in own.items()}
+    array_equal, compares = np.array_equal, []
+    monkeypatch.setattr(np, "array_equal", lambda *a: compares.append(1) or array_equal(*a))
+    for call in own.values():
+        call()
+    assert compares == []
+    for name, call in estimator_calls(twin, prof, draw, f).items():
+        got = call()
+        if name == "reconstruct":
+            assert report_fields(got) == report_fields(want[name])
+        elif isinstance(got, np.ndarray):
+            assert array_equal(got, want[name])
+        else:
+            assert got == want[name], name
+    assert len(compares) == len(own)
+
+
+@pytest.mark.parametrize("shape", [(2, 4), (8, 1), ()])
+def test_a_target_that_is_not_a_vector_is_rejected(shape):
+    # A (2, 4) target was read as an 8-vector with no error.
+    model = build_selection_model(np.arange(8), np.eye(8))
+    prof = leverage_profile(model, 4)
+    draw = draw_samples(prof, 20, 0)
+    f = np.ones(shape, dtype=complex)
+    for fn in (reconstruct, reconstruction_error):
+        with pytest.raises(sampling.InputValidationError, match="f_coef must be one-dimensional"):
+            fn(model, prof, draw, f)
+
+
+@pytest.mark.parametrize("shape", [(2, 4), (8, 1)])
+def test_a_custom_p_that_is_not_a_vector_is_rejected(shape):
+    model = build_selection_model(np.arange(8), np.eye(8))
+    with pytest.raises(sampling.InputValidationError, match="p_spec must be one-dimensional"):
+        leverage_profile(model, 4, np.ones(shape))

@@ -12,20 +12,23 @@ that the n-space guard of the deviations admits:
 - cross_dev: C u (||C_hat||_F + ||C||_F), likewise;
 - k_factor: C u kappa(G_hat) K, relative, through G_hat^+;
 - gram_condition: C u kappa(G_hat)^2, relative C u kappa of kappa.
+
+The pole target's Legendre coefficients, up to its k_cut, are held to the
+closed form within 1e-11 of the largest: the agreement of two successive
+Gauss-Legendre rules at which the program's quadrature stops.
 """
 
 import numpy as np
 import pytest
 
-from oracle import model_oracle
-from stochsamp.fourier_legendre import build_fl_model, exp_target, frequencies
-from stochsamp.linalg import _hermitian_norm
+from oracle import model_oracle, pole_legendre_coef
+from stochsamp.fourier_legendre import build_fl_model, exp_target, frequencies, pole_target
 from stochsamp.sampling import (
     build_frame_model,
     build_selection_model,
     cross_term_deviation,
     draw_samples,
-    empirical_gram,
+    gram_deviation,
     leverage_profile,
     reconstruct,
 )
@@ -66,11 +69,22 @@ def test_per_trial_numbers_match_the_40_digit_oracle(make):
     got = {
         "tail_err": (rep.tail_err, C * U * f_norm),
         "err_l2": (rep.err_l2, C * U * kappa * f_norm),
-        "gram_dev": (_hermitian_norm(empirical_gram(prof, draw) - prof.sigma),
-                     C * U * ref["gram_scale"]),
+        "gram_dev": (gram_deviation(prof, draw), C * U * ref["gram_scale"]),
         "cross_dev": (cross_term_deviation(model, prof, draw), C * U * ref["cross_scale"]),
         "k_factor": (rep.k_factor, C * U * kappa * ref["k_factor"]),
         "gram_condition": (rep.gram_condition, C * U * kappa**2),
     }
     for name, (value, tol) in got.items():
         assert abs(value - ref[name]) <= tol, (name, value, ref[name], tol)
+
+
+@pytest.mark.parametrize("a", [1.5, 1.05])
+def test_pole_legendre_coefficients_match_the_40_digit_oracle(a):
+    target = pole_target(a)
+    got = target.legendre_coef(target.k_cut)
+    want = pole_legendre_coef(a, target.k_cut)
+    scale = float(np.max(np.abs(want)))
+    dist = float(np.max(np.abs(got - want))) / scale
+    assert dist <= 1e-11, (
+        f"pole_a:{a}: legendre_coef up to k_cut = {target.k_cut} is {dist:.2e} of the "
+        f"largest coefficient from the 40-digit closed form (tolerance 1e-11)")

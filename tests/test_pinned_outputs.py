@@ -128,8 +128,8 @@ def test_mc_gram_outputs_pinned(name, tmp_path, capsys):
 def test_mc_gram_trial_budget(name, tmp_path, capsys, monkeypatch):
     """A trial after the first takes two SVDs (of G_hat and of the weighted
     design), at most three Hermitian eigensolves (K, the cross-term
-    deviation, ||G_hat - Sigma||) and no np.unique, and finds the target's
-    record by the identity of the CLI vector's own bytes, with no copy."""
+    deviation, ||G_hat - Sigma||) and no np.unique; the run builds one
+    target record."""
     counts = {"svd": 0, "eigvalsh": 0, "unique": 0}
 
     def counted(module, attr):
@@ -148,15 +148,6 @@ def test_mc_gram_trial_budget(name, tmp_path, capsys, monkeypatch):
     draw_samples = cli.draw_samples
     monkeypatch.setattr(cli, "draw_samples",
                         lambda *args: stamps.append(dict(counts)) or draw_samples(*args))
-    keys = []
-    reconstruct = cli.reconstruct
-
-    def keyed(model, prof, draw, f_coef):
-        rep = reconstruct(model, prof, draw, f_coef)
-        keys.append(model._memo["target"].key is f_coef.base)
-        return rep
-
-    monkeypatch.setattr(cli, "reconstruct", keyed)
     built = []
     per_target = sampling._PerTarget
     monkeypatch.setattr(sampling, "_PerTarget", lambda *args: built.append(1) or per_target(*args))
@@ -164,7 +155,7 @@ def test_mc_gram_trial_budget(name, tmp_path, capsys, monkeypatch):
     run_pinned(name, tmp_path, capsys)
     stamps.append(dict(counts))
     trials = int(CASES[name][CASES[name].index("--trials") + 1])
-    assert len(stamps) == trials + 1 and keys == [True] * trials and len(built) == 1
+    assert len(stamps) == trials + 1 and len(built) == 1
     for before, after in zip(stamps[1:-1], stamps[2:]):
         spent = {k: after[k] - before[k] for k in counts}
         assert spent["svd"] == 2 and spent["eigvalsh"] <= 3 and spent["unique"] == 0, spent
