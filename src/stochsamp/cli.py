@@ -31,7 +31,6 @@ from .linalg import operator_norm
 from .sampling import (
     FrameModel,
     LeverageProfile,
-    _drop_per_n,
     _selection_model,
     coherence_profile,
     cross_term_deviation,
@@ -587,9 +586,8 @@ def run_convergence(cfg: dict) -> None:
         prof = leverage_profile(model, n, cfg["p_spec"])
         errs = [reconstruction_error(model, prof, draw_samples(prof, m, base_seed + t), f_coef)
                 for t in range(trials)]
-        # This n's n x J interaction vectors are freed before the next n's.
+        # This n's record, its n x J interaction vectors too, goes with prof.
         del prof
-        _drop_per_n(model, n)
         med = _median(errs)
         medians.append(med)
         rows.append([n, m, trials, med, float(np.min(errs)), float(np.max(errs))])

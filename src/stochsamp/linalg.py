@@ -94,7 +94,9 @@ def minimal_norm_lsq(design, rhs) -> np.ndarray:
     which covers both full-rank and rank-deficient designs.
     """
     m = as_matrix(design, name="design")
-    b = np.asarray(rhs, dtype=complex).reshape(-1)
+    b = np.asarray(rhs, dtype=complex)
+    if b.ndim != 1:
+        raise InputValidationError(f"rhs must be one-dimensional, got shape {b.shape}")
     if b.shape[0] != m.shape[0]:
         raise InputValidationError(
             f"rhs length {b.shape[0]} does not match design rows {m.shape[0]}"

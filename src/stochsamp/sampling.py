@@ -87,13 +87,10 @@ class FrameModel:
 
     Everything else is derived on first read and takes no part in equality
     or serialization: the orthonormality test and ||S||^2, both from one
-    J x J Gram S^H S of a dense S, and a memo that holds one record per n
-    (see :class:`_PerN`): the interaction vectors, one SVD of the first n
-    reconstruction columns and what the estimators derive from it, each
-    built on first use; for a dense ``s_matrix`` that includes the residual
-    adjoint, one J x N_amb array the size of S.  For the last
-    target the memo holds one record (see :class:`_PerTarget`): its
-    finiteness, ||f||, the J-vector S^H f and the tail ||f - QQ^H f|| per n.
+    J x J Gram S^H S of a dense S, and a memo that holds the record of the
+    last target (see :class:`_PerTarget`): its finiteness, ||f||, the
+    J-vector S^H f and the tail ||f - QQ^H f|| per n.  What depends on n
+    lives on the profiles (see :class:`_PerN`), so it is freed with them.
     """
 
     w_coef: np.ndarray
@@ -184,7 +181,8 @@ class LeverageProfile:
     how far trace(sigma) is from n and can be negative.
 
     The digest, the sampling CDF and one SVD of sigma, for its singular
-    vectors, are computed on first read; they take no part in equality.
+    vectors, are computed on first read; they take no part in equality,
+    nor does ``_rec``, the per-(model, n) record it owns (see :class:`_PerN`).
     """
 
     n: int
@@ -197,6 +195,7 @@ class LeverageProfile:
     lambda0: float
     sigma_norm: float
     rank: int
+    _rec: _PerN = field(repr=False, compare=False)
 
     @property
     def num_indices(self) -> int:
@@ -369,12 +368,14 @@ def _sampling_adjoint(model: FrameModel, x: np.ndarray) -> np.ndarray:
 
 
 class _PerN:
-    """What the estimators share at reconstruction dimension n, each part
-    built on first use and read-only: the interaction vectors ``v`` (n x J),
-    and from one rank-revealing SVD W_n = U_w diag(s) V^H of the first n
-    reconstruction columns the orthonormal basis ``q`` = U_w[:, :rank] of
-    W_n and ``sv`` = diag(s) V^H, with ||W_n y|| = ||sv y||.  Q^H is formed
-    where it is read, ``q.conj().T``, not kept next to Q.
+    """What the estimators share for one model at reconstruction dimension
+    n, owned by the profile that :func:`leverage_profile` builds from it and
+    freed with it.  Each part is built on first use and read-only: the
+    interaction vectors ``v`` (n x J), and from one rank-revealing SVD
+    W_n = U_w diag(s) V^H of the first n reconstruction columns the
+    orthonormal basis ``q`` = U_w[:, :rank] of W_n and ``sv`` = diag(s) V^H,
+    with ||W_n y|| = ||sv y||.  Q^H is formed where it is read,
+    ``q.conj().T``, not kept next to Q.
     Then the residual adjoint ``uh`` = U^H, U = (I - QQ^H) S (J x N_amb,
     dense S only), the cross-term limit ``c`` = sum_j v_j u_j^H (n x N_amb),
     ``cc`` = C C^H with ``cc_trace`` = ||C||_F^2, and ``b``, U^H C^H (J x n)
@@ -444,25 +445,15 @@ class _PerN:
         return _frozen(np.conjugate((self.c @ self.q).T, order="C"))
 
 
-def _per_n(model: FrameModel, n: int) -> _PerN:
-    """The per-n record of ``model``, memoized on it under the key n."""
-    if n not in model._memo:
-        model._memo[n] = _PerN(model, n)
-    return model._memo[n]
-
-
-def _drop_per_n(model: FrameModel, n: int) -> None:
-    """Forget the per-n record of ``model`` at n, so that its arrays are
-    freed once no profile holds them; a later read builds it again."""
-    model._memo.pop(n, None)
-
-
 def _per_n_of(model: FrameModel, prof: LeverageProfile) -> _PerN:
-    """The per-n record of ``model`` at ``prof.n``.  The estimators read v
-    and p from the profile and the rest from the record, so a profile whose v
-    is neither the record's own nor equal to it is rejected."""
-    rec = _per_n(model, prof.n)
-    if prof.v is not rec.v and not np.array_equal(prof.v, rec.v):
+    """The per-n record of ``model`` at ``prof.n``: the profile's own when it
+    was built from ``model``.  For another model a record is built for the
+    call; the estimators read v and p from the profile and the rest from the
+    record, so a profile whose v is not equal to that model's is rejected."""
+    if prof._rec.model is model:
+        return prof._rec
+    rec = _PerN(model, prof.n)
+    if not np.array_equal(prof.v, rec.v):
         raise InputValidationError(f"the profile's interaction vectors at n = {prof.n} "
                                    "are not this model's: it is a profile of another model")
     return rec
@@ -482,8 +473,9 @@ def leverage_profile(model: FrameModel, n: int, p_spec="leverage") -> LeveragePr
         )
     # Columns too large for float64 overflow here; that is rejected below,
     # before any division or eigensolve, with no warning.
+    rec = _PerN(model, n)
     with np.errstate(over="ignore", invalid="ignore"):
-        v = _per_n(model, n).v
+        v = rec.v
         vn2 = np.sum(np.abs(v) ** 2, axis=0).real
         sigma = v @ v.conj().T
         sigma = (sigma + sigma.conj().T) / 2.0
@@ -548,6 +540,7 @@ def leverage_profile(model: FrameModel, n: int, p_spec="leverage") -> LeveragePr
         lambda0=lambda0,
         sigma_norm=float(max(abs(eigs[0]), abs(eigs[-1]))),
         rank=retained.size,
+        _rec=rec,
     )
 
 
@@ -710,20 +703,20 @@ def _draw_kernel(prof: LeverageProfile, draw: SampleDraw) -> _DrawKernel:
     return kern
 
 
-def _residual_gram(model: FrameModel, prof: LeverageProfile, draw: SampleDraw):
+def _residual_gram(rec: _PerN, prof: LeverageProfile, draw: SampleDraw):
     """(M, mu): the k x k Gram M = U_sel^H U_sel of the drawn columns'
     residuals U_sel = (I - QQ^H) S[:, sel] and a bound mu >= ||M||; memoized
-    on the draw next to the kernel, for the same profile and model.
+    on the draw next to the kernel, for the same profile and ``rec.model``.
 
     For a selection M = I - Q_s Q_s^H with Q_s = Q[rows].  For a dense S,
     M = g g^H with g = U^H[sel].  mu = ||S||^2 >= ||(I - QQ^H) S_sel||^2 =
     ||M|| holds for every draw and n (see FrameModel._s_norm2).
     """
+    model = rec.model
     hit = draw._memo.get("residual")
     if hit is not None and hit[0] is prof and hit[1] is model:
         return hit[2]
     sel = _draw_kernel(prof, draw).sel
-    rec = _per_n(model, prof.n)
     if model.s_rows is None:
         g = rec.uh[sel]
         m = g @ g.conj().T
@@ -785,16 +778,15 @@ def _n_space_norm(h: np.ndarray, scale: float, wide) -> float:
     return _wide_norm(wide())
 
 
-def _k_factor(model: FrameModel, prof: LeverageProfile, draw: SampleDraw) -> float:
+def _k_factor(rec: _PerN, prof: LeverageProfile, draw: SampleDraw) -> float:
     """||W iota_n G_hat^+ C_hat|| = ||diag(s) V^H G_hat^+ C_hat|| with
     W_n = U_w diag(s) V^H the SVD of the n reconstruction columns, since U_w
     has orthonormal columns.  C_hat = vw U_sel^H, so with a = diag(s) V^H G_hat^+
     vw the K-factor squared is lambda_max(a M a^H), M = U_sel^H U_sel; the
     fallback forms a U_sel^H itself."""
     kern = _draw_kernel(prof, draw)
-    rec = _per_n(model, prof.n)
     a = rec.sv @ pinv_from_svd(kern.u, kern.s, kern.vh, kern.rank) @ kern.vw
-    m, mu = _residual_gram(model, prof, draw)
+    m, mu = _residual_gram(rec, prof, draw)
     return _n_space_norm(
         (a @ m) @ a.conj().T, mu * np.linalg.norm(a) ** 2,
         lambda: rec.cross(a, cols=kern.sel),
@@ -817,7 +809,7 @@ def cross_term_deviation(model: FrameModel, prof: LeverageProfile, draw: SampleD
     C_hat - C."""
     kern = _draw_kernel(prof, draw)
     rec = _per_n_of(model, prof)
-    m, mu = _residual_gram(model, prof, draw)
+    m, mu = _residual_gram(rec, prof, draw)
     if model.s_rows is None:
         p = rec.b[kern.sel]
     else:
@@ -860,12 +852,11 @@ class _PerTarget:
     def shf(self) -> np.ndarray:
         return _frozen(_sampling_adjoint(self.model, self.f))
 
-    def tail(self, n: int) -> float:
-        """||f - Q Q^H f||, the best error from W_n."""
-        if n not in self.tails:
-            rec = _per_n(self.model, n)
-            self.tails[n] = float(np.linalg.norm(self.f - rec.q @ (rec.q.conj().T @ self.f)))
-        return self.tails[n]
+    def tail(self, rec: _PerN) -> float:
+        """||f - Q Q^H f||, the best error from W_n, with Q from ``rec``."""
+        if rec.n not in self.tails:
+            self.tails[rec.n] = float(np.linalg.norm(self.f - rec.q @ (rec.q.conj().T @ self.f)))
+        return self.tails[rec.n]
 
 
 def _target(model: FrameModel, f_coef) -> _PerTarget:
@@ -931,12 +922,12 @@ def reconstruct(
     of zero the check cannot fail: rounding then resolves nothing the bound
     could rule out.
     """
-    _per_n_of(model, prof)
+    rec = _per_n_of(model, prof)
     tgt = _target(model, f_coef)
     kern = _draw_kernel(prof, draw)
     design, rhs, x, f_tilde, err_l2 = _solve(model, prof, draw, tgt)
-    k_factor = _k_factor(model, prof, draw)
-    tail_err = tgt.tail(prof.n)
+    k_factor = _k_factor(rec, prof, draw)
+    tail_err = tgt.tail(rec)
     return ReconstructionReport(
         x_tilde=_frozen(x),
         f_tilde_coef=_frozen(f_tilde),

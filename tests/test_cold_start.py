@@ -119,7 +119,7 @@ def residual_t(model, n):
 def test_orthonormal_sampling_wider_than_w_n_takes_t_as_one_without_svd(make, n, monkeypatch):
     model = make()
     prof = leverage_profile(model, n)
-    rec = sampling._per_n(model, n)
+    rec = prof._rec
     assert model.sampling_is_orthonormal and model.num_sampling > rec.q.shape[1]
     svd = np.linalg.svd
 

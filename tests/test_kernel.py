@@ -10,6 +10,7 @@ at a large ambient dimension."""
 import json
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -287,8 +288,9 @@ def test_reconstruction_error_builds_no_kernel_or_k_factor(monkeypatch):
     prof = leverage_profile(model, 10)
     f = exp_target(1.0).fourier_coef(frequencies(301))
     twin = build_fl_model(10, 301, 301, max_defect=0.05)
-    reconstruction_error(twin, leverage_profile(twin, 10), draw_samples(prof, 40, 3), f)
-    assert "_svd" not in vars(twin._memo[10])  # the solve takes no SVD of W_n
+    twin_prof = leverage_profile(twin, 10)
+    reconstruction_error(twin, twin_prof, draw_samples(prof, 40, 3), f)
+    assert "_svd" not in vars(twin_prof._rec)  # the solve takes no SVD of W_n
     tgt = twin._memo["target"]
     assert not tgt.tails and "norm" not in vars(tgt)  # nor a tail or ||f||
     want = reconstruct(model, prof, draw_samples(prof, 40, 3), f).err_l2
@@ -351,7 +353,7 @@ def test_tail_memo_is_keyed_on_the_target_bytes():
     # Changed values recompute the tail and replace the record.
     changed = f.copy()
     changed[-5:] += 1.0
-    q = model._memo[10].q
+    q = prof._rec.q
     want = float(np.linalg.norm(changed - q @ (q.conj().T @ changed)))
     assert reconstruct(model, prof, draw_samples(prof, 40, 2), changed).tail_err == want
     tgt = model._memo["target"]
@@ -366,7 +368,7 @@ def test_tail_follows_a_writeable_target_changed_in_place():
     before = reconstruct(model, prof, draw, f).tail_err
     f[-5:] += 1.0
     after = reconstruct(model, prof, draw, f).tail_err
-    q = model._memo[10].q
+    q = prof._rec.q
     assert after != before
     assert after == float(np.linalg.norm(f - q @ (q.conj().T @ f)))
 
@@ -551,8 +553,8 @@ def test_dense_memo_built_once_per_n(haar_400, monkeypatch):
             check_dense_estimates(model, prof, draw_samples(prof, 48, seed), f)
         seen.append(list(calls))
     assert seen == [[32], [32, 16], [32, 16]]
-    for n in (32, 16):
-        uh = model._memo[n].uh
+    for prof in profs.values():
+        uh = prof._rec.uh
         assert uh.shape == (400, 400) and uh.flags.c_contiguous and not uh.flags.writeable
 
 
@@ -569,7 +571,7 @@ def test_selection_builds_no_dense_memo():
             cross_term_deviation(model, prof, draw)
         # S^H f is a gather of f; no N_amb x J residual adjoint is formed.
         assert np.array_equal(model._memo["target"].shf, f[model.s_rows])
-        assert "uh" not in vars(model._memo[n])
+        assert "uh" not in vars(prof._rec)
 
 
 def test_sample_memo_follows_a_target_changed_in_place(haar_400):
@@ -595,8 +597,11 @@ def test_sample_memo_follows_a_target_changed_in_place(haar_400):
 
 @pytest.mark.parametrize("make", [lambda: build_fl_model(10, 301, 301, max_defect=0.05),
                                   lambda: unitary_frame(ambient=100)], ids=["selection", "dense"])
-def test_cross_products_built_once_per_n_and_shared_by_every_profile(make):
+def test_cross_products_built_once_per_profile(make, monkeypatch):
     model = make()
+    shapes = []
+    svd = sampling.svd_with_rank
+    monkeypatch.setattr(sampling, "svd_with_rank", lambda a, *r: shapes.append(a.shape) or svd(a, *r))
     f = np.linspace(1.0, 2.0, model.ambient_dim).astype(complex)
     profs = {n: leverage_profile(model, n) for n in (8, 4)}
     parts = {}
@@ -606,10 +611,10 @@ def test_cross_products_built_once_per_n_and_shared_by_every_profile(make):
             draw = draw_samples(prof, 20, seed)
             reconstruct(model, prof, draw, f)
             cross_term_deviation(model, prof, draw)
-        rec = model._memo[n]
+        rec = prof._rec
         got = (rec.v, rec.c, rec.cc, rec.b)
         assert all(x is y for x, y in zip(parts.setdefault(n, got), got))
-        assert prof.v is rec.v
+        assert prof.v is rec.v and rec.model is model
         # Q^H is formed where it is read; no N_amb x n copy is kept.
         assert not hasattr(rec, "qh")
         c, cc, b, q = rec.c, rec.cc, rec.b, rec.q
@@ -622,14 +627,18 @@ def test_cross_products_built_once_per_n_and_shared_by_every_profile(make):
         np.testing.assert_allclose(cc, c @ c.conj().T, rtol=0, atol=1e-12 * np.abs(cc).max())
         np.testing.assert_allclose(b, want_b, rtol=0, atol=1e-12 * max(np.abs(want_b).max(), 1.0))
         assert not any(x.flags.writeable for x in got)
-    # v depends on (model, n) alone: a new profile at the same n, with another
-    # distribution too, shares v, C and both products; nothing is rebuilt.
+    # Each profile owns its record: a new profile at the same n, with another
+    # distribution too, takes one SVD of W_n of its own, and its v, C and
+    # both products carry the same bits.
     for p_spec in ("leverage", "uniform_on_support"):
         other = leverage_profile(model, 8, p_spec)
         cross_term_deviation(model, other, draw_samples(other, 20, 0))
-        rec = model._memo[8]
-        assert other.v is rec.v
-        assert all(x is y for x, y in zip(parts[8], (rec.v, rec.c, rec.cc, rec.b)))
+        rec = other._rec
+        assert rec is not profs[8]._rec and other.v is rec.v
+        got = (rec.v, rec.c, rec.cc, rec.b)
+        assert all(np.array_equal(x, y) for x, y in zip(parts[8], got))
+    amb = model.ambient_dim
+    assert [s for s in shapes if s[0] == amb] == [(amb, 8), (amb, 4), (amb, 8), (amb, 8)]
 
 
 def test_residual_gram_is_memoized_per_model_and_profile():
@@ -639,7 +648,7 @@ def test_residual_gram_is_memoized_per_model_and_profile():
     draw = draw_samples(prof, 40, 1)
     reconstruct(model, prof, draw, f)
     # The K-factor reads only M, so reconstruct builds no C or its products.
-    assert not {"c", "cc", "b"} & set(vars(model._memo[10]))
+    assert not {"c", "cc", "b"} & set(vars(prof._rec))
     first = draw._memo["residual"]
     cross_term_deviation(model, prof, draw)
     assert draw._memo["residual"] is first and first[:2] == (prof, model)
@@ -670,7 +679,7 @@ def test_non_orthonormal_dense_frame_scales_the_guard_by_s_norm_squared(monkeypa
     for seed in range(6):
         draw = draw_samples(prof, 48, seed)
         rep = reconstruct(model, prof, draw, f)
-        m, mu = sampling._residual_gram(model, prof, draw)
+        m, mu = sampling._residual_gram(prof._rec, prof, draw)
         assert mu is model._s_norm2
         assert abs(mu - s_norm2) <= 1e-12 * s_norm2 and mu >= np.linalg.eigvalsh(m)[-1]
         k_ref = direct_k_factor(model, prof, draw)
@@ -681,9 +690,10 @@ def test_non_orthonormal_dense_frame_scales_the_guard_by_s_norm_squared(monkeypa
 
 
 @pytest.mark.parametrize("command", ["mc-gram", "bounds"])
-def test_one_svd_of_w_n_per_n_and_no_qr(command, monkeypatch, capsys):
-    # Q, the K-factor's diag(s) V^H and C all come from one SVD of W_n per n;
-    # no QR factorization is taken.
+def test_one_svd_of_w_n_per_profile_and_no_qr(command, monkeypatch, capsys):
+    # Q, the K-factor's diag(s) V^H and C all come from one SVD of W_n per
+    # profile; no QR factorization is taken.  A command builds one profile
+    # per n.
     dense = unitary_frame(ambient=100)  # built with a QR, before the check
 
     def refuse(*args, **kwargs):
@@ -699,7 +709,8 @@ def test_one_svd_of_w_n_per_n_and_no_qr(command, monkeypatch, capsys):
     assert cli.main(argv) == 0
     assert json.loads(capsys.readouterr().out)["command"] == command
     assert [shape for shape in shapes if shape[0] == 301] == [(301, 8)]
-    # The same through the API, on a dense frame, for two values of n.
+    # The same through the API, on a dense frame, for two values of n; n = 32
+    # is revisited with a new profile, which takes its own SVD.
     f = np.linspace(1.0, 2.0, 100).astype(complex)
     shapes.clear()
     for n in (32, 16, 32):
@@ -709,7 +720,44 @@ def test_one_svd_of_w_n_per_n_and_no_qr(command, monkeypatch, capsys):
             draw = draw_samples(prof, 48, seed)
             reconstruct(dense, prof, draw, f)
             cross_term_deviation(dense, prof, draw)
-    assert [shape for shape in shapes if shape[0] == 100] == [(100, 32), (100, 16)]
+    assert [shape for shape in shapes if shape[0] == 100] == [(100, 32), (100, 16), (100, 32)]
+
+
+@pytest.mark.parametrize("make", [lambda: build_fl_model(10, 301, 301, max_defect=0.05),
+                                  lambda: unitary_frame(ambient=100)], ids=["selection", "dense"])
+def test_a_dropped_profile_frees_its_record(make):
+    # An API sweep over n holds one n's record at a time: the model keeps
+    # only its target's record, so dropping a profile frees its n x J
+    # interaction vectors and everything derived from its SVD of W_n.
+    model = make()
+    f = np.linspace(1.0, 2.0, model.ambient_dim).astype(complex)
+    for n in (4, 8, 6, 8):
+        prof = leverage_profile(model, n)
+        coherence_profile(model, prof)
+        for seed in range(3):
+            draw = draw_samples(prof, 20, seed)
+            reconstruct(model, prof, draw, f)
+            cross_term_deviation(model, prof, draw)
+        del draw  # its memo holds the profile
+        alive = weakref.ref(prof.v)
+        del prof
+        assert alive() is None, n
+        assert list(model._memo) == ["target"]
+
+
+@pytest.mark.parametrize("command", ["reconstruct", "mc-gram", "bounds", "leverage", "convergence"])
+def test_commands_leave_no_per_n_record_on_the_model(command, monkeypatch, capsys):
+    built = []
+    build = cli._build_model
+    monkeypatch.setattr(cli, "_build_model", lambda cfg: built.append(build(cfg)) or built[-1])
+    argv = [command, "--model", "fl:n=8,ambient=301,max_defect=0.05"]
+    argv += {"reconstruct": ["--target", "exp_c:1"],
+             "mc-gram": ["--target", "exp_c:1", "--trials", "3"],
+             "convergence": ["--n", "4,5,6,8", "--trials", "2"]}.get(command, [])
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    [(model, _)] = built
+    assert set(model._memo) <= {"target"}
 
 
 # -- the error-bound check: a rounding slack c u ||f||, c = 1e3 -----------------

@@ -286,6 +286,11 @@ INPUT_ERRORS = [
     (lambda: operator_norm(np.array([[1.0, np.inf]])), "matrix contains non-finite"),
     (lambda: minimal_norm_lsq(np.eye(3), np.ones(2)), "rhs length 2"),
     (lambda: minimal_norm_lsq(np.eye(2), [1.0, np.nan]), "rhs contains non-finite"),
+    # Eight values for eight rows, but not a vector: no flattening.
+    (lambda: minimal_norm_lsq(np.eye(8)[:, :4], np.arange(8.0).reshape(2, 4)),
+     r"rhs must be one-dimensional, got shape \(2, 4\)"),
+    (lambda: minimal_norm_lsq(np.eye(3), np.ones((3, 1))), "rhs must be one-dimensional"),
+    (lambda: minimal_norm_lsq(np.eye(1), 1.0), "rhs must be one-dimensional"),
     (lambda: range_distance(np.eye(2), np.eye(3)), "projectors must be square"),
     (lambda: range_distance(np.ones((2, 3)), np.ones((2, 3))), "projectors must be square"),
     # Idempotent, not self-adjoint.
