@@ -470,7 +470,7 @@ def run_reconstruct(cfg: dict) -> None:
     m = _pick_m(cfg, n)
     f_coef = _target_ambient_coef(model, target)
     draw = draw_samples(prof, m, cfg["seed"])
-    rep = reconstruct(model, prof, draw, f_coef)
+    rep = reconstruct(prof, draw, f_coef)
     stability = range_stability_check(prof, draw)
 
     report = {
@@ -508,7 +508,7 @@ def run_montecarlo(cfg: dict) -> None:
     trials = cfg["trials"]
     base_seed = cfg["seed"]
     m = _pick_m(cfg, n)
-    coh = coherence_profile(model, prof)
+    coh = coherence_profile(prof)
     eps = prof.lambda0 if cfg["epsilon"] is None else cfg["epsilon"]
     # Before the first draw, so that a size that is not finite exits first.
     inputs = _bound_inputs(prof, coh, delta, min(eps, coh.sigma_norm))
@@ -521,9 +521,9 @@ def run_montecarlo(cfg: dict) -> None:
     for t in range(trials):
         seed = base_seed + t
         draw = draw_samples(prof, m, seed)
-        rep = reconstruct(model, prof, draw, f_coef)
+        rep = reconstruct(prof, draw, f_coef)
         gram_dev = gram_deviation(prof, draw)
-        cross_dev = cross_term_deviation(model, prof, draw)
+        cross_dev = cross_term_deviation(prof, draw)
         stable = range_stability_check(prof, draw).equal
         full_rank = not rep.used_pseudo_inverse
         gram_exceed += gram_dev >= eps
@@ -584,7 +584,7 @@ def run_convergence(cfg: dict) -> None:
     medians = []
     for n, m in zip(n_list, ms):
         prof = leverage_profile(model, n, cfg["p_spec"])
-        errs = [reconstruction_error(model, prof, draw_samples(prof, m, base_seed + t), f_coef)
+        errs = [reconstruction_error(prof, draw_samples(prof, m, base_seed + t), f_coef)
                 for t in range(trials)]
         # This n's record, its n x J interaction vectors too, goes with prof.
         del prof
@@ -636,7 +636,7 @@ def run_bounds(cfg: dict) -> None:
     model, model_info, prof = _profile(cfg)
     n = prof.n
     delta = cfg["delta"]
-    coh = coherence_profile(model, prof)
+    coh = coherence_profile(prof)
     eps = prof.lambda0 if cfg["epsilon"] is None else cfg["epsilon"]
     d_upper = model.declared_bounds[3] if model.declared_bounds else coh.sigma_norm
     inputs = _bound_inputs(prof, coh, delta, eps, D_riesz_upper=d_upper)

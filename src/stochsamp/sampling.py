@@ -182,7 +182,8 @@ class LeverageProfile:
 
     The digest, the sampling CDF and one SVD of sigma, for its singular
     vectors, are computed on first read; they take no part in equality,
-    nor does ``_rec``, the per-(model, n) record it owns (see :class:`_PerN`).
+    nor does ``_rec``, the per-(model, n) record it owns (see :class:`_PerN`),
+    through which the estimators reach the model.
     """
 
     n: int
@@ -445,18 +446,12 @@ class _PerN:
         return _frozen(np.conjugate((self.c @ self.q).T, order="C"))
 
 
-def _per_n_of(model: FrameModel, prof: LeverageProfile) -> _PerN:
-    """The per-n record of ``model`` at ``prof.n``: the profile's own when it
-    was built from ``model``.  For another model a record is built for the
-    call; the estimators read v and p from the profile and the rest from the
-    record, so a profile whose v is not equal to that model's is rejected."""
-    if prof._rec.model is model:
-        return prof._rec
-    rec = _PerN(model, prof.n)
-    if not np.array_equal(prof.v, rec.v):
-        raise InputValidationError(f"the profile's interaction vectors at n = {prof.n} "
-                                   "are not this model's: it is a profile of another model")
-    return rec
+def _as_int(x, name: str) -> int:
+    """``x`` as an int; anything but an integer, a numpy one included, is
+    rejected naming ``name``, a bool too."""
+    if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
+        raise InputValidationError(f"{name} must be an integer, got {x!r:.80}")
+    return int(x)
 
 
 def leverage_profile(model: FrameModel, n: int, p_spec="leverage") -> LeverageProfile:
@@ -467,6 +462,7 @@ def leverage_profile(model: FrameModel, n: int, p_spec="leverage") -> LeveragePr
     ``"uniform_on_support"``, or a custom nonnegative sequence (renormalized;
     must be positive wherever ||v_j|| exceeds the support tolerance).
     """
+    n = _as_int(n, "n")
     if not 1 <= n <= model.num_reconstruction:
         raise InputValidationError(
             f"n must lie in [1, {model.num_reconstruction}], got {n}"
@@ -561,7 +557,7 @@ def _per_weight(x: np.ndarray, p: np.ndarray, name: str) -> np.ndarray:
     return out
 
 
-def coherence_profile(model: FrameModel, prof: LeverageProfile) -> CoherenceProfile:
+def coherence_profile(prof: LeverageProfile) -> CoherenceProfile:
     """Coherence parameters R, R', R'', the limiting scales K and Lambda, and
     the spectral norms of the Gram section and cross-term.
 
@@ -574,7 +570,8 @@ def coherence_profile(model: FrameModel, prof: LeverageProfile) -> CoherenceProf
     sigma_max(U)^2 by at most that.  Every other case takes T from the SVD
     of the residual U = (I - QQ^H) S.
     """
-    rec = _per_n_of(model, prof)
+    rec = prof._rec
+    model = rec.model
     wide = model.num_sampling > rec.q.shape[1]
     if model.s_rows is not None and wide:
         # ||u_j||^2 = 1 - ||Q[r_j, :]||^2, with no N_amb x J residual formed.
@@ -607,10 +604,10 @@ def coherence_profile(model: FrameModel, prof: LeverageProfile) -> CoherenceProf
     )
 
 
-def cross_term_matrix(model: FrameModel, prof: LeverageProfile) -> np.ndarray:
+def cross_term_matrix(prof: LeverageProfile) -> np.ndarray:
     """Limiting cross-term C = sum_j v_j u_j^H as a read-only n x N_amb
     matrix."""
-    return _per_n_of(model, prof).c
+    return prof._rec.c
 
 
 def draw_samples(prof: LeverageProfile, m: int, seed: int) -> SampleDraw:
@@ -618,15 +615,18 @@ def draw_samples(prof: LeverageProfile, m: int, seed: int) -> SampleDraw:
 
     Deterministic for a fixed seed; repeated indices are kept as a multiset.
     """
+    m, seed = _as_int(m, "m"), _as_int(seed, "seed")
     if m < 1:
         raise InputValidationError(f"m must be >= 1, got {m}")
+    if seed < 0:
+        raise InputValidationError(f"seed must be >= 0, got {seed}")
     cdf, last = prof._cdf
     rng = np.random.default_rng(seed)
     u = rng.random(m)
     idx = np.minimum(np.searchsorted(cdf, u, side="right"), last)
     draw = SampleDraw(
         indices=_frozen(idx.astype(np.int64)),
-        seed=int(seed),
+        seed=seed,
         distribution_id=prof.distribution_id,
     )
     # Its read-only indices come from prof's CDF, so _check_draw passes it.
@@ -638,9 +638,9 @@ def draw_samples(prof: LeverageProfile, m: int, seed: int) -> SampleDraw:
 class _DrawKernel:
     """Per-draw quantities every estimator reads: the distinct drawn indices
     ``sel``, ``vw = v[:, sel] * count/(m p)``, and the empirical Gram with its
-    one SVD (``u``, ``s``, ``vh``) and rank decision.  The drawn columns'
-    residual Gram, which also depends on the model, is memoized next to it
-    (see :func:`_residual_gram`).  Private and built once per draw, so not
+    one SVD (``u``, ``s``, ``vh``) and rank decision.  ``residual``, the
+    drawn columns' residual Gram, is built on first use (see
+    :func:`_residual_gram`).  Private and built once per draw, so not
     frozen: a frozen record costs a checked set per field."""
 
     sel: np.ndarray
@@ -650,6 +650,7 @@ class _DrawKernel:
     s: np.ndarray
     vh: np.ndarray
     rank: int
+    residual: tuple[np.ndarray, float] | None = None
 
     @property
     def full_rank(self) -> bool:
@@ -657,14 +658,18 @@ class _DrawKernel:
 
 
 def _check_draw(prof: LeverageProfile, draw: SampleDraw) -> None:
-    """Reject a draw from another distribution or with an index outside the
-    profile's [0, J - 1].  A draw that :func:`draw_samples` made under
-    ``prof`` itself is valid by construction and is not scanned."""
+    """Reject a draw from another distribution, whose indices are not a 1-d
+    integer ndarray, or with an index outside the profile's [0, J - 1].  A
+    draw that :func:`draw_samples` made under ``prof`` itself is valid by
+    construction and is not scanned."""
     if draw._memo.get("checked") is prof:
         return
     if draw.distribution_id != prof.distribution_id:
         raise InputValidationError("draw was produced under a different distribution")
     idx = draw.indices
+    if not (isinstance(idx, np.ndarray) and idx.ndim == 1
+            and np.issubdtype(idx.dtype, np.integer)):
+        raise InputValidationError("draw indices must be a 1-d integer ndarray")
     if idx.size == 0 or idx.min() < 0 or idx.max() >= prof.num_indices:
         raise InputValidationError(
             f"draw indices must be nonempty and lie in [0, {prof.num_indices - 1}]"
@@ -703,28 +708,27 @@ def _draw_kernel(prof: LeverageProfile, draw: SampleDraw) -> _DrawKernel:
     return kern
 
 
-def _residual_gram(rec: _PerN, prof: LeverageProfile, draw: SampleDraw):
+def _residual_gram(prof: LeverageProfile, draw: SampleDraw) -> tuple[np.ndarray, float]:
     """(M, mu): the k x k Gram M = U_sel^H U_sel of the drawn columns'
-    residuals U_sel = (I - QQ^H) S[:, sel] and a bound mu >= ||M||; memoized
-    on the draw next to the kernel, for the same profile and ``rec.model``.
+    residuals U_sel = (I - QQ^H) S[:, sel] and a bound mu >= ||M||; kept on
+    the draw's kernel, so it is built once per (profile, draw).
 
     For a selection M = I - Q_s Q_s^H with Q_s = Q[rows].  For a dense S,
     M = g g^H with g = U^H[sel].  mu = ||S||^2 >= ||(I - QQ^H) S_sel||^2 =
     ||M|| holds for every draw and n (see FrameModel._s_norm2).
     """
-    model = rec.model
-    hit = draw._memo.get("residual")
-    if hit is not None and hit[0] is prof and hit[1] is model:
-        return hit[2]
-    sel = _draw_kernel(prof, draw).sel
-    if model.s_rows is None:
-        g = rec.uh[sel]
-        m = g @ g.conj().T
-    else:
-        qs = rec.q[model.s_rows[sel]]
-        m = np.eye(sel.size) - qs @ qs.conj().T
-    draw._memo["residual"] = (prof, model, (m, model._s_norm2))
-    return draw._memo["residual"][2]
+    kern = _draw_kernel(prof, draw)
+    if kern.residual is None:
+        rec = prof._rec
+        model = rec.model
+        if model.s_rows is None:
+            g = rec.uh[kern.sel]
+            m = g @ g.conj().T
+        else:
+            qs = rec.q[model.s_rows[kern.sel]]
+            m = np.eye(kern.sel.size) - qs @ qs.conj().T
+        kern.residual = (m, model._s_norm2)
+    return kern.residual
 
 
 def empirical_gram(prof: LeverageProfile, draw: SampleDraw) -> np.ndarray:
@@ -733,13 +737,11 @@ def empirical_gram(prof: LeverageProfile, draw: SampleDraw) -> np.ndarray:
     return _draw_kernel(prof, draw).gram
 
 
-def empirical_cross_term(
-    model: FrameModel, prof: LeverageProfile, draw: SampleDraw
-) -> np.ndarray:
+def empirical_cross_term(prof: LeverageProfile, draw: SampleDraw) -> np.ndarray:
     """Unbiased estimator (1/m) sum_t v_{i_t} u_{i_t}^H / p_{i_t} of the
     cross-term, as a read-only n x N_amb matrix."""
     kern = _draw_kernel(prof, draw)
-    return _frozen(_per_n_of(model, prof).cross(kern.vw, cols=kern.sel))
+    return _frozen(prof._rec.cross(kern.vw, cols=kern.sel))
 
 
 def _wide_norm(a: np.ndarray) -> float:
@@ -778,15 +780,16 @@ def _n_space_norm(h: np.ndarray, scale: float, wide) -> float:
     return _wide_norm(wide())
 
 
-def _k_factor(rec: _PerN, prof: LeverageProfile, draw: SampleDraw) -> float:
+def _k_factor(prof: LeverageProfile, draw: SampleDraw) -> float:
     """||W iota_n G_hat^+ C_hat|| = ||diag(s) V^H G_hat^+ C_hat|| with
     W_n = U_w diag(s) V^H the SVD of the n reconstruction columns, since U_w
     has orthonormal columns.  C_hat = vw U_sel^H, so with a = diag(s) V^H G_hat^+
     vw the K-factor squared is lambda_max(a M a^H), M = U_sel^H U_sel; the
     fallback forms a U_sel^H itself."""
+    rec = prof._rec
     kern = _draw_kernel(prof, draw)
     a = rec.sv @ pinv_from_svd(kern.u, kern.s, kern.vh, kern.rank) @ kern.vw
-    m, mu = _residual_gram(rec, prof, draw)
+    m, mu = _residual_gram(prof, draw)
     return _n_space_norm(
         (a @ m) @ a.conj().T, mu * np.linalg.norm(a) ** 2,
         lambda: rec.cross(a, cols=kern.sel),
@@ -800,20 +803,20 @@ def gram_deviation(prof: LeverageProfile, draw: SampleDraw) -> float:
     return _hermitian_norm(empirical_gram(prof, draw) - prof.sigma)
 
 
-def cross_term_deviation(model: FrameModel, prof: LeverageProfile, draw: SampleDraw) -> float:
+def cross_term_deviation(prof: LeverageProfile, draw: SampleDraw) -> float:
     """||C_hat - C||, the deviation of the empirical cross-term from its
     limit.  (C_hat - C)(C_hat - C)^H = vw M vw^H - X - X^H + C C^H with
     X = vw P, M the drawn columns' residual Gram (see :func:`_residual_gram`)
     and P = U_sel^H C^H, k x n: (U^H C^H)[sel] for a dense S, and
     C[:, rows]^H - Q_s (CQ)^H for a selection.  The fallback forms
     C_hat - C."""
+    rec = prof._rec
     kern = _draw_kernel(prof, draw)
-    rec = _per_n_of(model, prof)
-    m, mu = _residual_gram(rec, prof, draw)
-    if model.s_rows is None:
+    m, mu = _residual_gram(prof, draw)
+    if rec.model.s_rows is None:
         p = rec.b[kern.sel]
     else:
-        rows = model.s_rows[kern.sel]
+        rows = rec.model.s_rows[kern.sel]
         p = rec.c[:, rows].conj().T - rec.q[rows] @ rec.b
     vw = kern.vw
     x = vw @ p
@@ -881,7 +884,7 @@ def _target(model: FrameModel, f_coef) -> _PerTarget:
     return tgt
 
 
-def _solve(model: FrameModel, prof: LeverageProfile, draw: SampleDraw, tgt: _PerTarget):
+def _solve(prof: LeverageProfile, draw: SampleDraw, tgt: _PerTarget):
     """The weighted design and right-hand side of ``draw``, the minimal-norm
     solution x, f_tilde = W_n x and ||f - f_tilde||.
 
@@ -896,13 +899,11 @@ def _solve(model: FrameModel, prof: LeverageProfile, draw: SampleDraw, tgt: _Per
     # S^H f once per target; the draw's samples are a gather of it.
     rhs = wts * tgt.shf[idx]
     x = _lsq_from_svd(*svd_with_rank(design), rhs)
-    f_tilde = model.w_coef[:, : prof.n] @ x
+    f_tilde = prof._rec.model.w_coef[:, : prof.n] @ x
     return design, rhs, x, f_tilde, float(np.linalg.norm(tgt.f - f_tilde))
 
 
-def reconstruct(
-    model: FrameModel, prof: LeverageProfile, draw: SampleDraw, f_coef
-) -> ReconstructionReport:
+def reconstruct(prof: LeverageProfile, draw: SampleDraw, f_coef) -> ReconstructionReport:
     """Weighted least-squares reconstruction of ``f_coef`` from the drawn
     samples, with the error bound, the K-factor and the empirical Gram's rank
     decision (see :func:`_solve`).
@@ -922,12 +923,11 @@ def reconstruct(
     of zero the check cannot fail: rounding then resolves nothing the bound
     could rule out.
     """
-    rec = _per_n_of(model, prof)
-    tgt = _target(model, f_coef)
+    tgt = _target(prof._rec.model, f_coef)
     kern = _draw_kernel(prof, draw)
-    design, rhs, x, f_tilde, err_l2 = _solve(model, prof, draw, tgt)
-    k_factor = _k_factor(rec, prof, draw)
-    tail_err = tgt.tail(rec)
+    design, rhs, x, f_tilde, err_l2 = _solve(prof, draw, tgt)
+    k_factor = _k_factor(prof, draw)
+    tail_err = tgt.tail(prof._rec)
     return ReconstructionReport(
         x_tilde=_frozen(x),
         f_tilde_coef=_frozen(f_tilde),
@@ -942,16 +942,13 @@ def reconstruct(
     )
 
 
-def reconstruction_error(
-    model: FrameModel, prof: LeverageProfile, draw: SampleDraw, f_coef
-) -> float:
+def reconstruction_error(prof: LeverageProfile, draw: SampleDraw, f_coef) -> float:
     """||f - W_n x_tilde||, the ``err_l2`` of :func:`reconstruct` with the same
     checks and bits, from the solve alone: no per-draw kernel, K-factor, tail
     or weighted residual."""
-    _per_n_of(model, prof)
-    tgt = _target(model, f_coef)
+    tgt = _target(prof._rec.model, f_coef)
     _check_draw(prof, draw)
-    return _solve(model, prof, draw, tgt)[4]
+    return _solve(prof, draw, tgt)[4]
 
 
 def christoffel_profile(prof: LeverageProfile) -> ChristoffelProfile:

@@ -152,7 +152,8 @@ def read_model_json(path) -> dict:
             if data is not None:
                 return data
             fp.seek(0)
-        return json.load(io.TextIOWrapper(fp, encoding="utf-8"))
+        with io.TextIOWrapper(fp, encoding="utf-8") as text:
+            return json.load(text)
 
 
 def _read_pair_arrays(fp, size: int) -> dict | None:

@@ -70,7 +70,7 @@ def mc_trials(fl_model):
     for t in range(trials):
         draw = draw_samples(prof, m, seed=1000 + t)
         gram_dev = operator_norm(empirical_gram(prof, draw) - prof.sigma)
-        rep = reconstruct(fl_model, prof, draw, f_coef)
+        rep = reconstruct(prof, draw, f_coef)
         records.append((gram_dev, rep))
     return prof, records
 
@@ -122,12 +122,12 @@ def test_03_vanishing_cross_term(fl_model):
     vn2 = np.sum(np.abs(prof0.v) ** 2, axis=0).real
     p_mix = 0.5 * vn2 / vn2.sum() + 0.5 * (vn2 + un2) / (vn2 + un2).sum()
     prof = leverage_profile(fl_model, n, p_spec=p_mix)
-    coh = coherence_profile(fl_model, prof)
+    coh = coherence_profile(prof)
     f_coef = exp_target(1.0).fourier_coef(frequencies(fl_model.ambient_dim))
     medians = {}
     for m in (200, 2000):
         ks = [
-            reconstruct(fl_model, prof, draw_samples(prof, m, seed=5000 + t), f_coef).k_factor
+            reconstruct(prof, draw_samples(prof, m, seed=5000 + t), f_coef).k_factor
             for t in range(trials)
         ]
         medians[m] = float(np.median(ks))
@@ -149,7 +149,7 @@ def test_04_near_exponential_convergence(fl_model):
         prof = leverage_profile(fl_model, n)
         m = gram_sample_size(BoundInputs(n=n, delta=delta), "rate_onb")
         errs = [
-            reconstruct(fl_model, prof, draw_samples(prof, m, seed=9000 + t), f_coef).err_l2
+            reconstruct(prof, draw_samples(prof, m, seed=9000 + t), f_coef).err_l2
             for t in range(trials)
         ]
         medians.append(float(np.median(errs)))
@@ -175,7 +175,7 @@ def test_05_trace_and_leverage_identities():
 
     eye = np.eye(8, dtype=complex)
     prof_on = leverage_profile(build_frame_model(eye, eye), 4)
-    coh_on = coherence_profile(build_frame_model(eye, eye), prof_on)
+    coh_on = coherence_profile(prof_on)
     chris_on = christoffel_profile(prof_on)
     on_gap = abs(chris_on.kappa_w - coh_on.R)
 
@@ -187,7 +187,7 @@ def test_05_trace_and_leverage_identities():
         w += 2 * np.linalg.qr(w)[0]
         model = build_frame_model(s, w)
         prof = leverage_profile(model, 4)
-        coh = coherence_profile(model, prof)
+        coh = coherence_profile(prof)
         kw = christoffel_profile(prof).kappa_w
         sandwich_ok &= coh.R / coh.sigma_norm - 1e-9 <= kw <= coh.sigma_inv_norm * coh.R + 1e-9
     report(
@@ -209,7 +209,7 @@ def test_06_unbiasedness_brute_force():
         w = rng.standard_normal((12, 3)) + 1j * rng.standard_normal((12, 3))
         model = build_frame_model(s, w)
         prof = leverage_profile(model, 3)
-        c = cross_term_matrix(model, prof)
+        c = cross_term_matrix(prof)
         gram_sum = np.zeros((3, 3), dtype=complex)
         cross_sum = np.zeros_like(c)
         for j in np.flatnonzero(prof.p > 0):
@@ -218,7 +218,7 @@ def test_06_unbiasedness_brute_force():
                 distribution_id=prof.distribution_id,
             )
             gram_sum += prof.p[j] * empirical_gram(prof, draw)
-            cross_sum += prof.p[j] * empirical_cross_term(model, prof, draw)
+            cross_sum += prof.p[j] * empirical_cross_term(prof, draw)
         scale = max(1.0, prof.trace_sigma)
         worst_gram = max(worst_gram, operator_norm(gram_sum - prof.sigma) / scale)
         worst_cross = max(
@@ -275,7 +275,7 @@ def test_08_frame_path_with_duplicated_columns():
     model = build_frame_model(np.eye(8, dtype=complex), w)
     assert not model.reconstruction_is_riesz
     prof = leverage_profile(model, 6)
-    coh = coherence_profile(model, prof)
+    coh = coherence_profile(prof)
     assert prof.lambda0 == pytest.approx(2.0, abs=1e-9)
     m = gram_sample_size(
         BoundInputs(
@@ -289,7 +289,7 @@ def test_08_frame_path_with_duplicated_columns():
     trials, stable_count, bound_bad, pinv_used = 200, 0, 0, 0
     for t in range(trials):
         draw = draw_samples(prof, m, seed=7000 + t)
-        rep = reconstruct(model, prof, draw, f)
+        rep = reconstruct(prof, draw, f)
         pinv_used += rep.used_pseudo_inverse
         stable = range_stability_check(prof, draw).equal
         stable_count += stable

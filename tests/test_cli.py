@@ -757,7 +757,7 @@ class TestConvergence:
             prof = sampling.leverage_profile(model, n)
             m = cli._pick_m({"m": None, "delta": 0.1}, n)
             medians.append(cli.fmt_real(np.median(
-                [sampling.reconstruct(model, prof, draw(prof, m, 2 + t), f).err_l2
+                [sampling.reconstruct(prof, draw(prof, m, 2 + t), f).err_l2
                  for t in range(3)])))
         assert json.loads(plain)["median_err"] == medians
 

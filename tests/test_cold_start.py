@@ -130,7 +130,7 @@ def test_orthonormal_sampling_wider_than_w_n_takes_t_as_one_without_svd(make, n,
         return svd(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", refuse_wide)
-    coh = coherence_profile(model, prof)
+    coh = coherence_profile(prof)
     assert coh.T_norm == 1.0
     monkeypatch.undo()
     assert abs(residual_t(model, n) - 1.0) < 1e-12
@@ -146,7 +146,7 @@ def test_orthonormal_sampling_wider_than_w_n_takes_t_as_one_without_svd(make, n,
 ], ids=["scaled-unitary", "gaussian", "narrow-selection", "narrow-orthonormal"])
 def test_other_frames_keep_the_residual_svd(make, n):
     model = make()
-    coh = coherence_profile(model, leverage_profile(model, n))
+    coh = coherence_profile(leverage_profile(model, n))
     want = residual_t(model, n)
     assert abs(coh.T_norm - want) <= 1e-12 * want
 

@@ -498,7 +498,7 @@ class TestL2Error:
         model = build_fl_model(2, 9, 9, max_defect=1.0)
         prof = leverage_profile(model, 2)
         with pytest.raises(InputValidationError):
-            reconstruct(model, prof, draw_samples(prof, 4, 0), np.ones(8))
+            reconstruct(prof, draw_samples(prof, 4, 0), np.ones(8))
 
     def test_quadrature_cross_check(self):
         # synthesize f and its reconstruction from Fourier coefficients and
@@ -509,7 +509,7 @@ class TestL2Error:
         fc = rng.standard_normal(j_count) + 1j * rng.standard_normal(j_count)
         model = build_fl_model(2, j_count, j_count, max_defect=1.0)
         prof = leverage_profile(model, 2)
-        rep = reconstruct(model, prof, draw_samples(prof, 4, 0), fc)
+        rep = reconstruct(prof, draw_samples(prof, 4, 0), fc)
         gc = rep.f_tilde_coef
 
         def diff_sq(x):

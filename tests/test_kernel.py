@@ -81,12 +81,12 @@ def case(request):
 def direct_k_factor(model, prof, draw):
     """||R G_hat^+ C_hat|| from the n x N_amb empirical cross-term."""
     r = np.linalg.qr(model.w_coef[:, :prof.n])[1]
-    inner = r @ (pseudo_inverse(empirical_gram(prof, draw)) @ empirical_cross_term(model, prof, draw))
+    inner = r @ (pseudo_inverse(empirical_gram(prof, draw)) @ empirical_cross_term(prof, draw))
     return np.linalg.svd(inner, compute_uv=False)[0]
 
 
 def direct_cross_dev(model, prof, draw):
-    diff = empirical_cross_term(model, prof, draw) - cross_term_matrix(model, prof)
+    diff = empirical_cross_term(prof, draw) - cross_term_matrix(prof)
     return np.linalg.svd(diff, compute_uv=False)[0]
 
 
@@ -107,12 +107,12 @@ def test_k_factor_and_cross_dev_match_direct_formulas(case, monkeypatch):
         calls.clear()
         for seed in range(8):
             draw = draw_samples(prof, m, seed)
-            rep = reconstruct(model, prof, draw, f)
+            rep = reconstruct(prof, draw, f)
             deficient += rep.used_pseudo_inverse
             k_ref = direct_k_factor(model, prof, draw)
             assert abs(rep.k_factor - k_ref) <= REL * k_ref, (m, seed)
             dev_ref = direct_cross_dev(model, prof, draw)
-            dev = cross_term_deviation(model, prof, draw)
+            dev = cross_term_deviation(prof, draw)
             assert abs(dev - dev_ref) <= REL * dev_ref, (m, seed)
         # Below m = 4J both norms keep their n x n forms.  At m = 40 on fl-J8
         # (J = 8 < n) nearly every draw holds all eight indices, so C_hat is
@@ -125,10 +125,10 @@ def test_k_factor_and_cross_dev_match_direct_formulas(case, monkeypatch):
 
 
 def test_rank_decision_is_shared(case):
-    model, prof, ms, f = case
+    _, prof, ms, f = case
     for seed in range(8):
         draw = draw_samples(prof, ms[0], seed)
-        rep = reconstruct(model, prof, draw, f)
+        rep = reconstruct(prof, draw, f)
         g = empirical_gram(prof, draw)
         sv = np.linalg.svd(g, compute_uv=False)
         rank = int(np.count_nonzero(sv > 1e-10 * prof.n * sv[0]))
@@ -232,9 +232,9 @@ def check_near_w(model, spread, calls):
     for seed in range(4):
         draw = draw_samples(prof, 200, seed)
         k_ref = direct_k_factor(model, prof, draw)
-        assert abs(reconstruct(model, prof, draw, f).k_factor - k_ref) <= REL * k_ref
+        assert abs(reconstruct(prof, draw, f).k_factor - k_ref) <= REL * k_ref
         dev_ref = direct_cross_dev(model, prof, draw)
-        assert abs(cross_term_deviation(model, prof, draw) - dev_ref) <= REL * dev_ref
+        assert abs(cross_term_deviation(prof, draw) - dev_ref) <= REL * dev_ref
     if spread < 1e-2:
         assert calls == [(4, 40)] * 8
 
@@ -260,13 +260,13 @@ def test_dense_sampling_close_to_reconstruction_space_keeps_accuracy(spread, mon
 
 
 def test_reconstruction_error_is_err_l2(case):
-    model, prof, ms, f = case
+    _, prof, ms, f = case
     deficient = 0
     for m in (1, *ms):
         for seed in range(6):
             # A fresh draw for each path, so neither reads the other's kernel.
-            err = reconstruction_error(model, prof, draw_samples(prof, m, seed), f)
-            rep = reconstruct(model, prof, draw_samples(prof, m, seed), f)
+            err = reconstruction_error(prof, draw_samples(prof, m, seed), f)
+            rep = reconstruct(prof, draw_samples(prof, m, seed), f)
             assert err == rep.err_l2, (m, seed)
             deficient += rep.used_pseudo_inverse
     assert deficient > 0
@@ -279,8 +279,8 @@ def test_reconstruction_error_on_identity_model():
     for m in (1, 4, 20):
         for seed in range(6):
             draw = draw_samples(prof, m, seed)
-            assert reconstruction_error(model, prof, draw, f) == reconstruct(
-                model, prof, draw, f).err_l2
+            assert reconstruction_error(prof, draw, f) == reconstruct(
+                prof, draw, f).err_l2
 
 
 def test_reconstruction_error_builds_no_kernel_or_k_factor(monkeypatch):
@@ -289,11 +289,11 @@ def test_reconstruction_error_builds_no_kernel_or_k_factor(monkeypatch):
     f = exp_target(1.0).fourier_coef(frequencies(301))
     twin = build_fl_model(10, 301, 301, max_defect=0.05)
     twin_prof = leverage_profile(twin, 10)
-    reconstruction_error(twin, twin_prof, draw_samples(prof, 40, 3), f)
+    reconstruction_error(twin_prof, draw_samples(prof, 40, 3), f)
     assert "_svd" not in vars(twin_prof._rec)  # the solve takes no SVD of W_n
     tgt = twin._memo["target"]
     assert not tgt.tails and "norm" not in vars(tgt)  # nor a tail or ||f||
-    want = reconstruct(model, prof, draw_samples(prof, 40, 3), f).err_l2
+    want = reconstruct(prof, draw_samples(prof, 40, 3), f).err_l2
 
     def refuse(*args, **kwargs):
         raise AssertionError("the error-only path did more than the solve")
@@ -301,9 +301,9 @@ def test_reconstruction_error_builds_no_kernel_or_k_factor(monkeypatch):
     for name in ("_draw_kernel", "_k_factor"):
         monkeypatch.setattr(sampling, name, refuse)
     draw = draw_samples(prof, 40, 3)
-    assert reconstruction_error(model, prof, draw, f) == want
-    # The draw carries only the mark of draw_samples, no kernel or residual.
-    assert not {"kernel", "residual"} & draw._memo.keys()
+    assert reconstruction_error(prof, draw, f) == want
+    # The draw carries only the mark of draw_samples, no kernel.
+    assert draw._memo.keys() == {"checked"}
 
 
 def test_reconstruction_error_checks_as_reconstruct():
@@ -325,9 +325,9 @@ def test_reconstruction_error_checks_as_reconstruct():
     ]
     for draw, target in cases:
         with pytest.raises(sampling.InputValidationError) as want:
-            reconstruct(model, prof, draw, target)
+            reconstruct(prof, draw, target)
         with pytest.raises(sampling.InputValidationError) as got:
-            reconstruction_error(model, prof, draw, target)
+            reconstruction_error(prof, draw, target)
         assert str(got.value) == str(want.value)
 
 
@@ -335,7 +335,7 @@ def test_tail_memo_is_keyed_on_the_target_bytes():
     model = build_fl_model(10, 301, 301, max_defect=0.05)
     prof = leverage_profile(model, 10)
     f = exp_target(1.0).fourier_coef(frequencies(301))
-    first = reconstruct(model, prof, draw_samples(prof, 40, 0), f).tail_err
+    first = reconstruct(prof, draw_samples(prof, 40, 0), f).tail_err
     tgt = model._memo["target"]
     assert tgt.key == f.tobytes() and tgt.tails == {10: first}
     # A planted value shows which calls read the memo: every target with the
@@ -347,7 +347,7 @@ def test_tail_memo_is_keyed_on_the_target_bytes():
     over_bytes = np.frombuffer(f.tobytes(), dtype=complex)
     over_part = np.frombuffer(f.tobytes() + bytes(16), dtype=complex, count=301)
     for same in (frozen, f.copy(), frozen[:], list(f), over_bytes, over_part):
-        assert reconstruct(model, prof, draw_samples(prof, 40, 1), same).tail_err == 0.5
+        assert reconstruct(prof, draw_samples(prof, 40, 1), same).tail_err == 0.5
         assert model._memo["target"] is tgt
     assert tgt.key is not over_bytes.base
     # Changed values recompute the tail and replace the record.
@@ -355,7 +355,7 @@ def test_tail_memo_is_keyed_on_the_target_bytes():
     changed[-5:] += 1.0
     q = prof._rec.q
     want = float(np.linalg.norm(changed - q @ (q.conj().T @ changed)))
-    assert reconstruct(model, prof, draw_samples(prof, 40, 2), changed).tail_err == want
+    assert reconstruct(prof, draw_samples(prof, 40, 2), changed).tail_err == want
     tgt = model._memo["target"]
     assert tgt.key == changed.tobytes() and tgt.tails == {10: want}
 
@@ -365,9 +365,9 @@ def test_tail_follows_a_writeable_target_changed_in_place():
     prof = leverage_profile(model, 10)
     f = exp_target(1.0).fourier_coef(frequencies(301))
     draw = draw_samples(prof, 40, 0)
-    before = reconstruct(model, prof, draw, f).tail_err
+    before = reconstruct(prof, draw, f).tail_err
     f[-5:] += 1.0
-    after = reconstruct(model, prof, draw, f).tail_err
+    after = reconstruct(prof, draw, f).tail_err
     q = prof._rec.q
     assert after != before
     assert after == float(np.linalg.norm(f - q @ (q.conj().T @ f)))
@@ -388,8 +388,8 @@ def test_target_record_checks_finiteness_once_per_bytes(monkeypatch):
 
     monkeypatch.setattr(sampling, "_PerTarget", Counted)
     for _ in range(3):
-        reconstruct(model, prof, draw, f)
-        reconstruction_error(model, prof, draw, f.copy())
+        reconstruct(prof, draw, f)
+        reconstruction_error(prof, draw, f.copy())
     assert calls == [16 * 301]
     # A non-finite target is rejected on every call, its verdict memoized.
     bad = f.copy()
@@ -397,12 +397,12 @@ def test_target_record_checks_finiteness_once_per_bytes(monkeypatch):
     for _ in range(2):
         for fn in (reconstruct, reconstruction_error):
             with pytest.raises(sampling.InputValidationError, match="non-finite"):
-                fn(model, prof, draw, bad)
+                fn(prof, draw, bad)
     assert calls == [16 * 301] * 2
     # The length is checked on every call, before the record.
     for fn in (reconstruct, reconstruction_error):
         with pytest.raises(sampling.InputValidationError, match="length 300"):
-            fn(model, prof, draw, f[:-1])
+            fn(prof, draw, f[:-1])
     assert model._memo["target"].key == bad.tobytes()
 
 
@@ -414,8 +414,8 @@ def test_kernel_is_computed_once_per_profile_and_draw(monkeypatch):
     calls = []
     monkeypatch.setattr(sampling, "_DrawKernel", lambda **k: calls.append(1) or kernel(**k))
     f = exp_target(1.0).fourier_coef(frequencies(301))
-    reconstruct(model, prof, draw, f)
-    cross_term_deviation(model, prof, draw)
+    reconstruct(prof, draw, f)
+    cross_term_deviation(prof, draw)
     range_stability_check(prof, draw)
     gram = empirical_gram(prof, draw)
     assert empirical_gram(prof, draw) is gram
@@ -458,9 +458,9 @@ def test_warm_trial_memory_stays_below_one_n_by_ambient_matrix():
 
     def trial(seed):
         draw = draw_samples(prof, 142, seed)
-        reconstruct(model, prof, draw, f)
+        reconstruct(prof, draw, f)
         operator_norm(empirical_gram(prof, draw) - prof.sigma)
-        cross_term_deviation(model, prof, draw)
+        cross_term_deviation(prof, draw)
         range_stability_check(prof, draw)
 
     trial(0)
@@ -488,8 +488,8 @@ def test_sampling_inside_reconstruction_space_gives_zero_k(monkeypatch):
         warnings.simplefilter("error")
         for seed in range(4):
             draw = draw_samples(prof, 10, seed)
-            assert reconstruct(model, prof, draw, f).k_factor <= 1e-12
-            assert cross_term_deviation(model, prof, draw) <= 1e-12
+            assert reconstruct(prof, draw, f).k_factor <= 1e-12
+            assert cross_term_deviation(prof, draw) <= 1e-12
     assert calls == [(3, 6)] * 8
 
 
@@ -514,10 +514,10 @@ def direct_dense_estimates(model, prof, draw):
 def check_dense_estimates(model, prof, draw, f) -> bool:
     """K and ||C_hat - C|| of the package against the direct estimates at
     1e-12; returns whether the draw is rank-deficient."""
-    rep = reconstruct(model, prof, draw, f)
+    rep = reconstruct(prof, draw, f)
     k_ref, dev_ref = direct_dense_estimates(model, prof, draw)
     assert abs(rep.k_factor - k_ref) <= REL * k_ref, (prof.n, draw.m, draw.seed)
-    assert abs(cross_term_deviation(model, prof, draw) - dev_ref) <= REL * dev_ref
+    assert abs(cross_term_deviation(prof, draw) - dev_ref) <= REL * dev_ref
     return rep.used_pseudo_inverse
 
 
@@ -548,7 +548,7 @@ def test_dense_memo_built_once_per_n(haar_400, monkeypatch):
     seen = []
     for n in (32, 16, 32):
         prof = profs[n]
-        coherence_profile(model, prof)
+        coherence_profile(prof)
         for seed in range(3):
             check_dense_estimates(model, prof, draw_samples(prof, 48, seed), f)
         seen.append(list(calls))
@@ -563,12 +563,12 @@ def test_selection_builds_no_dense_memo():
                      (build_selection_model(np.arange(4), np.eye(6, 4)), 4)):
         prof = leverage_profile(model, n)
         f = np.linspace(1.0, 2.0, model.ambient_dim).astype(complex)
-        coherence_profile(model, prof)
+        coherence_profile(prof)
         for seed in range(3):
             draw = draw_samples(prof, 20, seed)
-            reconstruct(model, prof, draw, f)
-            reconstruction_error(model, prof, draw, f)
-            cross_term_deviation(model, prof, draw)
+            reconstruct(prof, draw, f)
+            reconstruction_error(prof, draw, f)
+            cross_term_deviation(prof, draw)
         # S^H f is a gather of f; no N_amb x J residual adjoint is formed.
         assert np.array_equal(model._memo["target"].shf, f[model.s_rows])
         assert "uh" not in vars(prof._rec)
@@ -579,17 +579,17 @@ def test_sample_memo_follows_a_target_changed_in_place(haar_400):
     prof = leverage_profile(model, 32)
     f = np.linspace(1.0, 2.0, 400).astype(complex)
     draw = draw_samples(prof, 48, 0)
-    before = reconstruct(model, prof, draw, f)
+    before = reconstruct(prof, draw, f)
     assert model._memo["target"].key == f.tobytes() and "shf" in vars(model._memo["target"])
     f[:50] += 1j
-    after = reconstruct(model, prof, draw, f)
+    after = reconstruct(prof, draw, f)
     # A fresh model of the same frame holds no memo to go stale.
     fresh = build_frame_model(model.s_matrix, model.w_coef)
-    want = reconstruct(fresh, leverage_profile(fresh, 32), draw_samples(prof, 48, 0), f)
+    want = reconstruct(leverage_profile(fresh, 32), draw_samples(prof, 48, 0), f)
     assert after.err_l2 != before.err_l2
     assert after.err_l2 == want.err_l2
     assert np.array_equal(after.x_tilde, want.x_tilde)
-    assert reconstruction_error(model, prof, draw, f) == want.err_l2
+    assert reconstruction_error(prof, draw, f) == want.err_l2
     assert np.array_equal(model._memo["target"].shf, model.s_matrix.conj().T @ f)
 
 
@@ -609,8 +609,8 @@ def test_cross_products_built_once_per_profile(make, monkeypatch):
         prof = profs[n]
         for seed in range(3):
             draw = draw_samples(prof, 20, seed)
-            reconstruct(model, prof, draw, f)
-            cross_term_deviation(model, prof, draw)
+            reconstruct(prof, draw, f)
+            cross_term_deviation(prof, draw)
         rec = prof._rec
         got = (rec.v, rec.c, rec.cc, rec.b)
         assert all(x is y for x, y in zip(parts.setdefault(n, got), got))
@@ -618,7 +618,7 @@ def test_cross_products_built_once_per_profile(make, monkeypatch):
         # Q^H is formed where it is read; no N_amb x n copy is kept.
         assert not hasattr(rec, "qh")
         c, cc, b, q = rec.c, rec.cc, rec.b, rec.q
-        assert c is cross_term_matrix(model, prof)
+        assert c is cross_term_matrix(prof)
         if model.s_rows is None:
             u = model.s_matrix - q @ (q.conj().T @ model.s_matrix)
             want_b = u.conj().T @ c.conj().T
@@ -632,7 +632,7 @@ def test_cross_products_built_once_per_profile(make, monkeypatch):
     # both products carry the same bits.
     for p_spec in ("leverage", "uniform_on_support"):
         other = leverage_profile(model, 8, p_spec)
-        cross_term_deviation(model, other, draw_samples(other, 20, 0))
+        cross_term_deviation(other, draw_samples(other, 20, 0))
         rec = other._rec
         assert rec is not profs[8]._rec and other.v is rec.v
         got = (rec.v, rec.c, rec.cc, rec.b)
@@ -641,28 +641,29 @@ def test_cross_products_built_once_per_profile(make, monkeypatch):
     assert [s for s in shapes if s[0] == amb] == [(amb, 8), (amb, 4), (amb, 8), (amb, 8)]
 
 
-def test_residual_gram_is_memoized_per_model_and_profile():
+def test_residual_gram_is_a_slot_of_the_kernel():
     model = build_fl_model(10, 301, 301, max_defect=0.05)
     prof = leverage_profile(model, 10)
     f = exp_target(1.0).fourier_coef(frequencies(301))
     draw = draw_samples(prof, 40, 1)
-    reconstruct(model, prof, draw, f)
+    reconstruct(prof, draw, f)
     # The K-factor reads only M, so reconstruct builds no C or its products.
     assert not {"c", "cc", "b"} & set(vars(prof._rec))
-    first = draw._memo["residual"]
-    cross_term_deviation(model, prof, draw)
-    assert draw._memo["residual"] is first and first[:2] == (prof, model)
-    m, mu = first[2]
+    kern = draw._memo["kernel"][1]
+    first = kern.residual
+    cross_term_deviation(prof, draw)
+    assert kern.residual is first and draw._memo.keys() == {"checked", "kernel"}
+    m, mu = first
     k = np.unique(draw.indices).size
     assert m.shape == (k, k) and mu == 1.0
-    # Another profile, or another model of the same frame, recomputes it.
-    other = leverage_profile(model, 10)
-    cross_term_deviation(model, other, draw)
-    assert draw._memo["residual"][0] is other
+    # A second profile on the same draw, of the model or of a twin, rebuilds
+    # the kernel and with it M, to the same bits.
     twin = build_fl_model(10, 301, 301, max_defect=0.05)
-    cross_term_deviation(twin, other, draw)
-    assert draw._memo["residual"][1] is twin
-    assert np.array_equal(draw._memo["residual"][2][0], m)
+    for other in (leverage_profile(model, 10), leverage_profile(twin, 10)):
+        cross_term_deviation(other, draw)
+        owner, rebuilt = draw._memo["kernel"]
+        assert owner is other and rebuilt is not kern and rebuilt.residual is not first
+        assert np.array_equal(rebuilt.residual[0], m)
 
 
 def test_non_orthonormal_dense_frame_scales_the_guard_by_s_norm_squared(monkeypatch):
@@ -678,14 +679,14 @@ def test_non_orthonormal_dense_frame_scales_the_guard_by_s_norm_squared(monkeypa
     s_norm2 = np.linalg.norm(model.s_matrix, 2) ** 2
     for seed in range(6):
         draw = draw_samples(prof, 48, seed)
-        rep = reconstruct(model, prof, draw, f)
-        m, mu = sampling._residual_gram(prof._rec, prof, draw)
+        rep = reconstruct(prof, draw, f)
+        m, mu = sampling._residual_gram(prof, draw)
         assert mu is model._s_norm2
         assert abs(mu - s_norm2) <= 1e-12 * s_norm2 and mu >= np.linalg.eigvalsh(m)[-1]
         k_ref = direct_k_factor(model, prof, draw)
         assert abs(rep.k_factor - k_ref) <= REL * k_ref, seed
         dev_ref = direct_cross_dev(model, prof, draw)
-        assert abs(cross_term_deviation(model, prof, draw) - dev_ref) <= REL * dev_ref
+        assert abs(cross_term_deviation(prof, draw) - dev_ref) <= REL * dev_ref
     assert not calls
 
 
@@ -715,11 +716,11 @@ def test_one_svd_of_w_n_per_profile_and_no_qr(command, monkeypatch, capsys):
     shapes.clear()
     for n in (32, 16, 32):
         prof = leverage_profile(dense, n)
-        coherence_profile(dense, prof)
+        coherence_profile(prof)
         for seed in range(3):
             draw = draw_samples(prof, 48, seed)
-            reconstruct(dense, prof, draw, f)
-            cross_term_deviation(dense, prof, draw)
+            reconstruct(prof, draw, f)
+            cross_term_deviation(prof, draw)
     assert [shape for shape in shapes if shape[0] == 100] == [(100, 32), (100, 16), (100, 32)]
 
 
@@ -733,11 +734,11 @@ def test_a_dropped_profile_frees_its_record(make):
     f = np.linspace(1.0, 2.0, model.ambient_dim).astype(complex)
     for n in (4, 8, 6, 8):
         prof = leverage_profile(model, n)
-        coherence_profile(model, prof)
+        coherence_profile(prof)
         for seed in range(3):
             draw = draw_samples(prof, 20, seed)
-            reconstruct(model, prof, draw, f)
-            cross_term_deviation(model, prof, draw)
+            reconstruct(prof, draw, f)
+            cross_term_deviation(prof, draw)
         del draw  # its memo holds the profile
         alive = weakref.ref(prof.v)
         del prof
@@ -770,15 +771,15 @@ def test_planted_bound_violation_below_1e8_reads_false(make):
     f = (exp_target(1.0).fourier_coef(frequencies(model.ambient_dim))
          if model.s_rows is not None else np.linspace(1.0, 2.0, 100).astype(complex))
     draw = next(d for d in (draw_samples(prof, 3 * prof.n, s) for s in range(20))
-                if not reconstruct(model, prof, d, f).used_pseudo_inverse)
-    rep = reconstruct(model, prof, draw, f)
+                if not reconstruct(prof, d, f).used_pseudo_inverse)
+    rep = reconstruct(prof, draw, f)
     slack = 1e3 * np.finfo(float).eps / 2 * np.linalg.norm(f)
     scale = np.sqrt(1.0 + rep.k_factor**2)
     # A tail planted in the target's record sets the bound to err_l2 minus a
     # margin.
     for margin, ok in ((1e-10, False), (4 * slack, False), (slack / 4, True)):
         model._memo["target"].tails[prof.n] = (rep.err_l2 - margin) / scale
-        assert reconstruct(model, prof, draw, f).bound_ok is ok, margin
+        assert reconstruct(prof, draw, f).bound_ok is ok, margin
 
 
 @pytest.fixture(scope="module")
@@ -792,7 +793,7 @@ def test_measured_fl_draws_meet_the_bound(fl_2001, target, n, m):
     prof = leverage_profile(fl_2001, n)
     f = target.fourier_coef(frequencies(2001))
     for seed in range(25):
-        rep = reconstruct(fl_2001, prof, draw_samples(prof, m, seed), f)
+        rep = reconstruct(prof, draw_samples(prof, m, seed), f)
         assert rep.used_pseudo_inverse or rep.bound_ok, seed
 
 
@@ -801,7 +802,7 @@ def test_measured_dense_draws_meet_the_bound(haar_400):
     f = np.linspace(1.0, 2.0, 400).astype(complex)
     full = 0
     for seed in range(40):
-        rep = reconstruct(haar_400, prof, draw_samples(prof, 48, seed), f)
+        rep = reconstruct(prof, draw_samples(prof, 48, seed), f)
         full += not rep.used_pseudo_inverse
         assert rep.used_pseudo_inverse or rep.bound_ok, seed
     assert full > 20
@@ -829,9 +830,9 @@ def test_hand_built_and_foreign_draws_are_still_checked(bad):
         ident = other.distribution_id if bad == "other distribution" else prof.distribution_id
         indices[3] = {"index J": 41, "negative index": -1}.get(bad, indices[3])
         draw = SampleDraw(indices=indices, seed=0, distribution_id=ident)
-    calls = [lambda: reconstruct(model, prof, draw, f),
-             lambda: reconstruction_error(model, prof, draw, f),
-             lambda: cross_term_deviation(model, prof, draw)]
+    calls = [lambda: reconstruct(prof, draw, f),
+             lambda: reconstruction_error(prof, draw, f),
+             lambda: cross_term_deviation(prof, draw)]
     for call in calls:
         with pytest.raises(sampling.InputValidationError, match="draw"):
             call()
@@ -847,9 +848,9 @@ def test_draws_of_draw_samples_pass_only_their_own_profile():
     # checked in full and give the same bits.
     twin = leverage_profile(model, 4)
     copy = SampleDraw(indices=draw.indices.copy(), seed=2, distribution_id=prof.distribution_id)
-    want = report_fields(reconstruct(model, prof, draw, f))
-    assert report_fields(reconstruct(model, prof, copy, f)) == want
-    assert report_fields(reconstruct(model, twin, draw, f)) == want
+    want = report_fields(reconstruct(prof, draw, f))
+    assert report_fields(reconstruct(prof, copy, f)) == want
+    assert report_fields(reconstruct(twin, draw, f)) == want
     assert "checked" not in copy._memo
 
 
@@ -858,11 +859,11 @@ def test_writeable_target_changed_in_place_gives_the_new_result():
     prof = leverage_profile(model, 10)
     f = exp_target(1.0).fourier_coef(frequencies(301))
     draw = draw_samples(prof, 40, 4)
-    before = reconstruct(model, prof, draw, f)
+    before = reconstruct(prof, draw, f)
     f[::7] += 0.25j
-    after = reconstruct(model, prof, draw, f)
+    after = reconstruct(prof, draw, f)
     fresh = build_fl_model(10, 301, 301, max_defect=0.05)
-    want = reconstruct(fresh, leverage_profile(fresh, 10), draw_samples(prof, 40, 4), f.copy())
+    want = reconstruct(leverage_profile(fresh, 10), draw_samples(prof, 40, 4), f.copy())
     assert report_fields(after) == report_fields(want) != report_fields(before)
 
 
@@ -902,58 +903,33 @@ def identity_and_dense_twin():
     return build_selection_model(np.arange(8), np.eye(8)), build_frame_model(s, np.eye(8))
 
 
-def estimator_calls(model, prof, draw, f):
+def estimator_results(prof, draw, f):
     return {
-        "coherence_profile": lambda: coherence_profile(model, prof),
-        "cross_term_matrix": lambda: cross_term_matrix(model, prof),
-        "empirical_cross_term": lambda: empirical_cross_term(model, prof, draw),
-        "cross_term_deviation": lambda: cross_term_deviation(model, prof, draw),
-        "reconstruct": lambda: reconstruct(model, prof, draw, f),
-        "reconstruction_error": lambda: reconstruction_error(model, prof, draw, f),
+        "coherence_profile": coherence_profile(prof),
+        "cross_term_matrix": cross_term_matrix(prof),
+        "empirical_cross_term": empirical_cross_term(prof, draw),
+        "cross_term_deviation": cross_term_deviation(prof, draw),
+        "reconstruct": report_fields(reconstruct(prof, draw, f)),
+        "reconstruction_error": reconstruction_error(prof, draw, f),
     }
 
 
-def test_a_profile_of_another_model_is_rejected():
-    # The profile's v and p paired with the dense frame's W_n and S gave
-    # wrong numbers with no error; every estimator now rejects the pair.
-    identity, dense = identity_and_dense_twin()
-    prof = leverage_profile(identity, 4)
-    draw = draw_samples(prof, 20, 0)
-    f = np.ones(8, dtype=complex)
-    for call in estimator_calls(dense, prof, draw, f).values():
-        with pytest.raises(sampling.InputValidationError, match="another model"):
-            call()
-    # The other way round as well.
-    dense_prof = leverage_profile(dense, 4)
-    with pytest.raises(sampling.InputValidationError, match="another model"):
-        reconstruct(identity, dense_prof, draw_samples(dense_prof, 20, 0), f)
-
-
-def test_a_profile_of_a_content_equal_model_passes(monkeypatch):
-    # A twin's record has its own v, equal entry for entry, so the check
-    # compares arrays and every result keeps its bits.  A profile of the
-    # model itself holds the record's own v and takes no compare.
-    identity, _ = identity_and_dense_twin()
-    twin, _ = identity_and_dense_twin()
-    prof = leverage_profile(identity, 4)
-    draw = draw_samples(prof, 20, 0)
-    f = np.ones(8, dtype=complex)
-    own = estimator_calls(identity, prof, draw, f)
-    want = {name: call() for name, call in own.items()}
-    array_equal, compares = np.array_equal, []
-    monkeypatch.setattr(np, "array_equal", lambda *a: compares.append(1) or array_equal(*a))
-    for call in own.values():
-        call()
-    assert compares == []
-    for name, call in estimator_calls(twin, prof, draw, f).items():
-        got = call()
-        if name == "reconstruct":
-            assert report_fields(got) == report_fields(want[name])
-        elif isinstance(got, np.ndarray):
-            assert array_equal(got, want[name])
+@pytest.mark.parametrize("kind", ["selection", "dense"])
+def test_a_twin_models_own_profile_gives_the_same_bits(kind):
+    # Two content-equal models, each read through its own profile and draw:
+    # every estimator reaches the model through the profile, and the twin's
+    # results keep the model's bits.
+    got = []
+    for _ in range(2):
+        model = identity_and_dense_twin()[kind == "dense"]
+        prof = leverage_profile(model, 4)
+        got.append(estimator_results(prof, draw_samples(prof, 20, 0), np.ones(8, dtype=complex)))
+    want, twin = got
+    for name, value in want.items():
+        if isinstance(value, np.ndarray):
+            assert np.array_equal(twin[name], value), name
         else:
-            assert got == want[name], name
-    assert len(compares) == len(own)
+            assert twin[name] == value, name
 
 
 @pytest.mark.parametrize("shape", [(2, 4), (8, 1), ()])
@@ -965,7 +941,7 @@ def test_a_target_that_is_not_a_vector_is_rejected(shape):
     f = np.ones(shape, dtype=complex)
     for fn in (reconstruct, reconstruction_error):
         with pytest.raises(sampling.InputValidationError, match="f_coef must be one-dimensional"):
-            fn(model, prof, draw, f)
+            fn(prof, draw, f)
 
 
 @pytest.mark.parametrize("shape", [(2, 4), (8, 1)])

@@ -62,7 +62,7 @@ def test_per_trial_numbers_match_the_40_digit_oracle(make):
     model, n, m, f = make()
     prof = leverage_profile(model, n)
     draw = draw_samples(prof, m, 0)
-    rep = reconstruct(model, prof, draw, f)
+    rep = reconstruct(prof, draw, f)
     assert not rep.used_pseudo_inverse
     ref = model_oracle(model, prof, draw, f)
     kappa, f_norm = ref["gram_condition"], float(np.linalg.norm(f))
@@ -70,7 +70,7 @@ def test_per_trial_numbers_match_the_40_digit_oracle(make):
         "tail_err": (rep.tail_err, C * U * f_norm),
         "err_l2": (rep.err_l2, C * U * kappa * f_norm),
         "gram_dev": (gram_deviation(prof, draw), C * U * ref["gram_scale"]),
-        "cross_dev": (cross_term_deviation(model, prof, draw), C * U * ref["cross_scale"]),
+        "cross_dev": (cross_term_deviation(prof, draw), C * U * ref["cross_scale"]),
         "k_factor": (rep.k_factor, C * U * kappa * ref["k_factor"]),
         "gram_condition": (rep.gram_condition, C * U * kappa**2),
     }

@@ -98,7 +98,7 @@ class TestLeverageProfile:
     def test_identity_custom_uniform(self):
         prof = leverage_profile(identity_model(8), 4, p_spec=np.full(8, 1.0))
         assert np.allclose(prof.p, 1.0 / 8.0)
-        coh = coherence_profile(identity_model(8), prof)
+        coh = coherence_profile(prof)
         assert coh.R == pytest.approx(8.0)
 
     def test_uniform_on_support(self):
@@ -141,7 +141,7 @@ class TestCoherenceProfile:
     def test_identity_subspace_zero_cross_term(self):
         model = identity_model(8)
         prof = leverage_profile(model, 4)
-        coh = coherence_profile(model, prof)
+        coh = coherence_profile(prof)
         assert coh.C_norm <= 1e-9
         # C is exactly zero here; its norm prints as 0, never as -0.
         assert math.copysign(1.0, coh.C_norm) == 1.0
@@ -149,7 +149,7 @@ class TestCoherenceProfile:
     def test_identity_full_no_residual(self):
         model = identity_model(5)
         prof = leverage_profile(model, 5)
-        coh = coherence_profile(model, prof)
+        coh = coherence_profile(prof)
         assert coh.R_prime == 0.0
         assert coh.T_norm == 0.0
         assert coh.K_scale == pytest.approx(coh.sigma_norm)
@@ -164,16 +164,16 @@ class TestCoherenceProfile:
         for j in range(6):
             u_j = model.s_coef[:, j] - proj @ model.s_coef[:, j]
             brute += np.outer(prof.v[:, j], u_j.conj())
-        c = cross_term_matrix(model, prof)
+        c = cross_term_matrix(prof)
         assert operator_norm(c - brute) <= 1e-10
-        coh = coherence_profile(model, prof)
+        coh = coherence_profile(prof)
         assert coh.C_norm == pytest.approx(operator_norm(brute), abs=1e-10)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_scalar_relations(self, seed):
         model = random_riesz_model(seed)
         prof = leverage_profile(model, 4)
-        coh = coherence_profile(model, prof)
+        coh = coherence_profile(prof)
         assert coh.R_double == pytest.approx(max(coh.R, coh.R_prime))
         assert coh.K_scale == pytest.approx(max(coh.sigma_norm, coh.T_norm))
         assert coh.Lambda == pytest.approx(1.0 + coh.sigma_inv_norm + coh.C_norm)
@@ -188,7 +188,7 @@ class TestCoherenceProfile:
         bounds = (1.0, 1.0, float(sv[-1] ** 2), float(sv[0] ** 2))
         model = build_frame_model(s, w, declared_bounds=bounds)
         prof = leverage_profile(model, 3)
-        coh = coherence_profile(model, prof)
+        coh = coherence_profile(prof)
         a, b, c, d = bounds
         assert coh.sigma_norm * coh.sigma_inv_norm <= b * d / (a * c) + 1e-6
 
@@ -275,7 +275,7 @@ class TestEmpiricalCrossTerm:
         model = identity_model(8)
         prof = leverage_profile(model, 4)
         draw = draw_samples(prof, 100, seed=2)
-        assert operator_norm(empirical_cross_term(model, prof, draw)) <= 1e-12
+        assert operator_norm(empirical_cross_term(prof, draw)) <= 1e-12
 
     def test_point_mass(self):
         rng = np.random.default_rng(3)
@@ -295,22 +295,22 @@ class TestEmpiricalCrossTerm:
         jj = draw.indices[0]
         expected = np.outer(prof1.v[:, jj], u[:, jj].conj()) / prof1.p[jj]
         del custom
-        assert np.allclose(empirical_cross_term(model1, prof1, draw), expected)
+        assert np.allclose(empirical_cross_term(prof1, draw), expected)
 
     def test_concentration_large_m(self):
         # sampling span excludes part of w so the limiting C is nonzero
         model = random_riesz_model(11, ambient=7, j_count=5, k_count=4)
         prof = leverage_profile(model, 3)
-        c = cross_term_matrix(model, prof)
+        c = cross_term_matrix(prof)
         draw = draw_samples(prof, 100_000, seed=8)
-        dev = operator_norm(empirical_cross_term(model, prof, draw) - c)
+        dev = operator_norm(empirical_cross_term(prof, draw) - c)
         assert dev <= 0.05 * operator_norm(c) + 0.01
 
     @pytest.mark.parametrize("seed", range(3))
     def test_single_draw_unbiasedness(self, seed):
         model = random_riesz_model(seed, ambient=6, j_count=6, k_count=3)
         prof = leverage_profile(model, 3)
-        c = cross_term_matrix(model, prof)
+        c = cross_term_matrix(prof)
         from stochsamp.sampling import SampleDraw
 
         total = np.zeros_like(c)
@@ -320,7 +320,7 @@ class TestEmpiricalCrossTerm:
                 seed=0,
                 distribution_id=prof.distribution_id,
             )
-            total += prof.p[j] * empirical_cross_term(model, prof, draw)
+            total += prof.p[j] * empirical_cross_term(prof, draw)
         assert operator_norm(total - c) <= 1e-12 * max(1.0, operator_norm(c))
 
 
@@ -332,7 +332,7 @@ class TestReconstruct:
         f[:4] = [1.0, -2.0, 0.5j, 3.0]
         draw = draw_samples(prof, 40, seed=0)
         assert len(set(draw.indices.tolist())) == 4  # covers {1..4}
-        rep = reconstruct(model, prof, draw, f)
+        rep = reconstruct(prof, draw, f)
         assert rep.err_l2 <= 1e-10
         assert np.allclose(rep.x_tilde, f[:4], atol=1e-10)
 
@@ -341,7 +341,7 @@ class TestReconstruct:
         prof = leverage_profile(model, 4)
         f = np.arange(1.0, 9.0).astype(complex)
         draw = draw_samples(prof, 60, seed=1)
-        rep = reconstruct(model, prof, draw, f)
+        rep = reconstruct(prof, draw, f)
         assert rep.k_factor <= 1e-12
         assert abs(rep.err_l2 - rep.tail_err) <= 1e-10
         assert rep.bound_ok
@@ -369,8 +369,8 @@ class TestReconstruct:
         prof = leverage_profile(model, 4)
         draw = draw_samples(prof, 25, seed=12)
         f = np.linspace(1, 2, 7).astype(complex)
-        r1 = reconstruct(model, prof, draw, f)
-        r2 = reconstruct(model, prof, draw, f)
+        r1 = reconstruct(prof, draw, f)
+        r2 = reconstruct(prof, draw, f)
         assert np.array_equal(r1.x_tilde, r2.x_tilde)
         assert r1.err_l2 == r2.err_l2
         assert r1.k_factor == r2.k_factor
@@ -380,7 +380,7 @@ class TestReconstruct:
         prof = leverage_profile(model, 4)
         draw = draw_samples(prof, 30, seed=2)
         f = np.ones(7, dtype=complex)
-        rep = reconstruct(model, prof, draw, f)
+        rep = reconstruct(prof, draw, f)
         assert np.allclose(rep.f_tilde_coef, model.w_coef[:, :4] @ rep.x_tilde)
 
     def test_bound_holds_on_full_rank_draws(self):
@@ -389,7 +389,7 @@ class TestReconstruct:
         f = np.random.default_rng(1).standard_normal(7).astype(complex)
         for t in range(50):
             draw = draw_samples(prof, 40, seed=100 + t)
-            rep = reconstruct(model, prof, draw, f)
+            rep = reconstruct(prof, draw, f)
             if not rep.used_pseudo_inverse:
                 assert rep.err_l2 <= rep.tail_err * np.sqrt(1 + rep.k_factor**2) + 1e-8
 
@@ -398,7 +398,7 @@ class TestReconstruct:
         prof = leverage_profile(model, 2)
         draw = draw_samples(prof, 5, seed=0)
         with pytest.raises(InputValidationError):
-            reconstruct(model, prof, draw, np.ones(3))
+            reconstruct(prof, draw, np.ones(3))
 
 
 class TestChristoffel:
@@ -426,7 +426,7 @@ class TestChristoffel:
     def test_sandwich(self, seed):
         model = random_riesz_model(seed)
         prof = leverage_profile(model, 4)
-        coh = coherence_profile(model, prof)
+        coh = coherence_profile(prof)
         chris = christoffel_profile(prof)
         assert coh.R / coh.sigma_norm - 1e-9 <= chris.kappa_w
         assert chris.kappa_w <= coh.sigma_inv_norm * coh.R + 1e-9
@@ -475,7 +475,18 @@ TINY_P8 = [1.0] * 7 + [1e-320]
 
 def coherence_at(dim, p_spec):
     model = identity_model(dim)
-    return coherence_profile(model, leverage_profile(model, 4, p_spec))
+    return coherence_profile(leverage_profile(model, 4, p_spec))
+
+
+def draw_at(m, seed):
+    return draw_samples(leverage_profile(identity_model(4), 4), m, seed)
+
+
+def hand_built_gram(indices):
+    """empirical_gram of a hand-built draw with these indices."""
+    prof = leverage_profile(identity_model(4), 4)
+    return empirical_gram(prof, SampleDraw(indices=indices, seed=0,
+                                           distribution_id=prof.distribution_id))
 
 # Every validation branch of the profile, the draw and the coherence and
 # Christoffel values: (call, error, text naming the field).
@@ -500,8 +511,22 @@ PROFILE_ERRORS = [
     # positive, the Gram section zero.
     (lambda: leverage_profile(tiny_selection(1.5e-162 * (1 + 1j)), 1), DegenerateModelError,
      "numerically zero"),
-    (lambda: draw_samples(leverage_profile(identity_model(4), 4), 0, 0), InputValidationError,
-     "m must be >= 1"),
+    (lambda: leverage_profile(identity_model(4), True), InputValidationError,
+     "n must be an integer, got True"),
+    (lambda: leverage_profile(identity_model(4), 2.5), InputValidationError,
+     "n must be an integer, got 2.5"),
+    (lambda: draw_at(0, 0), InputValidationError, "m must be >= 1"),
+    (lambda: draw_at(True, 0), InputValidationError, "m must be an integer, got True"),
+    (lambda: draw_at(2.5, 0), InputValidationError, "m must be an integer, got 2.5"),
+    (lambda: draw_at(4, -1), InputValidationError, "seed must be >= 0, got -1"),
+    (lambda: draw_at(4, True), InputValidationError, "seed must be an integer, got True"),
+    (lambda: draw_at(4, 1.5), InputValidationError, "seed must be an integer, got 1.5"),
+    (lambda: hand_built_gram(np.array([0.0, 1.0])), InputValidationError,
+     "draw indices must be a 1-d integer ndarray"),
+    (lambda: hand_built_gram(np.array([[0, 1]])), InputValidationError,
+     "draw indices must be a 1-d integer ndarray"),
+    (lambda: hand_built_gram([0, 1]), InputValidationError,
+     "draw indices must be a 1-d integer ndarray"),
     (lambda: coherence_at(4, TINY_P4), InputValidationError, "p_spec gives index 3 the probability"),
     (lambda: coherence_at(8, TINY_P8), InputValidationError, "||u_j||^2/p_j overflows"),
     (lambda: christoffel_profile(leverage_profile(identity_model(4), 4, TINY_P4)),
@@ -574,7 +599,7 @@ class TestDerivedFields:
 
         model = build_selection_model(np.arange(6), np.eye(6)[:, [0, 0, 1]])
         prof = leverage_profile(model, 3)
-        coh = coherence_profile(model, prof)
+        coh = coherence_profile(prof)
         assert (prof.lambda0, prof.rank) == (pytest.approx(1.0), 2)
         assert coh.sigma_norm == prof.sigma_norm == pytest.approx(2.0)
         assert (on_sigma("eigvalsh", prof), on_sigma("svd", prof)) == (1, 0)

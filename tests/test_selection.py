@@ -68,14 +68,14 @@ def test_leverage_matches_dense_and_closed_form(pair):
 def test_coherence_and_cross_term_match_dense(pair):
     sel, dense = pair
     ps, pd = leverage_profile(sel, N), leverage_profile(dense, N)
-    cs, cd = coherence_profile(sel, ps), coherence_profile(dense, pd)
+    cs, cd = coherence_profile(ps), coherence_profile(pd)
     for name in COHERENCE_FIELDS:
         # C_norm vanishes to rounding when J = ambient; those fields are O(1)
         # quantities, so the gap is measured against max(|ref|, 1).
         ref = getattr(cd, name)
         assert abs(getattr(cs, name) - ref) <= REL * max(abs(ref), 1.0), name
     # C is roundoff-sized when J = ambient: measure against the size of v.
-    assert_close(cross_term_matrix(sel, ps), cross_term_matrix(dense, pd),
+    assert_close(cross_term_matrix(ps), cross_term_matrix(pd),
                  scale=np.max(np.abs(pd.v)))
 
 
@@ -84,8 +84,8 @@ def test_reconstruct_reports_match_dense(pair):
     ps, pd = leverage_profile(sel, N), leverage_profile(dense, N)
     f = exp_target(1.0).fourier_coef(frequencies(AMBIENT))
     for seed in range(5):
-        rs = reconstruct(sel, ps, draw_samples(ps, 40, seed), f)
-        rd = reconstruct(dense, pd, draw_samples(pd, 40, seed), f)
+        rs = reconstruct(ps, draw_samples(ps, 40, seed), f)
+        rd = reconstruct(pd, draw_samples(pd, 40, seed), f)
         assert_close(rs.x_tilde, rd.x_tilde)
         assert_close(rs.f_tilde_coef, rd.f_tilde_coef)
         for name in ("err_l2", "tail_err", "k_factor", "residual_weighted"):
@@ -105,10 +105,10 @@ def test_pipeline_memory_stays_small():
     try:
         model = build_fl_model(10, 2001, 2001)
         prof = leverage_profile(model, 10)
-        coherence_profile(model, prof)
-        cross_term_matrix(model, prof)
+        coherence_profile(prof)
+        cross_term_matrix(prof)
         f = exp_target(1.0).fourier_coef(frequencies(2001))
-        reconstruct(model, prof, draw_samples(prof, 142, 0), f)
+        reconstruct(prof, draw_samples(prof, 142, 0), f)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -30,7 +30,7 @@ def sample_objects(seed=0):
     prof = leverage_profile(model, 3)
     draw = draw_samples(prof, 25, seed=7)
     f = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-    report = reconstruct(model, prof, draw, f)
+    report = reconstruct(prof, draw, f)
     return model, prof, draw, report
 
 
@@ -111,7 +111,7 @@ class TestReportRoundTrip:
     def test_exact(self, capsys, tmp_path):
         model, prof, draw, _ = sample_objects()
         f = 1.0 / np.arange(1.0, model.ambient_dim + 1.0)
-        report = reconstruct(model, prof, draw, f / np.linalg.norm(f))
+        report = reconstruct(prof, draw, f / np.linalg.norm(f))
         back, rows = run_cli(capsys, tmp_path, "reconstruct", "--m", "25", "--seed", "7")
         x_tilde = [complex(float(r[1]), float(r[2])) for r in rows]
         assert np.array_equal(x_tilde, report.x_tilde)

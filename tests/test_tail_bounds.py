@@ -103,7 +103,7 @@ def case(request):
     return {
         "rectangular": (lambda eps: bernstein_rectangular_tail(eps, *rect),
                         _validity_threshold(*rect[:2]),
-                        np.array([cross_term_deviation(model, prof, d) for d in draws])),
+                        np.array([cross_term_deviation(prof, d) for d in draws])),
         "operator": (lambda eps: bernstein_operator_tail(eps, *gram),
                      _validity_threshold(*gram[:2]),
                      np.array([gram_deviation(prof, d) for d in draws])),
